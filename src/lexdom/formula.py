@@ -20,7 +20,7 @@ from .product import lex_product
 from .solvers import (
     ParameterKind,
     _complete_roman,
-    _gosper_masks,
+    _feasible_sets,
     enumerate_optimal_v2,
     is_feasible,
     is_prdf,
@@ -162,19 +162,11 @@ def _optimal_prdf_with(g: Graph, predicate) -> tuple[int, int] | None:
     return None
 
 
-def _min_perfect_dominating_sets(g: Graph):
-    """All gamma_p(G)-sets in increasing mask order."""
-    size = factor_value(g, ParameterKind.gamma_p)
-    for smask in _gosper_masks(g.n, size):
-        if is_feasible(g, smask, ParameterKind.gamma_p):
-            yield smask
-
-
 def _best_gamma_p_set_by_epn(g: Graph) -> tuple[int, int, int]:
     """gamma_p(G)-set minimizing |S'| + 2|S''| where S' = members with
     no external private neighbor; returns (S, S', S'')."""
     best = None
-    for smask in _min_perfect_dominating_sets(g):
+    for smask in _feasible_sets(g, ParameterKind.gamma_p, factor_value(g, ParameterKind.gamma_p)):
         s_prime = mask_from(v for v in bits(smask) if not g.epn(v, smask))
         s_dprime = smask & ~s_prime
         key = (s_prime.bit_count() + 2 * s_dprime.bit_count(), smask)

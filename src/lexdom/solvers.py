@@ -21,7 +21,13 @@ what lets enumerate_optimal_v2 stand in for "all optimal functions" in
 lemma checks.
 
 Canonical witnesses: the returned witness is the one whose V2 (or set)
-bitmask is numerically smallest among all optima.
+bitmask is numerically smallest among all optima.  For set kinds the
+value search finds only the optimum k; a second, bounded DFS with k fixed
+then decides vertices from n-1 down to 0, trying "exclude" before
+"include".  Masks of one popcount compare like their bit strings read
+from the top bit, so this DFS reaches its leaves in increasing numeric
+order and its first feasible leaf is the canonical witness, without a
+scan over all C(n, k) masks.  Its nodes are not counted in ``explored``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, DomainError, InconsistencyError
 from .graph import Graph, RomanAssignment, assignment_from_masks, bits
 
 #: Default cap for 2^n subset-scan kinds; override with LEXDOM_MAX_N.
@@ -292,25 +298,59 @@ def _packing_value(g: Graph, open_: bool):
     return best, explored
 
 
-def _gosper_masks(n: int, k: int):
-    """All n-bit masks of popcount k in increasing numeric order."""
-    if k == 0:
-        yield 0
-        return
-    m = (1 << k) - 1
-    limit = 1 << n
-    while m < limit:
-        yield m
-        c = m & -m
-        r = m + c
-        m = (((r ^ m) >> 2) // c) | r
+def _feasible_sets(g: Graph, kind: ParameterKind, k: int, forbidden: int = 0,
+                   initial_cover: int = 0):
+    """Every popcount-``k`` set S disjoint from ``forbidden`` that satisfies
+    the predicate of set kind ``kind``, in increasing numeric order.
 
+    Each vertex of ``initial_cover`` counts as already seeing one member
+    (a fixed set outside the search), so with ``kind`` gamma_t the sets
+    yielded are exactly those whose open neighborhoods cover the rest.
 
-def _canonical_set_witness(g: Graph, kind: ParameterKind, size: int) -> int:
-    for mask in _gosper_masks(g.n, size):
-        if is_feasible(g, mask, kind):
-            return mask
-    raise AssertionError(f"no feasible {kind.value} witness of size {size}")
+    Vertices are decided from n-1 down to 0, "exclude" before "include".
+    Two masks of equal popcount compare like their bit strings read from
+    the top, with 0 before 1, so leaves are reached in increasing numeric
+    order.  Pruning uses only the definitions: the popcount, the c1/c2
+    counters (vertices seeing at least one / two members in their key
+    neighborhood), and each vertex's constraint once every vertex that
+    can change it is decided.
+    """
+    n = g.n
+    closed = kind in (ParameterKind.gamma, ParameterKind.rho)
+    key = [g.adj[v] | 1 << v if closed else g.adj[v] for v in range(n)]
+    packing = kind in (ParameterKind.rho, ParameterKind.rho_o)
+    perfect = kind is ParameterKind.gamma_p
+    # closing[u]: vertices whose constraint is final once u, the lowest
+    # vertex whose membership can change it, is decided
+    closing = [0] * n
+    if not packing:
+        for w in range(n):
+            scope = key[w] | 1 << w if perfect else key[w]
+            closing[(scope & -scope).bit_length() - 1 if scope else n - 1] |= 1 << w
+
+    def violated(v: int, smask: int, c1: int) -> int:
+        # final constraints that see no member; members of a perfect set
+        # are exempt, and seeing two is pruned in rec as soon as it happens
+        unseen = closing[v] & ~c1
+        return unseen & ~smask if perfect else unseen
+
+    def rec(v: int, smask: int, out: int, cnt: int, c1: int, c2: int):
+        if v < 0:
+            yield smask
+            return
+        b = 1 << v
+        # exclude v: a perfect set cannot leave out a vertex seeing two members
+        if cnt + v >= k and not (perfect and c2 & b) and not violated(v, smask, c1):
+            yield from rec(v - 1, smask, out | b, cnt, c1, c2)
+        if cnt == k or forbidden & b or (packing and c1 & key[v]):
+            return
+        nc2 = c2 | (c1 & key[v])
+        nc1 = c1 | key[v]
+        ns = smask | b
+        if not (perfect and nc2 & out) and not violated(v, ns, nc1):
+            yield from rec(v - 1, ns, out, cnt + 1, nc1, nc2)
+
+    yield from rec(n - 1, 0, 0, 0, initial_cover, 0)
 
 
 # -- Roman-kind solvers -------------------------------------------------
@@ -458,16 +498,9 @@ def _solve_gamma_tR(g: Graph):
         w = base + extra
         if w < best:
             # canonical minimal extra set at the optimal size
-            e_mask = 0
-            if extra:
-                preset = v2mask | forced
-                cover0 = g.open_cover(preset)
-                for cand in _gosper_masks(n, extra):
-                    if cand & preset:
-                        continue
-                    if cover0 | g.open_cover(cand) == full:
-                        e_mask = cand
-                        break
+            preset = v2mask | forced
+            e_mask = next(_feasible_sets(g, ParameterKind.gamma_t, extra, forbidden=preset,
+                                         initial_cover=g.open_cover(preset)))
             best = w
             best_v2 = v2mask
             best_v1 = forced | e_mask
@@ -501,7 +534,9 @@ def solve(g: Graph, kind: ParameterKind, max_n: int | None = None) -> SolveResul
         value, witness, explored = _solve_gamma_tR(g)
         return SolveResult(value, witness, explored)
 
-    witness = _canonical_set_witness(g, kind, value)
+    witness = next(_feasible_sets(g, kind, value), None)
+    if witness is None:
+        raise InconsistencyError(f"no feasible {kind.value} witness of size {value}")
     return SolveResult(value, witness, explored)
 
 
@@ -521,13 +556,25 @@ def enumerate_optimal_v2(g: Graph, kind: ParameterKind, max_n: int | None = None
 
 
 def zeta(g: Graph, max_n: int | None = None) -> tuple[int, tuple[int, int]]:
-    """min{2|A| + 3|B|} over dominating couples (A, B).
+    """min{2|A| + 3|B|} over dominating couples (A, B); ties go to the
+    smallest (A, B) pair."""
+    couples = zeta_couples(g, max_n)
+    if not couples:
+        raise InconsistencyError("no dominating couple, yet U = V always dominates")
+    a, b = min(couples)
+    return 2 * a.bit_count() + 3 * b.bit_count(), (a, b)
+
+
+def zeta_couples(g: Graph, max_n: int | None = None) -> list[tuple[int, int]]:
+    """All dominating couples achieving zeta(G), as (A, B) mask pairs in
+    increasing A u B order.
 
     For a fixed union U = A u B the couple condition forces B to contain
     exactly the isolated vertices of G[U] (any vertex of U with no
     U-neighbor fails the test unless it is in B, and enlarging B only
-    costs more), and requires U to be a dominating set; so the scan runs
-    over dominating sets U with B = iso(G[U]).
+    costs more), and requires U to be a dominating set; so one scan runs
+    over dominating sets U with B = iso(G[U]), keeping the couples at the
+    running minimum.
     """
     _check_no_isolated(g, ParameterKind.gamma_t)
     cap = max_n if max_n is not None else subset_cap()
@@ -535,7 +582,7 @@ def zeta(g: Graph, max_n: int | None = None) -> tuple[int, tuple[int, int]]:
         raise CapExceededError(f"order {g.n} exceeds the zeta cap {cap}")
     full = g.full_mask
     best = None
-    best_ab = None
+    result: list[tuple[int, int]] = []
     for umask in range(1 << g.n):
         outside = full & ~umask
         cover = 0
@@ -547,29 +594,9 @@ def zeta(g: Graph, max_n: int | None = None) -> tuple[int, tuple[int, int]]:
         if outside & ~cover:
             continue
         value = 2 * umask.bit_count() + iso.bit_count()
-        ab = (umask & ~iso, iso)
-        if best is None or value < best or (value == best and ab < best_ab):
-            best, best_ab = value, ab
-    assert best is not None  # U = V is always a dominating set
-    return best, best_ab
-
-
-def zeta_couples(g: Graph, max_n: int | None = None) -> list[tuple[int, int]]:
-    """All dominating couples achieving zeta(G), as (A, B) mask pairs."""
-    value, _ = zeta(g, max_n)
-    full = g.full_mask
-    result = []
-    for umask in range(1 << g.n):
-        outside = full & ~umask
-        cover = 0
-        iso = 0
-        for v in bits(umask):
-            cover |= g.adj[v]
-            if not g.adj[v] & umask:
-                iso |= 1 << v
-        if outside & ~cover:
-            continue
-        if 2 * umask.bit_count() + iso.bit_count() == value:
+        if best is None or value < best:
+            best, result = value, []
+        if value == best:
             result.append((umask & ~iso, iso))
     return result
 

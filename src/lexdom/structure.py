@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import DomainError, HypothesisError
+from .errors import DomainError, HypothesisError, InconsistencyError
 from .graph import Graph
-from .solvers import ParameterKind, is_feasible, solve, _gosper_masks
+from .solvers import ParameterKind, _feasible_sets, is_feasible, solve
 
 
 class HypothesisKind(str, Enum):
@@ -47,8 +47,11 @@ def is_efficient_open_domination(g: Graph) -> int | None:
         else:
             if c1 == full:
                 # cross-check the stated size identity
-                assert smask.bit_count() == factor_value(g, ParameterKind.gamma_t) \
-                    == factor_value(g, ParameterKind.rho_o)
+                sizes = (smask.bit_count(), factor_value(g, ParameterKind.gamma_t),
+                         factor_value(g, ParameterKind.rho_o))
+                if len(set(sizes)) != 1:
+                    raise InconsistencyError(
+                        f"efficient open dominating set with |S|, gamma_t, rho_o = {sizes}")
                 return smask
     return None
 
@@ -59,9 +62,12 @@ def is_efficient_closed_domination(g: Graph) -> int | None:
     Canonical: smallest mask among sets of size gamma(G).
     """
     value = factor_value(g, ParameterKind.gamma)
-    for smask in _gosper_masks(g.n, value):
-        if is_feasible(g, smask, ParameterKind.gamma) and is_feasible(g, smask, ParameterKind.rho):
-            assert smask.bit_count() == factor_value(g, ParameterKind.rho)
+    for smask in _feasible_sets(g, ParameterKind.gamma, value):
+        if is_feasible(g, smask, ParameterKind.rho):
+            rho = factor_value(g, ParameterKind.rho)
+            if value != rho:
+                raise InconsistencyError(
+                    f"efficient closed dominating set of size {value} but rho = {rho}")
             return smask
     return None
 

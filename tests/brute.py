@@ -4,7 +4,9 @@ Every oracle here works straight from the definitions, with no shared
 machinery with the production solvers: Roman-type minima enumerate all
 3^n weight assignments as (V2, V1) partitions, set-type parameters
 enumerate all 2^n subsets, and the couple parameters enumerate pairs of
-disjoint subsets.  Slow on purpose; intended for n <= 8.
+disjoint subsets.  Canonical (numerically smallest) optimal sets come
+from a Gosper scan over the masks of the optimal size.  Slow on purpose;
+intended for n <= 9.
 """
 
 from __future__ import annotations
@@ -61,20 +63,30 @@ def roman_oracle(g: Graph, kind: str) -> int:
     return best
 
 
-def set_oracle(g: Graph, kind: str) -> int:
-    """Definitional 2^n scan for gamma / gamma_t / gamma_p (minima) and
-    rho / rho_o (maxima)."""
+def _gosper_masks(n: int, k: int):
+    """All n-bit masks of popcount k in increasing numeric order."""
+    if k == 0:
+        yield 0
+        return
+    m = (1 << k) - 1
+    limit = 1 << n
+    while m < limit:
+        yield m
+        c = m & -m
+        r = m + c
+        m = (((r ^ m) >> 2) // c) | r
 
+
+def _set_predicate(g: Graph, kind: str):
+    """The defining predicate of a set kind, as a function of the mask."""
     def dominating(s):
-        return all(s >> v & 1 or any(s >> u & 1 for u in _neighbors(g, v))
-                   for v in range(g.n))
+        return all(s >> v & 1 or g.adj[v] & s for v in range(g.n))
 
     def total_dominating(s):
-        return all(any(s >> u & 1 for u in _neighbors(g, v)) for v in range(g.n))
+        return all(g.adj[v] & s for v in range(g.n))
 
     def perfect_dominating(s):
-        return all(s >> v & 1 or sum(1 for u in _neighbors(g, v) if s >> u & 1) == 1
-                   for v in range(g.n))
+        return all(s >> v & 1 or (g.adj[v] & s).bit_count() == 1 for v in range(g.n))
 
     def packing(s):
         members = [v for v in range(g.n) if s >> v & 1]
@@ -88,7 +100,13 @@ def set_oracle(g: Graph, kind: str) -> int:
 
     checks = {"gamma": dominating, "gamma_t": total_dominating,
               "gamma_p": perfect_dominating, "rho": packing, "rho_o": open_packing}
-    check = checks[kind]
+    return checks[kind]
+
+
+def set_oracle(g: Graph, kind: str) -> int:
+    """Definitional 2^n scan for gamma / gamma_t / gamma_p (minima) and
+    rho / rho_o (maxima)."""
+    check = _set_predicate(g, kind)
     maximize = kind in ("rho", "rho_o")
     best = None
     for s in range(1 << g.n):
@@ -98,6 +116,30 @@ def set_oracle(g: Graph, kind: str) -> int:
         if best is None or (size > best if maximize else size < best):
             best = size
     return best
+
+
+def canonical_set_oracle(g: Graph, kind: str) -> int:
+    """The numerically smallest optimal set of a set kind: the first
+    feasible mask of the optimal size in Gosper (increasing) order."""
+    check = _set_predicate(g, kind)
+    return next(s for s in _gosper_masks(g.n, set_oracle(g, kind)) if check(s))
+
+
+def canonical_trdf_v1_oracle(g: Graph, v2: int, weight: int) -> int | None:
+    """V1 of the canonical total Roman dominating function of the given
+    weight with this V2: every vertex outside V2 without a V2-neighbor
+    (it cannot be 0), plus the numerically smallest set of the remaining
+    size that makes the positive set total dominating."""
+    forced = 0
+    for v in range(g.n):
+        if not v2 >> v & 1 and not any(v2 >> u & 1 for u in _neighbors(g, v)):
+            forced |= 1 << v
+    preset = v2 | forced
+    total_dominating = _set_predicate(g, "gamma_t")
+    for extra in _gosper_masks(g.n, weight - 2 * v2.bit_count() - forced.bit_count()):
+        if not extra & preset and total_dominating(preset | extra):
+            return forced | extra
+    return None
 
 
 def zeta_oracle(g: Graph) -> int:

@@ -4,6 +4,7 @@ tie-breaking, caps and domain errors, and the couple parameters."""
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from lexdom import (
     CapExceededError,
@@ -27,7 +28,11 @@ from lexdom import (
 from lexdom.graph import RomanAssignment
 from lexdom.solvers import dominating_open_packings
 
+from test_graph import random_graph_strategy
+
 from brute import (
+    canonical_set_oracle,
+    canonical_trdf_v1_oracle,
     roman_oracle,
     set_oracle,
     zeta_oracle,
@@ -130,6 +135,31 @@ class TestWitnesses:
                 result = solve(g, kind)
                 optima = enumerate_optimal_v2(g, kind)
                 assert result.witness.v2 == min(optima)
+
+    def test_set_witness_canonical_on_oracle_corpus(self, oracle_corpus):
+        # the numerically smallest optimal set, recomputed from the
+        # definitions by a Gosper scan over the optimal size
+        for g in oracle_corpus:
+            for kind in SET_KINDS:
+                if kind is ParameterKind.gamma_t and g.has_isolated_vertex():
+                    continue
+                assert solve(g, kind).witness == canonical_set_oracle(g, kind.value), (kind, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_graph_strategy(max_n=9))
+    def test_set_witness_canonical_random(self, g):
+        for kind in SET_KINDS:
+            if kind is ParameterKind.gamma_t and g.has_isolated_vertex():
+                continue
+            assert solve(g, kind).witness == canonical_set_oracle(g, kind.value), kind
+
+    def test_gamma_tR_v1_forced_plus_lex_min_extra(self, oracle_corpus):
+        for g in oracle_corpus:
+            if g.has_isolated_vertex():
+                continue
+            result = solve(g, ParameterKind.gamma_tR)
+            v2 = result.witness.v2
+            assert result.witness.v1 == canonical_trdf_v1_oracle(g, v2, result.value), g
 
     def test_deterministic(self):
         for g in random_graphs(8, seed=8):

@@ -7,6 +7,7 @@ from lexdom import (
     DomainError,
     HypothesisError,
     HypothesisKind,
+    InconsistencyError,
     ParameterKind,
     bits,
     build_graph,
@@ -19,6 +20,7 @@ from lexdom import (
     mask_from,
     parse_family,
     solve,
+    structure,
 )
 
 P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -88,6 +90,23 @@ class TestEfficientClosedDomination:
             if is_efficient_closed_domination(t) is None:
                 ecd_failures += 1
         assert ecd_failures > 0
+
+
+@pytest.mark.parametrize("predicate, wrong_kind", [
+    (is_efficient_open_domination, ParameterKind.gamma_t),
+    (is_efficient_open_domination, ParameterKind.rho_o),
+    (is_efficient_closed_domination, ParameterKind.rho),
+])
+def test_size_cross_check_raises(monkeypatch, predicate, wrong_kind):
+    # the witness-size identities are checked at run time, also under -O
+    true_value = structure.factor_value
+
+    def factor_value(g, kind):
+        return true_value(g, kind) + (kind is wrong_kind)
+
+    monkeypatch.setattr(structure, "factor_value", factor_value)
+    with pytest.raises(InconsistencyError):
+        predicate.__wrapped__(P4)  # bypass the cache
 
 
 class TestHypotheses:
