@@ -298,10 +298,9 @@ def _packing_value(g: Graph, open_: bool):
     return best, explored
 
 
-def _feasible_sets(g: Graph, kind: ParameterKind, k: int, forbidden: int = 0,
-                   initial_cover: int = 0):
-    """Every popcount-``k`` set S disjoint from ``forbidden`` that satisfies
-    the predicate of set kind ``kind``, in increasing numeric order.
+def _feasible_sets(g: Graph, kind: ParameterKind, k: int, initial_cover: int = 0):
+    """Every popcount-``k`` set S that satisfies the predicate of set kind
+    ``kind``, in increasing numeric order.
 
     Each vertex of ``initial_cover`` counts as already seeing one member
     (a fixed set outside the search), so with ``kind`` gamma_t the sets
@@ -342,7 +341,7 @@ def _feasible_sets(g: Graph, kind: ParameterKind, k: int, forbidden: int = 0,
         # exclude v: a perfect set cannot leave out a vertex seeing two members
         if cnt + v >= k and not (perfect and c2 & b) and not violated(v, smask, c1):
             yield from rec(v - 1, smask, out | b, cnt, c1, c2)
-        if cnt == k or forbidden & b or (packing and c1 & key[v]):
+        if cnt == k or (packing and c1 & key[v]):
             return
         nc2 = c2 | (c1 & key[v])
         nc1 = c1 | key[v]
@@ -351,6 +350,15 @@ def _feasible_sets(g: Graph, kind: ParameterKind, k: int, forbidden: int = 0,
             yield from rec(v - 1, ns, out, cnt + 1, nc1, nc2)
 
     yield from rec(n - 1, 0, 0, 0, initial_cover, 0)
+
+
+def _first_feasible_set(g: Graph, kind: ParameterKind, k: int, initial_cover: int = 0) -> int:
+    """The numerically smallest set yielded by ``_feasible_sets``; a value
+    search that reported size ``k`` guarantees one exists."""
+    smask = next(_feasible_sets(g, kind, k, initial_cover), None)
+    if smask is None:
+        raise InconsistencyError(f"no feasible {kind.value} set of size {k}")
+    return smask
 
 
 # -- Roman-kind solvers -------------------------------------------------
@@ -497,10 +505,11 @@ def _solve_gamma_tR(g: Graph):
             continue
         w = base + extra
         if w < best:
-            # canonical minimal extra set at the optimal size
-            preset = v2mask | forced
-            e_mask = next(_feasible_sets(g, ParameterKind.gamma_t, extra, forbidden=preset,
-                                         initial_cover=g.open_cover(preset)))
+            # canonical minimal extra set at the optimal size; no such set
+            # meets the preset, as dropping a preset vertex (its neighbors
+            # are already covered) would beat the minimum ``extra``
+            e_mask = _first_feasible_set(g, ParameterKind.gamma_t, extra,
+                                         initial_cover=g.open_cover(v2mask | forced))
             best = w
             best_v2 = v2mask
             best_v1 = forced | e_mask
@@ -534,10 +543,7 @@ def solve(g: Graph, kind: ParameterKind, max_n: int | None = None) -> SolveResul
         value, witness, explored = _solve_gamma_tR(g)
         return SolveResult(value, witness, explored)
 
-    witness = next(_feasible_sets(g, kind, value), None)
-    if witness is None:
-        raise InconsistencyError(f"no feasible {kind.value} witness of size {value}")
-    return SolveResult(value, witness, explored)
+    return SolveResult(value, _first_feasible_set(g, kind, value), explored)
 
 
 def enumerate_optimal_v2(g: Graph, kind: ParameterKind, max_n: int | None = None) -> list[int]:

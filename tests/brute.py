@@ -80,13 +80,15 @@ def _gosper_masks(n: int, k: int):
 def _set_predicate(g: Graph, kind: str):
     """The defining predicate of a set kind, as a function of the mask."""
     def dominating(s):
-        return all(s >> v & 1 or g.adj[v] & s for v in range(g.n))
+        return all(s >> v & 1 or any(s >> u & 1 for u in _neighbors(g, v))
+                   for v in range(g.n))
 
     def total_dominating(s):
-        return all(g.adj[v] & s for v in range(g.n))
+        return all(any(s >> u & 1 for u in _neighbors(g, v)) for v in range(g.n))
 
     def perfect_dominating(s):
-        return all(s >> v & 1 or (g.adj[v] & s).bit_count() == 1 for v in range(g.n))
+        return all(s >> v & 1 or sum(1 for u in _neighbors(g, v) if s >> u & 1) == 1
+                   for v in range(g.n))
 
     def packing(s):
         members = [v for v in range(g.n) if s >> v & 1]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from lexdom import (
     CapExceededError,
     DomainError,
+    InconsistencyError,
     ParameterKind,
     bits,
     build_graph,
@@ -26,6 +27,7 @@ from lexdom import (
     zeta_prime,
 )
 from lexdom.graph import RomanAssignment
+from lexdom import solvers
 from lexdom.solvers import dominating_open_packings
 
 from test_graph import random_graph_strategy
@@ -160,6 +162,14 @@ class TestWitnesses:
             result = solve(g, ParameterKind.gamma_tR)
             v2 = result.witness.v2
             assert result.witness.v1 == canonical_trdf_v1_oracle(g, v2, result.value), g
+
+    def test_missing_witness_raises(self, monkeypatch):
+        # a value search that reports a size with no feasible set of that
+        # size is an internal fault, reported also under python -O
+        path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        monkeypatch.setattr(solvers, "_gamma_value", lambda g: (1, 0))
+        with pytest.raises(InconsistencyError):
+            solve(path, ParameterKind.gamma)
 
     def test_deterministic(self):
         for g in random_graphs(8, seed=8):
