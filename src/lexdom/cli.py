@@ -179,7 +179,7 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
     if args.claims:
         claims = [TheoremId(c.strip()) for c in args.claims.split(",") if c.strip()]
     report = verify_corpus(gs, hs, claims,
-                           max_product_order=args.max_product, workers=args.workers)
+                           max_product_order=args.max_product)
     results = {
         "pairs": report.pairs,
         "failed": report.failed,
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hs", required=True, help="graph6 corpus file for H factors")
     p.add_argument("--claims", default=None, help="comma-separated claim ids (default all)")
     p.add_argument("--max-product", type=int, default=DEFAULT_PRODUCT_CAP)
-    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_verify)
 

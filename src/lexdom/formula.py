@@ -1,32 +1,47 @@
-"""Theorem-indexed prediction of product parameters from factor data,
-and proof-driven witness construction on the product.
+"""Theorem registry: each statement about G o H declared once, and the
+prediction and witness construction that read it.
 
-Every TheoremId carries its hypothesis check and conclusion; predict()
-aggregates all applicable statements for the requested parameter and
-collapses to an exact value whenever an exact-case statement fires or
-the bounds meet.  Disagreement between fired exact statements (or an
-exact value escaping the aggregated interval) raises InconsistencyError
-rather than picking a side.
+Every TheoremId has one Statement in STATEMENTS with four parts: the
+product parameter it concerns; its hypotheses, as (predicate, skip
+reason) pairs tried in order; its conclusion, which is an exact value
+with a branch tag (Exact), a lower or an upper bound (Lower, Upper), the
+right-hand side of an if-and-only-if (Iff), or a check of its own
+(Custom); and, optionally, the witness its proof builds on the product.
+The parts read factor data from one PairFacts per pair, which computes
+each quantity on first use.
+
+predict() folds the applicable statements about one parameter into an
+interval and collapses it to an exact value whenever an exact case fires
+or an iff's right-hand side holds.  Disagreement between fired exact
+statements (or an exact value escaping the aggregated interval) raises
+InconsistencyError rather than picking a side.  Statement.check()
+compares one statement with the measured product for verify_pair(), and
+construct_witness() builds one statement's object and validates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Callable
 
 from .errors import DomainError, HypothesisError, InconsistencyError
-from .graph import Graph, RomanAssignment, assignment_from_masks, bits, mask_from
+from .graph import Graph, assignment_from_masks, bits, mask_from
 from .product import lex_product
 from .solvers import (
     ParameterKind,
     _complete_roman,
     _feasible_sets,
+    dominating_open_packings,
     enumerate_optimal_v2,
     is_feasible,
     is_prdf,
     is_rdf,
     solve,
     zeta,
+    zeta_couples,
+    zeta_prime,
 )
 from .structure import (
     HypothesisKind,
@@ -104,10 +119,39 @@ PREDICT_KINDS = (
     ParameterKind.gamma_Rp,
 )
 
+PASS = "pass"
+FAIL = "fail"
+SKIP = "skip"
+INDETERMINATE = "indeterminate"
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise HypothesisError(message)
+
+@dataclass(frozen=True)
+class ClaimRecord:
+    claim: str
+    outcome: str
+    predicted: object = None
+    measured: object = None
+    detail: str = ""
+
+    @property
+    def applicable(self) -> bool:
+        return self.outcome not in (SKIP,)
+
+
+def _compare(claim: str, predicted, measured, ok: bool, detail: str = "") -> ClaimRecord:
+    return ClaimRecord(claim, PASS if ok else FAIL, predicted, measured, detail)
+
+
+def _iff(claim: str, lhs: bool, rhs: bool, detail: str) -> ClaimRecord:
+    forward = (not lhs) or rhs
+    backward = (not rhs) or lhs
+    return ClaimRecord(
+        claim,
+        PASS if forward and backward else FAIL,
+        rhs,
+        lhs,
+        f"{detail}; forward={'ok' if forward else 'FAIL'}, backward={'ok' if backward else 'FAIL'}",
+    )
 
 
 def open_packings(g: Graph):
@@ -125,6 +169,11 @@ def open_packings(g: Graph):
     yield from rec(0, 0, 0)
 
 
+def _isolated_in(g: Graph, smask: int) -> int:
+    """The members of S without a neighbor in S."""
+    return mask_from(v for v in bits(smask) if not g.adj[v] & smask)
+
+
 def _min_degree_vertex(h: Graph) -> int:
     return min(range(h.n), key=lambda v: (h.degree(v), v))
 
@@ -140,188 +189,578 @@ def _universal_vertex(h: Graph) -> int | None:
     return None
 
 
-def _optimal_prdf_min_positive(g: Graph) -> tuple[int, int]:
-    """(v2, v1) of the optimal PRDF on G minimizing |V1| + |V2|
-    (ties by smallest V2 mask)."""
-    best = None
-    for v2 in enumerate_optimal_v2(g, ParameterKind.gamma_Rp):
-        f = _complete_roman(g, ParameterKind.gamma_Rp, v2)
-        key = ((f.v1 | f.v2).bit_count(), v2)
-        if best is None or key < best[0]:
-            best = (key, (v2, f.v1))
-    return best[1]
+class PairFacts:
+    """What the statements read about one pair (G, H), each quantity
+    computed on first use and at most once.
+
+    Checking a statement against the product also needs
+    ``measured(kind)``, the parameter measured on G o H, which the pair
+    context of ``verify`` adds.
+    """
+
+    def __init__(self, g: Graph, h: Graph):
+        self.g = g
+        self.h = h
+
+    @cached_property
+    def g_ok(self) -> bool:
+        """G has no isolated vertex."""
+        return not self.g.has_isolated_vertex()
+
+    @cached_property
+    def delta_g(self) -> int:
+        return self.g.degree_extremes()[0]
+
+    @cached_property
+    def dmin(self) -> int:
+        return self.h.degree_extremes()[0]
+
+    @cached_property
+    def dmax(self) -> int:
+        return self.h.degree_extremes()[1]
+
+    @cached_property
+    def gamma(self) -> int:
+        return factor_value(self.g, ParameterKind.gamma)
+
+    @cached_property
+    def gamma_t(self) -> int:
+        return factor_value(self.g, ParameterKind.gamma_t)
+
+    @cached_property
+    def gamma_p(self) -> int:
+        return factor_value(self.g, ParameterKind.gamma_p)
+
+    @cached_property
+    def gamma_Rp(self) -> int:
+        return factor_value(self.g, ParameterKind.gamma_Rp)
+
+    @cached_property
+    def eod(self) -> int | None:
+        return is_efficient_open_domination(self.g)
+
+    @cached_property
+    def ecd(self) -> int | None:
+        return is_efficient_closed_domination(self.g)
+
+    @cached_property
+    def p1(self) -> bool:
+        return bool(check_hypothesis(self.g, self.h, HypothesisKind.P1))
+
+    @cached_property
+    def p2(self) -> bool:
+        return bool(check_hypothesis(self.g, self.h, HypothesisKind.P2))
+
+    @cached_property
+    def p3(self) -> bool:
+        return bool(check_hypothesis(self.g, self.h, HypothesisKind.P3))
+
+    @cached_property
+    def zeta(self) -> tuple[int, tuple[int, int]]:
+        return zeta(self.g)
+
+    @cached_property
+    def optimal_prdfs(self) -> list[tuple[int, int]]:
+        """(V2, V1) of every optimal PRDF on G, in enumeration order."""
+        return [(v2, _complete_roman(self.g, ParameterKind.gamma_Rp, v2).v1)
+                for v2 in enumerate_optimal_v2(self.g, ParameterKind.gamma_Rp)]
+
+    @cached_property
+    def prdf_fewest_positive(self) -> tuple[int, int]:
+        """The optimal PRDF on G with the fewest positive vertices (ties:
+        smallest V2)."""
+        return min(self.optimal_prdfs, key=lambda f: ((f[0] | f[1]).bit_count(), f[0]))
+
+    @cached_property
+    def prdf_v2_gamma_set(self) -> tuple[int, int] | None:
+        """The first optimal PRDF on G whose V2 is a gamma(G)-set, or None."""
+        return next(((v2, v1) for v2, v1 in self.optimal_prdfs
+                     if v2.bit_count() == self.gamma
+                     and is_feasible(self.g, v2, ParameterKind.gamma)), None)
+
+    @cached_property
+    def prdf_support_gamma_p_set(self) -> tuple[int, int] | None:
+        """The first optimal PRDF on G whose V1 u V2 is a gamma_p(G)-set, or
+        None."""
+        return next(((v2, v1) for v2, v1 in self.optimal_prdfs
+                     if (v1 | v2).bit_count() == self.gamma_p
+                     and is_feasible(self.g, v1 | v2, ParameterKind.gamma_p)), None)
+
+    @cached_property
+    def epn_split(self) -> tuple[int, int]:
+        """(S', S - S') for the gamma_p(G)-set S minimizing |S'| + 2|S - S'|,
+        where S' holds the members without an external private neighbor
+        (ties: smallest S)."""
+        splits = []
+        for smask in _feasible_sets(self.g, ParameterKind.gamma_p, self.gamma_p):
+            s_prime = mask_from(v for v in bits(smask) if not self.g.epn(v, smask))
+            splits.append((s_prime.bit_count() + 2 * (smask & ~s_prime).bit_count(),
+                           smask, s_prime))
+        _, smask, s_prime = min(splits)
+        return s_prime, smask & ~s_prime
+
+    @cached_property
+    def packing(self) -> tuple[int, int]:
+        """(value, S) of the open packing S of G minimizing
+        |S0|(n(H)-maxdeg(H)+1) + |S - S0|(2+mindeg(H)) + n(H)(n(G) - |N[S]|),
+        where S0 holds the members without a neighbor in S (ties: smallest
+        S)."""
+        g, n_h = self.g, self.h.n
+        terms = []
+        for smask in open_packings(g):
+            s0 = _isolated_in(g, smask).bit_count()
+            terms.append((s0 * (n_h - self.dmax + 1)
+                          + (smask.bit_count() - s0) * (2 + self.dmin)
+                          + n_h * (g.n - g.closed_cover(smask).bit_count()), smask))
+        return min(terms)
+
+    def lift(self, gmask: int, hmask: int) -> int:
+        """The product mask of gmask x hmask."""
+        out = 0
+        for u in bits(gmask):
+            out |= hmask << (u * self.h.n)
+        return out
 
 
-def _optimal_prdf_with(g: Graph, predicate) -> tuple[int, int] | None:
-    """First (smallest-V2) optimal PRDF on G whose (v2, v1) satisfies
-    ``predicate``, or None."""
-    for v2 in enumerate_optimal_v2(g, ParameterKind.gamma_Rp):
-        f = _complete_roman(g, ParameterKind.gamma_Rp, v2)
-        if predicate(v2, f.v1):
-            return v2, f.v1
-    return None
+# -- the kinds of conclusion ----------------------------------------------
 
 
-def _best_gamma_p_set_by_epn(g: Graph) -> tuple[int, int, int]:
-    """gamma_p(G)-set minimizing |S'| + 2|S''| where S' = members with
-    no external private neighbor; returns (S, S', S'')."""
-    best = None
-    for smask in _feasible_sets(g, ParameterKind.gamma_p, factor_value(g, ParameterKind.gamma_p)):
-        s_prime = mask_from(v for v in bits(smask) if not g.epn(v, smask))
-        s_dprime = smask & ~s_prime
-        key = (s_prime.bit_count() + 2 * s_dprime.bit_count(), smask)
-        if best is None or key < best[0]:
-            best = (key, (smask, s_prime, s_dprime))
-    return best[1]
+@dataclass(frozen=True)
+class Exact:
+    """The parameter equals ``cases(f)[1]``; ``cases(f)[0]`` names the
+    branch taken, or is None for a single formula."""
+
+    cases: Callable[[PairFacts], tuple[str | None, int]]
 
 
-def _packing_bound_terms(g: Graph, h: Graph) -> tuple[int, int]:
-    """(best value, best S) of the open-packing upper bound
-    |S0|(n(H)-D+1) + |S1|(2+d) + n(H)(n(G) - |N[S]|)."""
-    dmin, dmax = h.degree_extremes()
-    a = h.n - dmax + 1
-    b = 2 + dmin
-    best = None
-    for smask in open_packings(g):
-        s0 = mask_from(v for v in bits(smask) if not g.adj[v] & smask)
-        covered = g.closed_cover(smask).bit_count()
-        value = (s0.bit_count() * a
-                 + (smask.bit_count() - s0.bit_count()) * b
-                 + h.n * (g.n - covered))
-        if best is None or (value, smask) < best:
-            best = (value, smask)
-    return best
+@dataclass(frozen=True)
+class Lower:
+    value: Callable[[PairFacts], int]
 
 
-# -- prediction ---------------------------------------------------------
+@dataclass(frozen=True)
+class Upper:
+    value: Callable[[PairFacts], int]
+
+
+@dataclass(frozen=True)
+class Iff:
+    """The parameter equals ``value(f)`` if and only if ``rhs(f)``."""
+
+    value: Callable[[PairFacts], int]
+    rhs: Callable[[PairFacts], bool]
+    detail: str
+
+
+@dataclass(frozen=True)
+class Custom:
+    """A check that is no single comparison: ``check(claim, f)`` returns
+    the record.  ``value(f)``, when given, is what the witness attains."""
+
+    check: Callable[[str, PairFacts], ClaimRecord]
+    value: Callable[[PairFacts], int] | None = None
+
+
+@dataclass(frozen=True)
+class Statement:
+    id: TheoremId
+    kind: ParameterKind
+    hypotheses: tuple[tuple[Callable[[PairFacts], bool], str], ...]
+    conclusion: Exact | Lower | Upper | Iff | Custom
+    #: ``witness(f, branch)`` returns a vertex mask for gamma / gamma_p
+    #: statements and a (V2, V1) mask pair otherwise.
+    witness: Callable[[PairFacts, str | None], object] | None = None
+
+    def skip_reason(self, f: PairFacts) -> str | None:
+        """The first unmet hypothesis, worded as verification reports it."""
+        for holds, reason in self.hypotheses:
+            if not holds(f):
+                return reason
+        return None
+
+    def refusal(self, f: PairFacts) -> str | None:
+        """Why the statement tells nothing about the pair, or None.  An
+        if-and-only-if tells something only when its right-hand side holds."""
+        reason = self.skip_reason(f)
+        c = self.conclusion
+        if reason is None and isinstance(c, Iff) and not c.rhs(f):
+            return f"right-hand side fails: {c.detail}"
+        return reason
+
+    def check(self, f: PairFacts) -> ClaimRecord:
+        """Compare the statement with the product measured by ``f.measured``."""
+        claim = self.id.value
+        reason = self.skip_reason(f)
+        if reason is not None:
+            return ClaimRecord(claim, SKIP, detail=reason)
+        c = self.conclusion
+        if isinstance(c, Custom):
+            return c.check(claim, f)
+        measured = f.measured(self.kind)
+        if isinstance(c, Iff):
+            return _iff(claim, measured == c.value(f), c.rhs(f), c.detail)
+        if isinstance(c, Exact):
+            value = c.cases(f)[1]
+            return _compare(claim, value, measured, measured == value)
+        bound = c.value(f)
+        if isinstance(c, Lower):
+            return _compare(claim, f">= {bound}", measured, measured >= bound)
+        return _compare(claim, f"<= {bound}", measured, measured <= bound)
+
+
+# -- exact cases with branches, and the proofs' witnesses ------------------
+
+
+def _gamma_lex(f: PairFacts) -> tuple[str, int]:
+    if factor_value(f.h, ParameterKind.gamma) == 1:
+        return "gamma(H)=1", f.gamma
+    return "gamma(H)>=2", f.gamma_t
+
+
+def _gamma_lex_witness(f: PairFacts, branch: str) -> int:
+    if branch == "gamma(H)=1":
+        return f.lift(solve(f.g, ParameterKind.gamma).witness, 1 << _universal_vertex(f.h))
+    return f.lift(solve(f.g, ParameterKind.gamma_t).witness, 1)
+
+
+def _gammap_lex(f: PairFacts) -> tuple[str, int]:
+    if f.p1:
+        return "P1", f.gamma_t
+    if f.p2:
+        return "P2", f.gamma
+    return "otherwise", f.g.n * f.h.n
+
+
+def _gammap_lex_witness(f: PairFacts, branch: str) -> int:
+    if branch == "P1":
+        return f.lift(f.eod, 1 << min(f.h.isolated_vertices()))
+    if branch == "P2":
+        return f.lift(f.ecd, 1 << _universal_vertex(f.h))
+    return f.lift(f.g.full_mask, f.h.full_mask)
+
+
+def _roman_lex(f: PairFacts) -> tuple[str, int]:
+    if f.dmax == f.h.n - 1:
+        return "maxdeg(H)=n(H)-1", 2 * f.gamma
+    if f.dmax == f.h.n - 2:
+        return "maxdeg(H)=n(H)-2", f.zeta[0]
+    return "maxdeg(H)<=n(H)-3", 2 * f.gamma_t
+
+
+def _roman_lex_witness(f: PairFacts, branch: str) -> tuple[int, int]:
+    if branch == "maxdeg(H)=n(H)-1":
+        return f.lift(solve(f.g, ParameterKind.gamma).witness, 1 << _universal_vertex(f.h)), 0
+    if branch == "maxdeg(H)=n(H)-2":
+        a, b = f.zeta[1]
+        return _max_degree_layers(f, a | b, b)
+    return f.lift(solve(f.g, ParameterKind.gamma_t).witness, 1), 0
+
+
+def _max_degree_layers(f: PairFacts, s2: int, s1: int) -> tuple[int, int]:
+    """(V2, V1) = (s2 x {y}, s1 x (V(H) - N[y])) for the first
+    maximum-degree vertex y of H."""
+    y = _max_degree_vertex(f.h)
+    return f.lift(s2, 1 << y), f.lift(s1, f.h.full_mask & ~f.h.closed_neighborhood(y))
+
+
+def _min_degree_layers(f: PairFacts, s: int) -> tuple[int, int]:
+    """(V2, V1) = (s x {y}, s x N(y)) for the first minimum-degree vertex y
+    of H."""
+    y = _min_degree_vertex(f.h)
+    return f.lift(s, 1 << y), f.lift(s, f.h.adj[y])
+
+
+def _corona_layers(f: PairFacts, s2: int, s1: int) -> tuple[int, int]:
+    """(V2, V1) = (s2 x {0}, s2 x (V(H) - {0}) u s1 x V(H))."""
+    return f.lift(s2, 1), f.lift(s2, f.h.full_mask & ~1) | f.lift(s1, f.h.full_mask)
+
+
+def _ecd_prdf(f: PairFacts, branch=None) -> tuple[int, int]:
+    """The efficient closed dominating set of G spread over a
+    maximum-degree layer.  When gamma(G) = 1 that set is the first
+    universal vertex."""
+    return _max_degree_layers(f, f.ecd, f.ecd)
+
+
+def _eod_prdf(f: PairFacts, branch=None) -> tuple[int, int]:
+    """The efficient open dominating set of G spread over a
+    minimum-degree layer."""
+    return _min_degree_layers(f, f.eod)
+
+
+def _p2_or_p3_prdf(f: PairFacts, branch=None) -> tuple[int, int]:
+    return _ecd_prdf(f) if f.p2 else _eod_prdf(f)
+
+
+def _zeta_upper(f: PairFacts) -> int:
+    return min(3 * f.gamma, 2 * f.gamma_t)
+
+
+def _zeta_bounds_witness(f: PairFacts, branch=None) -> tuple[int, int]:
+    if 3 * f.gamma <= 2 * f.gamma_t:
+        d = solve(f.g, ParameterKind.gamma).witness
+        return _max_degree_layers(f, d, d)
+    return f.lift(solve(f.g, ParameterKind.gamma_t).witness, 1), 0
+
+
+def _function_i_bound(f: PairFacts) -> int:
+    v2, v1 = f.prdf_fewest_positive
+    return f.gamma_Rp + (v1 | v2).bit_count() * (f.h.n - 1)
+
+
+def _function_iii_bound(f: PairFacts) -> int:
+    s_prime, s_dprime = f.epn_split
+    return s_prime.bit_count() + 2 * s_dprime.bit_count() + f.gamma_p * (f.h.n - 1)
+
+
+def _packing_witness(f: PairFacts, branch=None) -> tuple[int, int]:
+    s = f.packing[1]
+    s0 = _isolated_in(f.g, s)
+    a2, a1 = _max_degree_layers(f, s0, s0)
+    b2, b1 = _min_degree_layers(f, s & ~s0)
+    outside = f.g.full_mask & ~f.g.closed_cover(s)
+    return a2 | b2, a1 | b1 | f.lift(outside, f.h.full_mask)
+
+
+def _gamma1_ii_witness(f: PairFacts, branch=None) -> tuple[int, int]:
+    if f.h.n - f.dmax + 1 <= 2 * f.dmin + 4:
+        return _ecd_prdf(f)
+    # {w, leaf} is an efficient open dominating set; on K2 both vertices
+    # are universal leaves, so the leaf must differ from w
+    w = _universal_vertex(f.g)
+    leaf = min(v for v in range(f.g.n) if f.g.degree(v) == 1 and v != w)
+    return _min_degree_layers(f, 1 << w | 1 << leaf)
+
+
+# -- custom checks ----------------------------------------------------------
+
+
+def _check_roman_graph(claim: str, f: PairFacts) -> ClaimRecord:
+    roman = f.measured(ParameterKind.gamma_R)
+    twice_gamma = 2 * f.measured(ParameterKind.gamma)
+    return _compare(claim, twice_gamma, roman, roman == twice_gamma,
+                    "product must be a Roman graph")
+
+
+def _check_zeta_bounds(claim: str, f: PairFacts) -> ClaimRecord:
+    gam, gam_t = f.gamma, f.gamma_t
+    gam_tr = factor_value(f.g, ParameterKind.gamma_tR)
+    measured = f.measured(ParameterKind.gamma_R)
+    lo, hi = max(gam_tr, gam_t + gam), _zeta_upper(f)
+    ok = lo <= measured <= hi
+    if gam_t == gam:
+        ok = ok and measured == 2 * gam_t
+    if gam_t == 2 * gam:
+        ok = ok and measured == 3 * gam
+    return _compare(claim, (lo, hi), measured, ok,
+                    f"gamma={gam}, gamma_t={gam_t}, gamma_tR={gam_tr}")
+
+
+def _check_perfect_roman_char(claim: str, f: PairFacts) -> ClaimRecord:
+    n_h = f.h.n
+    lhs = f.measured(ParameterKind.gamma_Rp) == 2 * f.measured(ParameterKind.gamma_p)
+    if f.dmax == n_h - 1:
+        return _iff(claim, lhs, f.p2, "stratum maxdeg(H) = n(H)-1: lhs iff P2")
+    if f.dmax <= n_h - 3:
+        return _iff(claim, lhs, f.p1, "stratum maxdeg(H) <= n(H)-3: lhs iff P1")
+    # stratum maxdeg(H) = n(H)-2
+    if f.gamma_Rp == 2 * f.gamma_t or f.gamma_t == f.gamma:
+        return _iff(claim, lhs, f.p1,
+                    "stratum maxdeg(H) = n(H)-2 with gamma_Rp(G) = 2 gamma_t(G) or "
+                    "gamma_t(G) = gamma(G): lhs iff P1")
+    if lhs:
+        # 2|S - S0| + 3|S0| = 2|S| + |S0|, S0 the members without an S-neighbor
+        couple_cond = all(
+            2 * f.gamma_t <= 2 * s.bit_count() + _isolated_in(f.g, s).bit_count()
+            for s in dominating_open_packings(f.g)
+        )
+        ok = f.p1 and couple_cond
+        return ClaimRecord(claim, PASS if ok else FAIL, True, lhs,
+                           "stratum maxdeg(H) = n(H)-2, necessity only: "
+                           f"P1={f.p1}, open-packing condition={couple_cond}")
+    return ClaimRecord(claim, INDETERMINATE, None, lhs,
+                       "stratum maxdeg(H) = n(H)-2: no sufficient condition applies "
+                       "and equality does not hold; indeterminate by the source")
+
+
+def _check_eq_roman_char(claim: str, f: PairFacts) -> ClaimRecord:
+    g, n_h, dmin = f.g, f.h.n, f.dmin
+    lhs = f.measured(ParameterKind.gamma_Rp) == f.measured(ParameterKind.gamma_R)
+    if f.dmax == n_h - 1:
+        return _iff(claim, lhs, f.p2, "stratum maxdeg(H) = n(H)-1: lhs iff P2")
+    if f.dmax == n_h - 2:
+        rhs = any(
+            is_feasible(g, a | b, ParameterKind.rho_o) and (a == 0 or dmin == 0)
+            for a, b in zeta_couples(g)
+        )
+        return _iff(claim, lhs, rhs,
+                    "stratum maxdeg(H) = n(H)-2: lhs iff a zeta-couple (A,B) has "
+                    "A u B an open packing, with A empty whenever mindeg(H) >= 1")
+    if f.dmax == n_h - 3:
+        zp = zeta_prime(g)
+        rhs = ((dmin == 0 and zp is not None and zp[0] == 2 * f.gamma_t)
+               or (dmin >= 1 and f.gamma_t
+                   == 2 * f.gamma_p == 2 * factor_value(g, ParameterKind.rho)))
+        return _iff(claim, lhs, rhs,
+                    "stratum maxdeg(H) = n(H)-3: lhs iff (mindeg(H)=0 and zeta'(G)=2 gamma_t(G)) "
+                    "or (mindeg(H)>=1 and gamma_t(G)=2 gamma_p(G)=2 rho(G))")
+    return _iff(claim, lhs, f.p1, "stratum maxdeg(H) <= n(H)-4: lhs iff P1")
+
+
+# -- the registry -----------------------------------------------------------
+
+_G_NO_ISOLATED = (lambda f: f.g_ok, "needs G without isolated vertices")
+_G_NO_ISOLATED_H_NONTRIVIAL = (lambda f: f.g_ok and f.h.n >= 2,
+                               "needs G without isolated vertices and nontrivial H")
+_G_CONNECTED_H_NONTRIVIAL = (lambda f: f.g.n >= 2 and f.g.is_connected() and f.h.n >= 2,
+                             "needs connected nontrivial G and nontrivial H")
+_NONTRIVIAL = (lambda f: f.g.n >= 2 and f.h.n >= 2, "needs nontrivial factors")
+_GAMMA_ONE = (lambda f: f.g.n >= 2 and f.gamma == 1, "needs nontrivial G with gamma(G) = 1")
+_UNMET = "hypotheses unmet"
+
+_R, _RP = ParameterKind.gamma_R, ParameterKind.gamma_Rp
+
+#: Declared in the order predict() lists the exact tags it fires, and in
+#: which the first of equal lower (upper) bounds names the interval end;
+#: verify_pair() reports in TheoremId order instead.  The first statement
+#: about each parameter states the hypotheses predict() requires.
+_REGISTRY = (
+    Statement(TheoremId.GAMMA_LEX, ParameterKind.gamma, (_G_NO_ISOLATED_H_NONTRIVIAL,),
+              Exact(_gamma_lex), _gamma_lex_witness),
+    Statement(TheoremId.GAMMAP_LEX, ParameterKind.gamma_p, (_G_CONNECTED_H_NONTRIVIAL,),
+              Exact(_gammap_lex), _gammap_lex_witness),
+    Statement(TheoremId.ROMAN_LEX, _R, (_G_NO_ISOLATED_H_NONTRIVIAL,),
+              Exact(_roman_lex), _roman_lex_witness),
+    Statement(TheoremId.ROMAN_GRAPH_COR, _R,
+              ((lambda f: f.g_ok and f.h.n >= 2 and f.dmax != f.h.n - 2,
+                "needs G without isolated vertices, nontrivial H, maxdeg(H) != n(H)-2"),),
+              Custom(_check_roman_graph)),
+    Statement(TheoremId.ZETA_BOUNDS, _R,
+              ((lambda f: f.g_ok and f.dmax == f.h.n - 2,
+                "needs G without isolated vertices and maxdeg(H) = n(H)-2"),),
+              Custom(_check_zeta_bounds, _zeta_upper), _zeta_bounds_witness),
+    Statement(TheoremId.PR_LB_GENERAL, _RP, (_G_NO_ISOLATED_H_NONTRIVIAL,),
+              Lower(lambda f: f.gamma * min(f.h.n - f.dmax + 1, 2 + f.dmin))),
+    Statement(TheoremId.PR_TRIVIAL_LB, _RP, (_NONTRIVIAL,),
+              Lower(lambda f: max(f.gamma_Rp, 2 * f.gamma))),
+    Statement(TheoremId.PR_UB_CORONA, _RP, (_G_NO_ISOLATED,),
+              Upper(lambda f: f.gamma_p * (f.h.n + 1)),
+              lambda f, _: _corona_layers(f, solve(f.g, ParameterKind.gamma_p).witness, 0)),
+    Statement(TheoremId.PR_UB_PACKING, _RP, (_G_NO_ISOLATED,),
+              Upper(lambda f: f.packing[0]), _packing_witness),
+    Statement(TheoremId.PR_UB_FUNCTION_I, _RP, (_G_NO_ISOLATED,),
+              Upper(_function_i_bound),
+              lambda f, _: _corona_layers(f, *f.prdf_fewest_positive)),
+    Statement(TheoremId.PR_UB_FUNCTION_II, _RP,
+              (_G_NO_ISOLATED, (lambda f: f.prdf_v2_gamma_set is not None, _UNMET)),
+              Upper(lambda f: f.gamma_Rp * f.h.n - f.gamma * (f.h.n - 1)),
+              lambda f, _: _corona_layers(f, *f.prdf_v2_gamma_set)),
+    Statement(TheoremId.PR_UB_FUNCTION_III, _RP, (_G_NO_ISOLATED,),
+              Upper(_function_iii_bound),
+              lambda f, _: _corona_layers(f, f.epn_split[1], f.epn_split[0])),
+    Statement(TheoremId.PR_UB_FUNCTION_IV, _RP,
+              (_G_NO_ISOLATED, (lambda f: f.prdf_support_gamma_p_set is not None, _UNMET)),
+              Upper(lambda f: f.gamma_Rp + f.gamma_p * (f.h.n - 1)),
+              lambda f, _: _corona_layers(f, *f.prdf_support_gamma_p_set)),
+    Statement(TheoremId.PR_COR_EOD, _RP,
+              (_G_NO_ISOLATED, (lambda f: f.eod is not None, _UNMET)),
+              Upper(lambda f: f.gamma_t * (2 + f.dmin)), _eod_prdf),
+    Statement(TheoremId.PR_COR_ECD, _RP,
+              (_G_NO_ISOLATED, (lambda f: f.ecd is not None, _UNMET)),
+              Upper(lambda f: f.gamma * (f.h.n - f.dmax + 1)), _ecd_prdf),
+    Statement(TheoremId.PR_GAMMA1_I, _RP,
+              (_GAMMA_ONE, (lambda f: f.delta_g >= 2, "needs mindeg(G) >= 2")),
+              Exact(lambda f: (None, f.h.n - f.dmax + 1)), _ecd_prdf),
+    Statement(TheoremId.PR_GAMMA1_II, _RP,
+              (_GAMMA_ONE, (lambda f: f.delta_g == 1, "needs mindeg(G) = 1")),
+              Exact(lambda f: (None, min(2 * f.dmin + 4, f.h.n - f.dmax + 1))),
+              _gamma1_ii_witness),
+    Statement(TheoremId.PR_EXACT_ECD, _RP,
+              ((lambda f: f.g_ok and f.ecd is not None and 2 <= f.h.n <= f.dmax + f.dmin + 1,
+                "needs ECD graph G and 2 <= n(H) <= maxdeg+mindeg+1"),),
+              Exact(lambda f: (None, f.gamma * (f.h.n - f.dmax + 1))), _ecd_prdf),
+    Statement(TheoremId.PR_EXACT_EOD, _RP,
+              ((lambda f: f.g_ok and f.h.n >= 2 and f.eod is not None
+                and f.gamma_p == f.gamma_t == f.gamma and f.h.n >= f.dmax + f.dmin + 1,
+                "needs EOD graph G with gamma_p = gamma_t = gamma and n(H) >= maxdeg+mindeg+1"),),
+              Exact(lambda f: (None, f.gamma * (2 + f.dmin))), _eod_prdf),
+    Statement(TheoremId.PR_ISOLATED_LAYERS, _RP,
+              ((lambda f: f.eod is not None and f.h.n >= f.dmax + 2 * f.dmin + 3,
+                "needs EOD graph G and n(H) >= maxdeg+2*mindeg+3"),),
+              Exact(lambda f: (None, f.gamma_t * (2 + f.dmin))), _eod_prdf),
+    Statement(TheoremId.PR_COR_P2P3, _RP,
+              ((lambda f: f.g.n >= 2 and f.h.n >= 2 and f.g_ok,
+                "needs nontrivial factors and G without isolated vertices"),
+               (lambda f: f.p2 or (f.p3 and f.gamma_p == f.gamma),
+                "needs P2, or P3 with gamma_p(G) = gamma(G)")),
+              Exact(lambda f: ("P2" if f.p2 else "P3", 2 * f.gamma)), _p2_or_p3_prdf),
+    Statement(TheoremId.PR_EQ_FACTOR, _RP, (_NONTRIVIAL,),
+              Iff(lambda f: f.gamma_Rp,
+                  lambda f: f.gamma_Rp == 2 * f.gamma_p and (f.p2 or f.p3),
+                  "gamma_Rp(product) = gamma_Rp(G) iff gamma_Rp(G) = 2 gamma_p(G) and P2 or P3"),
+              _p2_or_p3_prdf),
+    Statement(TheoremId.PR_EQ_2GAMMA, _RP,
+              ((lambda f: f.g.n >= 2 and f.h.n >= 3, "needs nontrivial G and n(H) >= 3"),),
+              Iff(lambda f: 2 * f.gamma,
+                  lambda f: f.gamma_p == f.gamma and (f.p2 or f.p3),
+                  "gamma_Rp(product) = 2 gamma(G) iff gamma_p(G) = gamma(G) and P2 or P3"),
+              _p2_or_p3_prdf),
+    Statement(TheoremId.PR_PERFECTROMAN_CHAR, _RP, (_G_CONNECTED_H_NONTRIVIAL,),
+              Custom(_check_perfect_roman_char)),
+    Statement(TheoremId.PR_EQ_ROMAN_CHAR, _RP,
+              ((lambda f: f.g.n >= 2 and f.g.is_connected() and f.h.n >= 3,
+                "needs connected nontrivial G and H of order >= 3"),),
+              Custom(_check_eq_roman_char)),
+)
+
+STATEMENTS: dict[TheoremId, Statement] = {st.id: st for st in _REGISTRY}
+
+_PREDICTORS = {
+    kind: [st for st in _REGISTRY if st.kind is kind and not isinstance(st.conclusion, Custom)]
+    for kind in PREDICT_KINDS
+}
+
+
+# -- prediction and witness construction -------------------------------------
 
 
 def predict(g: Graph, h: Graph, kind: ParameterKind) -> Prediction:
+    """Aggregate every statement about ``kind`` that applies to (g, h).
+
+    Refuses with HypothesisError when the first statement about ``kind``
+    does not apply.
+    """
     kind = ParameterKind(kind)
     if kind not in PREDICT_KINDS:
         raise DomainError(f"no product formula for kind {kind.value}")
-    if kind is ParameterKind.gamma:
-        return _predict_gamma(g, h)
-    if kind is ParameterKind.gamma_p:
-        return _predict_gamma_p(g, h)
-    if kind is ParameterKind.gamma_R:
-        return _predict_gamma_R(g, h)
-    return _predict_gamma_Rp(g, h)
-
-
-def _predict_gamma(g: Graph, h: Graph) -> Prediction:
-    _require(not g.has_isolated_vertex(), "gamma formula needs G without isolated vertices")
-    _require(h.n >= 2, "gamma formula needs nontrivial H")
-    if factor_value(h, ParameterKind.gamma) == 1:
-        v = factor_value(g, ParameterKind.gamma)
-        return Prediction(v, v, ("GAMMA_LEX:gamma(H)=1",))
-    v = factor_value(g, ParameterKind.gamma_t)
-    return Prediction(v, v, ("GAMMA_LEX:gamma(H)>=2",))
-
-
-def _predict_gamma_p(g: Graph, h: Graph) -> Prediction:
-    _require(g.n >= 2 and g.is_connected(), "gamma_p trichotomy needs G connected and nontrivial")
-    _require(h.n >= 2, "gamma_p trichotomy needs nontrivial H")
-    if check_hypothesis(g, h, HypothesisKind.P1):
-        v = factor_value(g, ParameterKind.gamma_t)
-        return Prediction(v, v, ("GAMMAP_LEX:P1",))
-    if check_hypothesis(g, h, HypothesisKind.P2):
-        v = factor_value(g, ParameterKind.gamma)
-        return Prediction(v, v, ("GAMMAP_LEX:P2",))
-    v = g.n * h.n
-    return Prediction(v, v, ("GAMMAP_LEX:otherwise",))
-
-
-def _predict_gamma_R(g: Graph, h: Graph) -> Prediction:
-    _require(not g.has_isolated_vertex(), "gamma_R formula needs G without isolated vertices")
-    _require(h.n >= 2, "gamma_R formula needs nontrivial H")
-    dmax = h.degree_extremes()[1]
-    if dmax == h.n - 1:
-        v = 2 * factor_value(g, ParameterKind.gamma)
-        return Prediction(v, v, ("ROMAN_LEX:maxdeg(H)=n(H)-1",))
-    if dmax == h.n - 2:
-        v = zeta(g)[0]
-        return Prediction(v, v, ("ROMAN_LEX:maxdeg(H)=n(H)-2",))
-    v = 2 * factor_value(g, ParameterKind.gamma_t)
-    return Prediction(v, v, ("ROMAN_LEX:maxdeg(H)<=n(H)-3",))
-
-
-def _predict_gamma_Rp(g: Graph, h: Graph) -> Prediction:
-    _require(not g.has_isolated_vertex(),
-             "gamma_Rp bounds need G nontrivial without isolated vertices")
-    _require(h.n >= 2, "gamma_Rp bounds need nontrivial H")
-    n_h = h.n
-    dmin, dmax = h.degree_extremes()
-    gamma_g = factor_value(g, ParameterKind.gamma)
-    gamma_t_g = factor_value(g, ParameterKind.gamma_t)
-    gamma_p_g = factor_value(g, ParameterKind.gamma_p)
-    gamma_rp_g = factor_value(g, ParameterKind.gamma_Rp)
-    eod = is_efficient_open_domination(g)
-    ecd = is_efficient_closed_domination(g)
-    p2 = bool(check_hypothesis(g, h, HypothesisKind.P2))
-    p3 = bool(check_hypothesis(g, h, HypothesisKind.P3))
-
-    lowers: list[tuple[str, int]] = [
-        ("PR_LB_GENERAL", gamma_g * min(n_h - dmax + 1, 2 + dmin)),
-        ("PR_TRIVIAL_LB", max(gamma_rp_g, 2 * gamma_g)),
-    ]
-
-    uppers: list[tuple[str, int]] = [
-        ("PR_UB_CORONA", gamma_p_g * (n_h + 1)),
-        ("PR_UB_PACKING", _packing_bound_terms(g, h)[0]),
-    ]
-    v2, v1 = _optimal_prdf_min_positive(g)
-    uppers.append(("PR_UB_FUNCTION_I", gamma_rp_g + (v1 | v2).bit_count() * (n_h - 1)))
-    if _optimal_prdf_with(
-        g, lambda v2m, _: v2m.bit_count() == gamma_g
-        and is_feasible(g, v2m, ParameterKind.gamma)
-    ):
-        uppers.append(("PR_UB_FUNCTION_II", gamma_rp_g * n_h - gamma_g * (n_h - 1)))
-    s, s_prime, s_dprime = _best_gamma_p_set_by_epn(g)
-    uppers.append((
-        "PR_UB_FUNCTION_III",
-        s_prime.bit_count() + 2 * s_dprime.bit_count() + gamma_p_g * (n_h - 1),
-    ))
-    if _optimal_prdf_with(
-        g, lambda v2m, v1m: (v1m | v2m).bit_count() == gamma_p_g
-        and is_feasible(g, v1m | v2m, ParameterKind.gamma_p)
-    ):
-        uppers.append(("PR_UB_FUNCTION_IV", gamma_rp_g + gamma_p_g * (n_h - 1)))
-    if eod is not None:
-        uppers.append(("PR_COR_EOD", gamma_t_g * (2 + dmin)))
-    if ecd is not None:
-        uppers.append(("PR_COR_ECD", gamma_g * (n_h - dmax + 1)))
-
+    f = PairFacts(g, h)
+    statements = _PREDICTORS[kind]
+    reason = statements[0].skip_reason(f)
+    if reason is not None:
+        raise HypothesisError(f"{statements[0].id.value} {reason}")
     exacts: list[tuple[str, int]] = []
-    if gamma_g == 1:
-        if g.degree_extremes()[0] >= 2:
-            exacts.append(("PR_GAMMA1_I", n_h - dmax + 1))
+    lowers: list[tuple[str, int]] = []
+    uppers: list[tuple[str, int]] = []
+    for st in statements:
+        if st.refusal(f) is not None:
+            continue
+        tag, c = st.id.value, st.conclusion
+        if isinstance(c, Exact):
+            branch, value = c.cases(f)
+            exacts.append((tag if branch is None else f"{tag}:{branch}", value))
+        elif isinstance(c, Iff):
+            exacts.append((tag, c.value(f)))
         else:
-            exacts.append(("PR_GAMMA1_II", min(2 * dmin + 4, n_h - dmax + 1)))
-    if ecd is not None and 2 <= n_h <= dmax + dmin + 1:
-        exacts.append(("PR_EXACT_ECD", gamma_g * (n_h - dmax + 1)))
-    if (eod is not None and gamma_p_g == gamma_t_g == gamma_g
-            and n_h >= dmax + dmin + 1):
-        exacts.append(("PR_EXACT_EOD", gamma_g * (2 + dmin)))
-    if eod is not None and n_h >= dmax + 2 * dmin + 3:
-        exacts.append(("PR_ISOLATED_LAYERS", gamma_t_g * (2 + dmin)))
-    if p2:
-        exacts.append(("PR_COR_P2P3:P2", 2 * gamma_g))
-    if p3 and gamma_p_g == gamma_g:
-        exacts.append(("PR_COR_P2P3:P3", 2 * gamma_g))
-    if gamma_rp_g == 2 * gamma_p_g and (p2 or p3):
-        exacts.append(("PR_EQ_FACTOR", gamma_rp_g))
-    if n_h >= 3 and gamma_p_g == gamma_g and (p2 or p3):
-        exacts.append(("PR_EQ_2GAMMA", 2 * gamma_g))
+            (lowers if isinstance(c, Lower) else uppers).append((tag, c.value(f)))
 
-    lo_tag, lo = max(lowers, key=lambda t: t[1])
-    hi_tag, hi = min(uppers, key=lambda t: t[1])
+    lo_tag, lo = max(lowers, key=lambda t: t[1], default=(None, None))
+    hi_tag, hi = min(uppers, key=lambda t: t[1], default=(None, None))
     if exacts:
         values = {v for _, v in exacts}
         if len(values) > 1:
             raise InconsistencyError(f"exact statements disagree: {exacts}")
         value = values.pop()
-        if not lo <= value <= hi:
+        if lo is not None and not lo <= value <= hi:
             raise InconsistencyError(
                 f"exact value {value} outside aggregated bounds [{lo}, {hi}] ({exacts})"
             )
@@ -329,269 +768,36 @@ def _predict_gamma_Rp(g: Graph, h: Graph) -> Prediction:
     return Prediction(lo, hi, (f"{lo_tag}:lo", f"{hi_tag}:hi"))
 
 
-# -- witness construction ----------------------------------------------
-
-
-def _lift(index, gmask: int, hmask: int) -> int:
-    """Product mask of the cartesian set gmask x hmask."""
-    out = 0
-    for u in bits(gmask):
-        out |= hmask << (u * index.n_h)
-    return out
-
-
-def _eod_or_refuse(g: Graph) -> int:
-    s = is_efficient_open_domination(g)
-    if s is None:
-        raise HypothesisError("G is not an efficient open domination graph")
-    return s
-
-
-def _ecd_or_refuse(g: Graph) -> int:
-    s = is_efficient_closed_domination(g)
-    if s is None:
-        raise HypothesisError("G is not an efficient closed domination graph")
-    return s
-
-
-def _eod_product_prdf(g: Graph, h: Graph, index) -> tuple[int, int]:
-    """(v2, v1): the EOD witness spread over a minimum-degree layer."""
-    s = _eod_or_refuse(g)
-    y1 = _min_degree_vertex(h)
-    return _lift(index, s, 1 << y1), _lift(index, s, h.adj[y1])
-
-
-def _ecd_product_prdf(g: Graph, h: Graph, index) -> tuple[int, int]:
-    """(v2, v1): the ECD witness spread over a maximum-degree layer."""
-    s = _ecd_or_refuse(g)
-    y2 = _max_degree_vertex(h)
-    return _lift(index, s, 1 << y2), _lift(index, s, h.full_mask & ~h.closed_neighborhood(y2))
-
-
 def construct_witness(theorem: TheoremId, g: Graph, h: Graph):
     """Build the proof's object on the product and validate it.
 
     Returns a vertex-set mask for set-valued statements (GAMMA_LEX,
     GAMMAP_LEX) and a RomanAssignment otherwise.  Refuses with
-    HypothesisError when the statement's hypotheses fail for (g, h).
+    HypothesisError when the statement tells nothing about (g, h): its
+    hypotheses fail or, for an if-and-only-if, its right-hand side does.
     """
-    theorem = TheoremId(theorem)
-    product, index = lex_product(g, h)
-    n_h = h.n
-    dmin, dmax = h.degree_extremes()
-
-    if theorem is TheoremId.GAMMA_LEX:
-        _require(not g.has_isolated_vertex(), "GAMMA_LEX needs G without isolated vertices")
-        _require(h.n >= 2, "GAMMA_LEX needs nontrivial H")
-        if factor_value(h, ParameterKind.gamma) == 1:
-            d = solve(g, ParameterKind.gamma).witness
-            smask = _lift(index, d, 1 << _universal_vertex(h))
-            expected = factor_value(g, ParameterKind.gamma)
-        else:
-            t = solve(g, ParameterKind.gamma_t).witness
-            smask = _lift(index, t, 1)
-            expected = factor_value(g, ParameterKind.gamma_t)
-        return _validated_set(product, smask, ParameterKind.gamma, expected, theorem)
-
-    if theorem is TheoremId.GAMMAP_LEX:
-        _require(g.n >= 2 and g.is_connected(), "GAMMAP_LEX needs G connected and nontrivial")
-        _require(h.n >= 2, "GAMMAP_LEX needs nontrivial H")
-        if check_hypothesis(g, h, HypothesisKind.P1):
-            s = _eod_or_refuse(g)
-            y = min(h.isolated_vertices())
-            smask = _lift(index, s, 1 << y)
-            expected = factor_value(g, ParameterKind.gamma_t)
-        elif check_hypothesis(g, h, HypothesisKind.P2):
-            d = _ecd_or_refuse(g)
-            smask = _lift(index, d, 1 << _universal_vertex(h))
-            expected = factor_value(g, ParameterKind.gamma)
-        else:
-            smask = product.full_mask
-            expected = g.n * h.n
-        return _validated_set(product, smask, ParameterKind.gamma_p, expected, theorem)
-
-    if theorem is TheoremId.ROMAN_LEX:
-        _require(not g.has_isolated_vertex(), "ROMAN_LEX needs G without isolated vertices")
-        _require(h.n >= 2, "ROMAN_LEX needs nontrivial H")
-        if dmax == n_h - 1:
-            d = solve(g, ParameterKind.gamma).witness
-            v2 = _lift(index, d, 1 << _universal_vertex(h))
-            v1 = 0
-            expected = 2 * factor_value(g, ParameterKind.gamma)
-        elif dmax == n_h - 2:
-            value, (a, b) = zeta(g)
-            v = _max_degree_vertex(h)
-            v_out = h.full_mask & ~h.closed_neighborhood(v)
-            v2 = _lift(index, a | b, 1 << v)
-            v1 = _lift(index, b, v_out)
-            expected = value
-        else:
-            t = solve(g, ParameterKind.gamma_t).witness
-            v2 = _lift(index, t, 1)
-            v1 = 0
-            expected = 2 * factor_value(g, ParameterKind.gamma_t)
-        return _validated_roman(product, v1, v2, is_rdf, expected, theorem)
-
-    if theorem is TheoremId.ZETA_BOUNDS:
-        _require(not g.has_isolated_vertex(), "ZETA_BOUNDS needs G without isolated vertices")
-        _require(dmax == n_h - 2, "ZETA_BOUNDS needs maxdeg(H) = n(H)-2")
-        gam = factor_value(g, ParameterKind.gamma)
-        gam_t = factor_value(g, ParameterKind.gamma_t)
-        if 3 * gam <= 2 * gam_t:
-            d = solve(g, ParameterKind.gamma).witness
-            v = _max_degree_vertex(h)
-            v_out = h.full_mask & ~h.closed_neighborhood(v)
-            v2 = _lift(index, d, 1 << v)
-            v1 = _lift(index, d, v_out)
-            expected = 3 * gam
-        else:
-            t = solve(g, ParameterKind.gamma_t).witness
-            v2 = _lift(index, t, 1)
-            v1 = 0
-            expected = 2 * gam_t
-        return _validated_roman(product, v1, v2, is_rdf, expected, theorem)
-
-    # the remaining constructive statements all build PRDFs
-    _require(not g.has_isolated_vertex(),
-             f"{theorem.value} needs G without isolated vertices")
-
-    if theorem is TheoremId.PR_UB_CORONA:
-        s = solve(g, ParameterKind.gamma_p).witness
-        v2 = _lift(index, s, 1)
-        v1 = _lift(index, s, h.full_mask & ~1)
-        expected = factor_value(g, ParameterKind.gamma_p) * (n_h + 1)
-    elif theorem is TheoremId.PR_UB_FUNCTION_I:
-        fv2, fv1 = _optimal_prdf_min_positive(g)
-        v2 = _lift(index, fv2, 1)
-        v1 = _lift(index, fv2, h.full_mask & ~1) | _lift(index, fv1, h.full_mask)
-        expected = (factor_value(g, ParameterKind.gamma_Rp)
-                    + (fv1 | fv2).bit_count() * (n_h - 1))
-    elif theorem is TheoremId.PR_UB_FUNCTION_II:
-        gamma_g = factor_value(g, ParameterKind.gamma)
-        found = _optimal_prdf_with(
-            g, lambda v2m, _: v2m.bit_count() == gamma_g
-            and is_feasible(g, v2m, ParameterKind.gamma)
-        )
-        _require(found is not None,
-                 "no optimal PRDF on G has V2 equal to a gamma(G)-set")
-        fv2, fv1 = found
-        v2 = _lift(index, fv2, 1)
-        v1 = _lift(index, fv2, h.full_mask & ~1) | _lift(index, fv1, h.full_mask)
-        expected = (factor_value(g, ParameterKind.gamma_Rp) * n_h
-                    - gamma_g * (n_h - 1))
-    elif theorem is TheoremId.PR_UB_FUNCTION_III:
-        s, s_prime, s_dprime = _best_gamma_p_set_by_epn(g)
-        v2 = _lift(index, s_dprime, 1)
-        v1 = _lift(index, s_dprime, h.full_mask & ~1) | _lift(index, s_prime, h.full_mask)
-        expected = (s_prime.bit_count() + 2 * s_dprime.bit_count()
-                    + factor_value(g, ParameterKind.gamma_p) * (n_h - 1))
-    elif theorem is TheoremId.PR_UB_FUNCTION_IV:
-        gamma_p_g = factor_value(g, ParameterKind.gamma_p)
-        found = _optimal_prdf_with(
-            g, lambda v2m, v1m: (v1m | v2m).bit_count() == gamma_p_g
-            and is_feasible(g, v1m | v2m, ParameterKind.gamma_p)
-        )
-        _require(found is not None,
-                 "no optimal PRDF on G has V1 u V2 equal to a gamma_p(G)-set")
-        fv2, fv1 = found
-        v2 = _lift(index, fv2, 1)
-        v1 = _lift(index, fv2, h.full_mask & ~1) | _lift(index, fv1, h.full_mask)
-        expected = (factor_value(g, ParameterKind.gamma_Rp)
-                    + gamma_p_g * (n_h - 1))
-    elif theorem is TheoremId.PR_UB_PACKING:
-        expected, s = _packing_bound_terms(g, h)
-        s0 = mask_from(x for x in bits(s) if not g.adj[x] & s)
-        s1 = s & ~s0
-        y1 = _min_degree_vertex(h)
-        y2 = _max_degree_vertex(h)
-        outside = g.full_mask & ~g.closed_cover(s)
-        v2 = _lift(index, s0, 1 << y2) | _lift(index, s1, 1 << y1)
-        v1 = (_lift(index, s0, h.full_mask & ~h.closed_neighborhood(y2))
-              | _lift(index, s1, h.adj[y1])
-              | _lift(index, outside, h.full_mask))
-    elif theorem in (TheoremId.PR_COR_EOD, TheoremId.PR_EXACT_EOD,
-                     TheoremId.PR_ISOLATED_LAYERS):
-        if theorem is TheoremId.PR_EXACT_EOD:
-            _require(h.n >= 2, "PR_EXACT_EOD needs nontrivial H")
-            _require(factor_value(g, ParameterKind.gamma_p)
-                     == factor_value(g, ParameterKind.gamma_t)
-                     == factor_value(g, ParameterKind.gamma),
-                     "PR_EXACT_EOD needs gamma_p(G) = gamma_t(G) = gamma(G)")
-            _require(n_h >= dmax + dmin + 1, "PR_EXACT_EOD needs n(H) >= maxdeg+mindeg+1")
-        if theorem is TheoremId.PR_ISOLATED_LAYERS:
-            _require(n_h >= dmax + 2 * dmin + 3,
-                     "PR_ISOLATED_LAYERS needs n(H) >= maxdeg+2*mindeg+3")
-        v2, v1 = _eod_product_prdf(g, h, index)
-        expected = factor_value(g, ParameterKind.gamma_t) * (2 + dmin)
-    elif theorem in (TheoremId.PR_COR_ECD, TheoremId.PR_EXACT_ECD):
-        if theorem is TheoremId.PR_EXACT_ECD:
-            _require(2 <= n_h <= dmax + dmin + 1,
-                     "PR_EXACT_ECD needs 2 <= n(H) <= maxdeg+mindeg+1")
-        v2, v1 = _ecd_product_prdf(g, h, index)
-        expected = factor_value(g, ParameterKind.gamma) * (n_h - dmax + 1)
-    elif theorem in (TheoremId.PR_GAMMA1_I, TheoremId.PR_GAMMA1_II):
-        _require(g.n >= 2 and factor_value(g, ParameterKind.gamma) == 1,
-                 f"{theorem.value} needs nontrivial G with gamma(G) = 1")
-        delta_g = g.degree_extremes()[0]
-        w = _universal_vertex(g)
-        if theorem is TheoremId.PR_GAMMA1_I:
-            _require(delta_g >= 2, "PR_GAMMA1_I needs mindeg(G) >= 2")
-        else:
-            _require(delta_g == 1, "PR_GAMMA1_II needs mindeg(G) = 1")
-        if theorem is TheoremId.PR_GAMMA1_I or n_h - dmax + 1 <= 2 * dmin + 4:
-            y2 = _max_degree_vertex(h)
-            v2 = 1 << index.encode(w, y2)
-            v1 = _lift(index, 1 << w, h.full_mask & ~h.closed_neighborhood(y2))
-            expected = n_h - dmax + 1
-        else:
-            leaf = min(v for v in range(g.n) if g.degree(v) == 1)
-            y1 = _min_degree_vertex(h)
-            v2 = (1 << index.encode(w, y1)) | (1 << index.encode(leaf, y1))
-            v1 = _lift(index, (1 << w) | (1 << leaf), h.adj[y1])
-            expected = 2 * dmin + 4
-    elif theorem in (TheoremId.PR_COR_P2P3, TheoremId.PR_EQ_FACTOR, TheoremId.PR_EQ_2GAMMA):
-        _require(g.n >= 2 and h.n >= 2, f"{theorem.value} needs nontrivial factors")
-        p2 = bool(check_hypothesis(g, h, HypothesisKind.P2))
-        p3 = bool(check_hypothesis(g, h, HypothesisKind.P3))
-        gamma_g = factor_value(g, ParameterKind.gamma)
-        gamma_p_g = factor_value(g, ParameterKind.gamma_p)
-        if theorem is TheoremId.PR_COR_P2P3:
-            _require(p2 or (p3 and gamma_p_g == gamma_g),
-                     "PR_COR_P2P3 needs P2, or P3 with gamma_p(G) = gamma(G)")
-            expected = 2 * gamma_g
-        elif theorem is TheoremId.PR_EQ_FACTOR:
-            _require(factor_value(g, ParameterKind.gamma_Rp) == 2 * gamma_p_g
-                     and (p2 or p3),
-                     "PR_EQ_FACTOR needs gamma_Rp(G) = 2*gamma_p(G) and P2 or P3")
-            expected = factor_value(g, ParameterKind.gamma_Rp)
-        else:
-            _require(n_h >= 3 and gamma_p_g == gamma_g and (p2 or p3),
-                     "PR_EQ_2GAMMA needs n(H) >= 3, gamma_p(G) = gamma(G) and P2 or P3")
-            expected = 2 * gamma_g
-        if p2:
-            v2, v1 = _ecd_product_prdf(g, h, index)
-        else:
-            v2, v1 = _eod_product_prdf(g, h, index)
-    else:
-        raise DomainError(f"{theorem.value} has no constructive witness")
-
-    return _validated_roman(product, v1, v2, is_prdf, expected, theorem)
-
-
-def _validated_set(product: Graph, smask: int, kind: ParameterKind,
-                   expected: int, theorem: TheoremId) -> int:
-    if not is_feasible(product, smask, kind) or smask.bit_count() != expected:
+    st = STATEMENTS[TheoremId(theorem)]
+    product, _ = lex_product(g, h)
+    if st.witness is None:
+        raise DomainError(f"{st.id.value} has no constructive witness")
+    f = PairFacts(g, h)
+    reason = st.refusal(f)
+    if reason is not None:
+        raise HypothesisError(f"{st.id.value} {reason}")
+    c = st.conclusion
+    branch, expected = c.cases(f) if isinstance(c, Exact) else (None, c.value(f))
+    built = st.witness(f, branch)
+    if st.kind in (ParameterKind.gamma, ParameterKind.gamma_p):
+        if not is_feasible(product, built, st.kind) or built.bit_count() != expected:
+            raise InconsistencyError(
+                f"{st.id.value} construction invalid: size {built.bit_count()}, expected {expected}"
+            )
+        return built
+    v2, v1 = built
+    assignment = assignment_from_masks(product.n, v1, v2)
+    valid = is_rdf if st.kind is ParameterKind.gamma_R else is_prdf
+    if not valid(product, assignment) or assignment.weight != expected:
         raise InconsistencyError(
-            f"{theorem.value} construction invalid: size {smask.bit_count()}, expected {expected}"
+            f"{st.id.value} construction invalid: weight {assignment.weight}, expected {expected}"
         )
-    return smask
-
-
-def _validated_roman(product: Graph, v1: int, v2: int, validator,
-                     expected: int, theorem: TheoremId) -> RomanAssignment:
-    f = assignment_from_masks(product.n, v1, v2)
-    if not validator(product, f) or f.weight != expected:
-        raise InconsistencyError(
-            f"{theorem.value} construction invalid: weight {f.weight}, expected {expected}"
-        )
-    return f
+    return assignment

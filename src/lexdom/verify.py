@@ -1,71 +1,44 @@
 """Brute-force verification of every statement over (G, H) corpora.
 
-Each claim is checked by measuring the relevant parameters of the
-product with the exact solvers and comparing against the statement.
-If-and-only-if statements are tested as two implications; a skip
-(hypotheses unmet or size cap) is a first-class outcome distinct from a
-failure, and the one characterization stratum the source material
-leaves open is reported as "indeterminate" rather than pass/fail.
+verify_pair() runs each statement of the theorem registry
+(``formula.STATEMENTS``) against a pair context, which adds to the
+pair's factor facts the product's parameters, measured with the exact
+solvers on first use; the registry decides applicability, the predicted
+side and the wording of each record.  If-and-only-if statements are
+tested as two implications; a skip (hypotheses unmet or size cap) is a
+first-class outcome distinct from a failure, and the one
+characterization stratum the source material leaves open is reported as
+"indeterminate" rather than pass/fail.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError
-from .graph import Graph, bits
+from .graph import Graph
 from .graphio import write_graph6
 from .product import lex_product
-from .solvers import (
-    ParameterKind,
-    _complete_roman,
-    dominating_open_packings,
-    enumerate_optimal_v2,
-    solve,
-    zeta_couples,
-    zeta_prime,
-)
-from .structure import (
-    HypothesisKind,
-    check_hypothesis,
-    factor_value,
-    is_efficient_closed_domination,
-    is_efficient_open_domination,
-)
-from .formula import (
+from .solvers import ParameterKind, _complete_roman, enumerate_optimal_v2, solve
+from .formula import (  # noqa: F401  (the outcomes are part of this module's interface)
+    FAIL,
+    INDETERMINATE,
+    PASS,
+    SKIP,
+    STATEMENTS,
+    ClaimRecord,
+    PairFacts,
     TheoremId,
-    _best_gamma_p_set_by_epn,
-    _optimal_prdf_min_positive,
-    _optimal_prdf_with,
-    _packing_bound_terms,
-    predict,
 )
-
-PASS = "pass"
-FAIL = "fail"
-SKIP = "skip"
-INDETERMINATE = "indeterminate"
 
 #: Default ceiling on the product order per verified pair.
 DEFAULT_PRODUCT_CAP = 24
 #: Product cap for the structural-lemma suite (full optimal-function
 #: enumeration on the product).
 LEMMA_PRODUCT_CAP = 14
-
-
-@dataclass(frozen=True)
-class ClaimRecord:
-    claim: str
-    outcome: str
-    predicted: object = None
-    measured: object = None
-    detail: str = ""
-
-    @property
-    def applicable(self) -> bool:
-        return self.outcome not in (SKIP,)
 
 
 @dataclass(frozen=True)
@@ -79,21 +52,18 @@ class VerificationReport:
         return tuple(r for r in self.records if r.outcome == FAIL)
 
 
-class _PairContext:
-    """Lazily measured values shared by all claims of one pair."""
+class _PairContext(PairFacts):
+    """The factor facts of one pair plus the product's parameters,
+    measured on first use."""
 
     def __init__(self, g: Graph, h: Graph, max_product_order: int):
-        self.g = g
-        self.h = h
+        super().__init__(g, h)
         self.max_product_order = max_product_order
-        self._product = None
         self._measured: dict[ParameterKind, int] = {}
 
-    @property
+    @cached_property
     def product(self) -> Graph:
-        if self._product is None:
-            self._product = lex_product(self.g, self.h, self.max_product_order)[0]
-        return self._product
+        return lex_product(self.g, self.h, self.max_product_order)[0]
 
     def measured(self, kind: ParameterKind) -> int:
         if kind not in self._measured:
@@ -101,319 +71,6 @@ class _PairContext:
                 self.product, kind, max_n=self.max_product_order
             ).value
         return self._measured[kind]
-
-    def fv(self, kind: ParameterKind, of_h: bool = False) -> int:
-        return factor_value(self.h if of_h else self.g, kind)
-
-
-def _skip(claim: str, reason: str) -> ClaimRecord:
-    return ClaimRecord(claim, SKIP, detail=reason)
-
-
-def _compare(claim: str, predicted, measured, ok: bool, detail: str = "") -> ClaimRecord:
-    return ClaimRecord(claim, PASS if ok else FAIL, predicted, measured, detail)
-
-
-def _iff(claim: str, lhs: bool, rhs: bool, detail: str) -> ClaimRecord:
-    forward = (not lhs) or rhs
-    backward = (not rhs) or lhs
-    return ClaimRecord(
-        claim,
-        PASS if forward and backward else FAIL,
-        rhs,
-        lhs,
-        f"{detail}; forward={'ok' if forward else 'FAIL'}, backward={'ok' if backward else 'FAIL'}",
-    )
-
-
-def _check_formula_claim(ctx: _PairContext, claim: TheoremId, kind: ParameterKind,
-                         pre_ok: bool, reason: str) -> ClaimRecord:
-    if not pre_ok:
-        return _skip(claim.value, reason)
-    predicted = predict(ctx.g, ctx.h, kind).value
-    measured = ctx.measured(kind)
-    return _compare(claim.value, predicted, measured, predicted == measured)
-
-
-def _check_claim(ctx: _PairContext, claim: TheoremId) -> ClaimRecord:
-    g, h = ctx.g, ctx.h
-    n_h = h.n
-    dmin, dmax = h.degree_extremes()
-    g_ok = not g.has_isolated_vertex()
-    nontrivial = g.n >= 2 and h.n >= 2
-
-    if claim is TheoremId.GAMMA_LEX:
-        return _check_formula_claim(ctx, claim, ParameterKind.gamma,
-                                    g_ok and h.n >= 2, "needs G without isolated vertices and nontrivial H")
-    if claim is TheoremId.GAMMAP_LEX:
-        return _check_formula_claim(ctx, claim, ParameterKind.gamma_p,
-                                    g.n >= 2 and g.is_connected() and h.n >= 2,
-                                    "needs connected nontrivial G and nontrivial H")
-    if claim is TheoremId.ROMAN_LEX:
-        return _check_formula_claim(ctx, claim, ParameterKind.gamma_R,
-                                    g_ok and h.n >= 2, "needs G without isolated vertices and nontrivial H")
-
-    if claim is TheoremId.ROMAN_GRAPH_COR:
-        if not (g_ok and h.n >= 2 and dmax != n_h - 2):
-            return _skip(claim.value, "needs G without isolated vertices, nontrivial H, maxdeg(H) != n(H)-2")
-        roman = ctx.measured(ParameterKind.gamma_R)
-        twice_gamma = 2 * ctx.measured(ParameterKind.gamma)
-        return _compare(claim.value, twice_gamma, roman, roman == twice_gamma,
-                        "product must be a Roman graph")
-
-    if claim is TheoremId.ZETA_BOUNDS:
-        if not (g_ok and dmax == n_h - 2):
-            return _skip(claim.value, "needs G without isolated vertices and maxdeg(H) = n(H)-2")
-        gam = ctx.fv(ParameterKind.gamma)
-        gam_t = ctx.fv(ParameterKind.gamma_t)
-        gam_tr = ctx.fv(ParameterKind.gamma_tR)
-        measured = ctx.measured(ParameterKind.gamma_R)
-        lo = max(gam_tr, gam_t + gam)
-        hi = min(3 * gam, 2 * gam_t)
-        ok = lo <= measured <= hi
-        if gam_t == gam:
-            ok = ok and measured == 2 * gam_t
-        if gam_t == 2 * gam:
-            ok = ok and measured == 3 * gam
-        return _compare(claim.value, (lo, hi), measured, ok,
-                        f"gamma={gam}, gamma_t={gam_t}, gamma_tR={gam_tr}")
-
-    if claim in (TheoremId.PR_UB_CORONA, TheoremId.PR_UB_FUNCTION_I,
-                 TheoremId.PR_UB_FUNCTION_II, TheoremId.PR_UB_FUNCTION_III,
-                 TheoremId.PR_UB_FUNCTION_IV, TheoremId.PR_UB_PACKING,
-                 TheoremId.PR_COR_EOD, TheoremId.PR_COR_ECD):
-        if not g_ok:
-            return _skip(claim.value, "needs G without isolated vertices")
-        bound = _upper_bound_value(ctx, claim)
-        if bound is None:
-            return _skip(claim.value, "hypotheses unmet")
-        measured = ctx.measured(ParameterKind.gamma_Rp)
-        return _compare(claim.value, f"<= {bound}", measured, measured <= bound)
-
-    if claim is TheoremId.PR_LB_GENERAL:
-        if not (g_ok and h.n >= 2):
-            return _skip(claim.value, "needs G without isolated vertices and nontrivial H")
-        bound = ctx.fv(ParameterKind.gamma) * min(n_h - dmax + 1, 2 + dmin)
-        measured = ctx.measured(ParameterKind.gamma_Rp)
-        return _compare(claim.value, f">= {bound}", measured, measured >= bound)
-
-    if claim is TheoremId.PR_TRIVIAL_LB:
-        if not nontrivial:
-            return _skip(claim.value, "needs nontrivial factors")
-        bound = max(ctx.fv(ParameterKind.gamma_Rp), 2 * ctx.fv(ParameterKind.gamma))
-        measured = ctx.measured(ParameterKind.gamma_Rp)
-        return _compare(claim.value, f">= {bound}", measured, measured >= bound)
-
-    if claim in (TheoremId.PR_GAMMA1_I, TheoremId.PR_GAMMA1_II):
-        if not (g.n >= 2 and ctx.fv(ParameterKind.gamma) == 1):
-            return _skip(claim.value, "needs nontrivial G with gamma(G) = 1")
-        delta_g = g.degree_extremes()[0]
-        if claim is TheoremId.PR_GAMMA1_I:
-            if delta_g < 2:
-                return _skip(claim.value, "needs mindeg(G) >= 2")
-            expected = n_h - dmax + 1
-        else:
-            if delta_g != 1:
-                return _skip(claim.value, "needs mindeg(G) = 1")
-            expected = min(2 * dmin + 4, n_h - dmax + 1)
-        measured = ctx.measured(ParameterKind.gamma_Rp)
-        return _compare(claim.value, expected, measured, measured == expected)
-
-    if claim is TheoremId.PR_EXACT_ECD:
-        if not (g_ok and is_efficient_closed_domination(g) is not None
-                and 2 <= n_h <= dmax + dmin + 1):
-            return _skip(claim.value, "needs ECD graph G and 2 <= n(H) <= maxdeg+mindeg+1")
-        expected = ctx.fv(ParameterKind.gamma) * (n_h - dmax + 1)
-        measured = ctx.measured(ParameterKind.gamma_Rp)
-        return _compare(claim.value, expected, measured, measured == expected)
-
-    if claim is TheoremId.PR_EXACT_EOD:
-        if not (g_ok and h.n >= 2 and is_efficient_open_domination(g) is not None
-                and ctx.fv(ParameterKind.gamma_p) == ctx.fv(ParameterKind.gamma_t)
-                == ctx.fv(ParameterKind.gamma) and n_h >= dmax + dmin + 1):
-            return _skip(claim.value,
-                         "needs EOD graph G with gamma_p = gamma_t = gamma and n(H) >= maxdeg+mindeg+1")
-        expected = ctx.fv(ParameterKind.gamma) * (2 + dmin)
-        measured = ctx.measured(ParameterKind.gamma_Rp)
-        return _compare(claim.value, expected, measured, measured == expected)
-
-    if claim is TheoremId.PR_ISOLATED_LAYERS:
-        if not (is_efficient_open_domination(g) is not None
-                and n_h >= dmax + 2 * dmin + 3):
-            return _skip(claim.value, "needs EOD graph G and n(H) >= maxdeg+2*mindeg+3")
-        expected = ctx.fv(ParameterKind.gamma_t) * (2 + dmin)
-        measured = ctx.measured(ParameterKind.gamma_Rp)
-        return _compare(claim.value, expected, measured, measured == expected)
-
-    if claim is TheoremId.PR_COR_P2P3:
-        if not nontrivial or not g_ok:
-            return _skip(claim.value, "needs nontrivial factors and G without isolated vertices")
-        p2 = bool(check_hypothesis(g, h, HypothesisKind.P2))
-        p3 = bool(check_hypothesis(g, h, HypothesisKind.P3))
-        if not (p2 or (p3 and ctx.fv(ParameterKind.gamma_p) == ctx.fv(ParameterKind.gamma))):
-            return _skip(claim.value, "needs P2, or P3 with gamma_p(G) = gamma(G)")
-        expected = 2 * ctx.fv(ParameterKind.gamma)
-        measured = ctx.measured(ParameterKind.gamma_Rp)
-        return _compare(claim.value, expected, measured, measured == expected)
-
-    if claim is TheoremId.PR_EQ_FACTOR:
-        if not nontrivial:
-            return _skip(claim.value, "needs nontrivial factors")
-        p2 = bool(check_hypothesis(g, h, HypothesisKind.P2))
-        p3 = bool(check_hypothesis(g, h, HypothesisKind.P3))
-        lhs = ctx.measured(ParameterKind.gamma_Rp) == ctx.fv(ParameterKind.gamma_Rp)
-        rhs = (ctx.fv(ParameterKind.gamma_Rp) == 2 * ctx.fv(ParameterKind.gamma_p)
-               and (p2 or p3))
-        return _iff(claim.value, lhs, rhs,
-                    "gamma_Rp(product) = gamma_Rp(G) iff gamma_Rp(G) = 2 gamma_p(G) and P2 or P3")
-
-    if claim is TheoremId.PR_EQ_2GAMMA:
-        if not (nontrivial and n_h >= 3):
-            return _skip(claim.value, "needs nontrivial G and n(H) >= 3")
-        p2 = bool(check_hypothesis(g, h, HypothesisKind.P2))
-        p3 = bool(check_hypothesis(g, h, HypothesisKind.P3))
-        lhs = ctx.measured(ParameterKind.gamma_Rp) == 2 * ctx.fv(ParameterKind.gamma)
-        rhs = (ctx.fv(ParameterKind.gamma_p) == ctx.fv(ParameterKind.gamma)
-               and (p2 or p3))
-        return _iff(claim.value, lhs, rhs,
-                    "gamma_Rp(product) = 2 gamma(G) iff gamma_p(G) = gamma(G) and P2 or P3")
-
-    if claim is TheoremId.PR_PERFECTROMAN_CHAR:
-        return _check_perfect_roman_char(ctx)
-
-    if claim is TheoremId.PR_EQ_ROMAN_CHAR:
-        return _check_eq_roman_char(ctx)
-
-    raise ValueError(f"unknown claim {claim}")
-
-
-def _upper_bound_value(ctx: _PairContext, claim: TheoremId) -> int | None:
-    g, h = ctx.g, ctx.h
-    n_h = h.n
-    dmin, dmax = h.degree_extremes()
-    if claim is TheoremId.PR_UB_CORONA:
-        return ctx.fv(ParameterKind.gamma_p) * (n_h + 1)
-    if claim is TheoremId.PR_UB_FUNCTION_I:
-        v2, v1 = _optimal_prdf_min_positive(g)
-        return ctx.fv(ParameterKind.gamma_Rp) + (v1 | v2).bit_count() * (n_h - 1)
-    if claim is TheoremId.PR_UB_FUNCTION_II:
-        gamma_g = ctx.fv(ParameterKind.gamma)
-        from .solvers import is_feasible
-        if _optimal_prdf_with(
-            g, lambda v2m, _: v2m.bit_count() == gamma_g
-            and is_feasible(g, v2m, ParameterKind.gamma)
-        ) is None:
-            return None
-        return ctx.fv(ParameterKind.gamma_Rp) * n_h - gamma_g * (n_h - 1)
-    if claim is TheoremId.PR_UB_FUNCTION_III:
-        _, s_prime, s_dprime = _best_gamma_p_set_by_epn(g)
-        return (s_prime.bit_count() + 2 * s_dprime.bit_count()
-                + ctx.fv(ParameterKind.gamma_p) * (n_h - 1))
-    if claim is TheoremId.PR_UB_FUNCTION_IV:
-        gamma_p_g = ctx.fv(ParameterKind.gamma_p)
-        from .solvers import is_feasible
-        if _optimal_prdf_with(
-            g, lambda v2m, v1m: (v1m | v2m).bit_count() == gamma_p_g
-            and is_feasible(g, v1m | v2m, ParameterKind.gamma_p)
-        ) is None:
-            return None
-        return ctx.fv(ParameterKind.gamma_Rp) + gamma_p_g * (n_h - 1)
-    if claim is TheoremId.PR_UB_PACKING:
-        return _packing_bound_terms(g, h)[0]
-    if claim is TheoremId.PR_COR_EOD:
-        if is_efficient_open_domination(g) is None:
-            return None
-        return ctx.fv(ParameterKind.gamma_t) * (2 + dmin)
-    if claim is TheoremId.PR_COR_ECD:
-        if is_efficient_closed_domination(g) is None:
-            return None
-        return ctx.fv(ParameterKind.gamma) * (n_h - dmax + 1)
-    raise ValueError(claim)
-
-
-def _check_perfect_roman_char(ctx: _PairContext) -> ClaimRecord:
-    g, h = ctx.g, ctx.h
-    claim = TheoremId.PR_PERFECTROMAN_CHAR.value
-    if not (g.n >= 2 and g.is_connected() and h.n >= 2):
-        return _skip(claim, "needs connected nontrivial G and nontrivial H")
-    n_h = h.n
-    dmax = h.degree_extremes()[1]
-    lhs = ctx.measured(ParameterKind.gamma_Rp) == 2 * ctx.measured(ParameterKind.gamma_p)
-    p1 = bool(check_hypothesis(g, h, HypothesisKind.P1))
-    if dmax == n_h - 1:
-        p2 = bool(check_hypothesis(g, h, HypothesisKind.P2))
-        return _iff(claim, lhs, p2, "stratum maxdeg(H) = n(H)-1: lhs iff P2")
-    if dmax <= n_h - 3:
-        return _iff(claim, lhs, p1, "stratum maxdeg(H) <= n(H)-3: lhs iff P1")
-    # stratum maxdeg(H) = n(H)-2
-    gamma_t_g = ctx.fv(ParameterKind.gamma_t)
-    sufficiency_applies = (ctx.fv(ParameterKind.gamma_Rp) == 2 * gamma_t_g
-                          or gamma_t_g == ctx.fv(ParameterKind.gamma))
-    if sufficiency_applies:
-        return _iff(claim, lhs, p1,
-                    "stratum maxdeg(H) = n(H)-2 with gamma_Rp(G) = 2 gamma_t(G) or "
-                    "gamma_t(G) = gamma(G): lhs iff P1")
-    if lhs:
-        couple_cond = all(
-            2 * gamma_t_g <= 2 * (s & _nonisolated(g, s)).bit_count()
-            + 3 * (s & ~_nonisolated(g, s)).bit_count()
-            for s in dominating_open_packings(g)
-        )
-        ok = p1 and couple_cond
-        return ClaimRecord(claim, PASS if ok else FAIL, True, lhs,
-                           "stratum maxdeg(H) = n(H)-2, necessity only: "
-                           f"P1={p1}, open-packing condition={couple_cond}")
-    return ClaimRecord(claim, INDETERMINATE, None, lhs,
-                       "stratum maxdeg(H) = n(H)-2: no sufficient condition applies "
-                       "and equality does not hold; indeterminate by the source")
-
-
-def _nonisolated(g: Graph, smask: int) -> int:
-    out = 0
-    for v in bits(smask):
-        if g.adj[v] & smask:
-            out |= 1 << v
-    return out
-
-
-def _check_eq_roman_char(ctx: _PairContext) -> ClaimRecord:
-    g, h = ctx.g, ctx.h
-    claim = TheoremId.PR_EQ_ROMAN_CHAR.value
-    if not (g.n >= 2 and g.is_connected() and h.n >= 3):
-        return _skip(claim, "needs connected nontrivial G and H of order >= 3")
-    n_h = h.n
-    dmin, dmax = h.degree_extremes()
-    lhs = ctx.measured(ParameterKind.gamma_Rp) == ctx.measured(ParameterKind.gamma_R)
-    if dmax == n_h - 1:
-        rhs = bool(check_hypothesis(g, h, HypothesisKind.P2))
-        return _iff(claim, lhs, rhs, "stratum maxdeg(H) = n(H)-1: lhs iff P2")
-    if dmax == n_h - 2:
-        rhs = any(
-            _is_open_packing(g, a | b) and (a == 0 or dmin == 0)
-            for a, b in zeta_couples(g)
-        )
-        return _iff(claim, lhs, rhs,
-                    "stratum maxdeg(H) = n(H)-2: lhs iff a zeta-couple (A,B) has "
-                    "A u B an open packing, with A empty whenever mindeg(H) >= 1")
-    if dmax == n_h - 3:
-        zp = zeta_prime(g)
-        rhs = ((dmin == 0 and zp is not None and zp[0] == 2 * ctx.fv(ParameterKind.gamma_t))
-               or (dmin >= 1 and ctx.fv(ParameterKind.gamma_t)
-                   == 2 * ctx.fv(ParameterKind.gamma_p) == 2 * ctx.fv(ParameterKind.rho)))
-        return _iff(claim, lhs, rhs,
-                    "stratum maxdeg(H) = n(H)-3: lhs iff (mindeg(H)=0 and zeta'(G)=2 gamma_t(G)) "
-                    "or (mindeg(H)>=1 and gamma_t(G)=2 gamma_p(G)=2 rho(G))")
-    rhs = bool(check_hypothesis(g, h, HypothesisKind.P1))
-    return _iff(claim, lhs, rhs, "stratum maxdeg(H) <= n(H)-4: lhs iff P1")
-
-
-def _is_open_packing(g: Graph, smask: int) -> bool:
-    c1 = 0
-    for v in bits(smask):
-        if c1 & g.adj[v]:
-            return False
-        c1 |= g.adj[v]
-    return True
 
 
 ALL_CLAIMS: tuple[TheoremId, ...] = tuple(TheoremId)
@@ -427,12 +84,13 @@ def verify_pair(g: Graph, h: Graph,
     g6h = write_graph6(h).decode()
     if g.n * h.n > max_product_order:
         records = tuple(
-            _skip(c.value, f"product order {g.n * h.n} exceeds budget {max_product_order}")
+            ClaimRecord(c.value, SKIP,
+                        detail=f"product order {g.n * h.n} exceeds budget {max_product_order}")
             for c in wanted
         )
         return VerificationReport(g6g, g6h, records)
     ctx = _PairContext(g, h, max_product_order)
-    records = tuple(_check_claim(ctx, c) for c in wanted)
+    records = tuple(STATEMENTS[c].check(ctx) for c in wanted)
     return VerificationReport(g6g, g6h, records)
 
 
@@ -449,16 +107,12 @@ class CorpusReport:
 
 def verify_corpus(gs: Sequence[Graph], hs: Sequence[Graph],
                   claims: Iterable[TheoremId] | None = None,
-                  max_product_order: int = DEFAULT_PRODUCT_CAP,
-                  workers: int = 1) -> CorpusReport:
+                  max_product_order: int = DEFAULT_PRODUCT_CAP) -> CorpusReport:
     """Aggregate verification over the cartesian corpus.
 
     The result is deterministic and independent of execution order:
     totals are commutative sums and failures are sorted by pair id.
-    ``workers`` is accepted for configuration compatibility; pairs are
-    independent work items.
     """
-    del workers  # pairs are independent; sequential execution is deterministic
     counters: dict[str, Counter] = {}
     failures = []
     pairs = 0

@@ -21,7 +21,7 @@ from lexdom import (
     predict,
     solve,
 )
-from lexdom.formula import PREDICT_KINDS, open_packings
+from lexdom.formula import PREDICT_KINDS, STATEMENTS, Exact, PairFacts, open_packings
 from lexdom.graph import RomanAssignment
 
 P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -32,6 +32,7 @@ K3 = generate(parse_family("complete:3"))
 P3 = generate(parse_family("path:3"))
 N2 = generate(parse_family("empty:2"))
 N3 = generate(parse_family("empty:3"))
+N4 = generate(parse_family("empty:4"))
 K2K1 = generate(parse_family("union(complete:2,empty:1)"))
 
 
@@ -164,6 +165,7 @@ class TestWitnessConstruction:
             (TheoremId.PR_EXACT_EOD, P4, N2),
             (TheoremId.PR_ISOLATED_LAYERS, P4, N3),
             (TheoremId.PR_GAMMA1_I, K3, P3),
+            (TheoremId.PR_GAMMA1_II, K2, N4),   # both vertices of K2 are universal leaves
         ]:
             product, _ = lex_product(g, h)
             f = construct_witness(theorem, g, h)
@@ -184,3 +186,31 @@ class TestWitnessConstruction:
         with pytest.raises(HypothesisError) as exc:
             construct_witness(TheoremId.PR_GAMMA1_I, P4, K2)
         assert "gamma" in str(exc.value)
+
+    def test_witness_exactly_when_statement_applies(self, connected_g, all_h):
+        # every builder, on every corpus pair: a valid object attaining the
+        # statement's value or bound when the registry says the statement
+        # applies (for an iff: its right-hand side holds), a refusal otherwise
+        built = {}
+        for g in connected_g:
+            for h in all_h:
+                product, _ = lex_product(g, h)
+                f = PairFacts(g, h)
+                for st in STATEMENTS.values():
+                    if st.witness is None:
+                        continue
+                    if st.refusal(f) is not None:
+                        with pytest.raises(HypothesisError):
+                            construct_witness(st.id, g, h)
+                        continue
+                    w = construct_witness(st.id, g, h)
+                    c = st.conclusion
+                    expected = c.cases(f)[1] if isinstance(c, Exact) else c.value(f)
+                    if isinstance(w, RomanAssignment):
+                        valid = is_rdf if st.kind is ParameterKind.gamma_R else is_prdf
+                        assert valid(product, w) and w.weight == expected, (st.id, g, h)
+                    else:
+                        assert is_feasible(product, w, st.kind), (st.id, g, h)
+                        assert w.bit_count() == expected, (st.id, g, h)
+                    built[st.id] = built.get(st.id, 0) + 1
+        assert set(built) == {t for t, st in STATEMENTS.items() if st.witness is not None}

@@ -84,11 +84,6 @@ class TestVerifyCorpus:
         assert forward.failures == reversed_report.failures
         assert forward.pairs == len(gs) * len(hs)
 
-    def test_workers_param_accepted(self, connected_g, all_h):
-        a = verify_corpus(connected_g[:3], all_h[:3], workers=1)
-        b = verify_corpus(connected_g[:3], all_h[:3], workers=4)
-        assert a == b
-
     def test_full_sweep_zero_failures(self, corpus_report):
         assert corpus_report.failed == 0
         assert corpus_report.pairs == 510
