@@ -322,54 +322,65 @@ class PairFacts:
         return out
 
 
-# -- the kinds of conclusion ----------------------------------------------
+# -- the kinds of conclusion ------------------------------------------------
+#
+# Plain classes: the registry is built on every import, and a dataclass or
+# NamedTuple costs far more to define than the 25 statements do to build.
 
 
-@dataclass(frozen=True)
 class Exact:
     """The parameter equals ``cases(f)[1]``; ``cases(f)[0]`` names the
     branch taken, or is None for a single formula."""
 
-    cases: Callable[[PairFacts], tuple[str | None, int]]
+    def __init__(self, cases: Callable[[PairFacts], tuple[str | None, int]]):
+        self.cases = cases
 
 
-@dataclass(frozen=True)
 class Lower:
-    value: Callable[[PairFacts], int]
+    def __init__(self, value: Callable[[PairFacts], int]):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Upper:
-    value: Callable[[PairFacts], int]
+    def __init__(self, value: Callable[[PairFacts], int]):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Iff:
     """The parameter equals ``value(f)`` if and only if ``rhs(f)``."""
 
-    value: Callable[[PairFacts], int]
-    rhs: Callable[[PairFacts], bool]
-    detail: str
+    def __init__(self, value: Callable[[PairFacts], int],
+                 rhs: Callable[[PairFacts], bool], detail: str):
+        self.value = value
+        self.rhs = rhs
+        self.detail = detail
 
 
-@dataclass(frozen=True)
 class Custom:
     """A check that is no single comparison: ``check(claim, f)`` returns
     the record.  ``value(f)``, when given, is what the witness attains."""
 
-    check: Callable[[str, PairFacts], ClaimRecord]
-    value: Callable[[PairFacts], int] | None = None
+    def __init__(self, check: Callable[[str, PairFacts], ClaimRecord],
+                 value: Callable[[PairFacts], int] | None = None):
+        self.check = check
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Statement:
-    id: TheoremId
-    kind: ParameterKind
-    hypotheses: tuple[tuple[Callable[[PairFacts], bool], str], ...]
-    conclusion: Exact | Lower | Upper | Iff | Custom
-    #: ``witness(f, branch)`` returns a vertex mask for gamma / gamma_p
-    #: statements and a (V2, V1) mask pair otherwise.
-    witness: Callable[[PairFacts, str | None], object] | None = None
+    """One TheoremId: the parameter it concerns, its hypotheses as
+    (predicate, skip reason) pairs, its conclusion, and the builder of its
+    witness.  ``witness(f, branch)`` returns a vertex mask for gamma /
+    gamma_p statements and a (V2, V1) mask pair otherwise."""
+
+    def __init__(self, id: TheoremId, kind: ParameterKind,
+                 hypotheses: tuple[tuple[Callable[[PairFacts], bool], str], ...],
+                 conclusion: Exact | Lower | Upper | Iff | Custom,
+                 witness: Callable[[PairFacts, str | None], object] | None = None):
+        self.id = id
+        self.kind = kind
+        self.hypotheses = hypotheses
+        self.conclusion = conclusion
+        self.witness = witness
 
     def skip_reason(self, f: PairFacts) -> str | None:
         """The first unmet hypothesis, worded as verification reports it."""
@@ -737,7 +748,7 @@ def predict(g: Graph, h: Graph, kind: ParameterKind) -> Prediction:
     statements = _PREDICTORS[kind]
     reason = statements[0].skip_reason(f)
     if reason is not None:
-        raise HypothesisError(f"{statements[0].id.value} {reason}")
+        raise HypothesisError(f"{kind.value} prediction {reason}")
     exacts: list[tuple[str, int]] = []
     lowers: list[tuple[str, int]] = []
     uppers: list[tuple[str, int]] = []
