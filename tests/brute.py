@@ -2,9 +2,10 @@
 
 Every oracle here works straight from the definitions, with no shared
 machinery with the production solvers: Roman-type minima enumerate all
-3^n weight assignments as (V2, V1) partitions, set-type parameters
-enumerate all 2^n subsets, and the couple parameters enumerate pairs of
-disjoint subsets.  Canonical (numerically smallest) optimal sets come
+3^n weight assignments as (V2, V1) partitions, set-type parameters,
+dominating open packings, the zeta' set and efficient open domination
+enumerate all 2^n subsets, and the optimal couples of zeta enumerate
+pairs of disjoint subsets.  Canonical (numerically smallest) optimal sets come
 from a Gosper scan over the masks of the optimal size.  Slow on purpose;
 intended for n <= 9.
 """
@@ -79,15 +80,16 @@ def _gosper_masks(n: int, k: int):
 
 def _set_predicate(g: Graph, kind: str):
     """The defining predicate of a set kind, as a function of the mask."""
+    nbrs = [_neighbors(g, v) for v in range(g.n)]
+
     def dominating(s):
-        return all(s >> v & 1 or any(s >> u & 1 for u in _neighbors(g, v))
-                   for v in range(g.n))
+        return all(s >> v & 1 or any(s >> u & 1 for u in nbrs[v]) for v in range(g.n))
 
     def total_dominating(s):
-        return all(any(s >> u & 1 for u in _neighbors(g, v)) for v in range(g.n))
+        return all(any(s >> u & 1 for u in nbrs[v]) for v in range(g.n))
 
     def perfect_dominating(s):
-        return all(s >> v & 1 or sum(1 for u in _neighbors(g, v) if s >> u & 1) == 1
+        return all(s >> v & 1 or sum(1 for u in nbrs[v] if s >> u & 1) == 1
                    for v in range(g.n))
 
     def packing(s):
@@ -144,36 +146,63 @@ def canonical_trdf_v1_oracle(g: Graph, v2: int, weight: int) -> int | None:
     return None
 
 
+def zeta_couples_oracle(g: Graph) -> list[tuple[int, int]]:
+    """Every disjoint pair (A, B) minimizing 2|A| + 3|B| such that every
+    vertex outside B has a neighbor in A u B, in increasing A u B order
+    (ties by A)."""
+    best = None
+    couples: list[tuple[int, int]] = []
+    for union in range(1 << g.n):
+        # the vertices that must lie in B: those without a neighbor in A u B
+        lonely = sum(1 << v for v in range(g.n) if not g.adj[v] & union)
+        for b in _submasks(union):
+            if lonely & ~b:
+                continue
+            a = union & ~b
+            value = 2 * a.bit_count() + 3 * b.bit_count()
+            if best is None or value < best:
+                best, couples = value, []
+            if value == best:
+                couples.append((a, b))
+    return sorted(couples, key=lambda c: (c[0] | c[1], c[0]))
+
+
 def zeta_oracle(g: Graph) -> int:
     """Minimum of 2|A| + 3|B| over disjoint pairs where every vertex
     outside B has a neighbor in A u B."""
-    best = None
-    full = (1 << g.n) - 1
-    for a in range(1 << g.n):
-        for b in _submasks(full & ~a):
-            union = a | b
-            if all(b >> v & 1 or any(union >> u & 1 for u in _neighbors(g, v))
-                   for v in range(g.n)):
-                value = 2 * a.bit_count() + 3 * b.bit_count()
-                if best is None or value < best:
-                    best = value
-    return best
+    a, b = zeta_couples_oracle(g)[0]
+    return 2 * a.bit_count() + 3 * b.bit_count()
+
+
+def dominating_open_packings_oracle(g: Graph) -> list[int]:
+    """Every nonempty set that is both an open packing (no two members
+    share a neighbor) and dominating, in increasing numeric order."""
+    dominating, open_packing = _set_predicate(g, "gamma"), _set_predicate(g, "rho_o")
+    return [s for s in range(1, 1 << g.n) if open_packing(s) and dominating(s)]
+
+
+def zeta_prime_set_oracle(g: Graph) -> tuple[int, int] | None:
+    """(value, S): the minimum of 4|S0| + 2|S1| over dominating open
+    packings S, where S0 holds the members without a neighbor in S, and
+    the numerically smallest S attaining it; None if no open packing
+    dominates."""
+    weighted = []
+    for s in dominating_open_packings_oracle(g):
+        s0 = sum(1 for v in range(g.n) if s >> v & 1 and not g.adj[v] & s)
+        weighted.append((4 * s0 + 2 * (s.bit_count() - s0), s))
+    return min(weighted, default=None)
 
 
 def zeta_prime_oracle(g: Graph) -> int | None:
     """Minimum of 4|S0| + 2|S1| over dominating open packings, where S0
-    holds the isolated vertices of the induced subgraph; None if no
-    open packing dominates."""
-    best = None
-    for s in range(1 << g.n):
-        members = [v for v in range(g.n) if s >> v & 1]
-        if any(g.adj[u] & g.adj[v] for i, u in enumerate(members) for v in members[i + 1:]):
-            continue
-        if not all(s >> v & 1 or any(s >> u & 1 for u in _neighbors(g, v))
-                   for v in range(g.n)):
-            continue
-        s0 = sum(1 for v in members if not g.adj[v] & s)
-        value = 4 * s0 + 2 * (len(members) - s0)
-        if best is None or value < best:
-            best = value
-    return best
+    holds the isolated vertices of the induced subgraph; None if no open
+    packing dominates."""
+    best = zeta_prime_set_oracle(g)
+    return None if best is None else best[0]
+
+
+def eod_oracle(g: Graph) -> int | None:
+    """The numerically smallest nonempty S such that every vertex has
+    exactly one neighbor in S, or None."""
+    return next((s for s in range(1, 1 << g.n)
+                 if all((g.adj[v] & s).bit_count() == 1 for v in range(g.n))), None)

@@ -29,16 +29,21 @@ from lexdom import (
 from lexdom.graph import RomanAssignment
 from lexdom import solvers
 from lexdom.solvers import dominating_open_packings
+from lexdom.structure import is_efficient_open_domination
 
 from test_graph import random_graph_strategy
 
 from brute import (
     canonical_set_oracle,
     canonical_trdf_v1_oracle,
+    dominating_open_packings_oracle,
+    eod_oracle,
     roman_oracle,
     set_oracle,
+    zeta_couples_oracle,
     zeta_oracle,
     zeta_prime_oracle,
+    zeta_prime_set_oracle,
 )
 
 P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -290,6 +295,23 @@ class TestCoupleParameters:
             zp = zeta_prime(g)
             assert (zp[0] if zp is not None else None) == zeta_prime_oracle(g)
 
+    @pytest.mark.parametrize("fn, label", [
+        (zeta, "the zeta cap"),
+        (zeta_couples, "the zeta cap"),
+        (zeta_prime, "the zeta' cap"),
+        (dominating_open_packings, "the cap"),
+    ])
+    def test_cap(self, monkeypatch, fn, label):
+        g = generate(parse_family("path:10"))
+        with pytest.raises(CapExceededError, match=f"^order 10 exceeds {label} 9$"):
+            fn(g, max_n=9)
+        monkeypatch.setenv("LEXDOM_MAX_N", "9")
+        with pytest.raises(CapExceededError, match=f"^order 10 exceeds {label} 9$"):
+            fn(g)
+        answer = fn(g, max_n=10)  # an explicit cap overrides the environment
+        monkeypatch.setenv("LEXDOM_MAX_N", "10")
+        assert fn(g) == answer
+
     def test_zeta_triangle(self):
         k3 = generate(parse_family("complete:3"))
         assert zeta(k3)[0] == 3
@@ -324,6 +346,40 @@ class TestCoupleParameters:
                 for v in members[i + 1:]:
                     assert P4.adj[u] & P4.adj[v] == 0
             assert P4.open_cover(s) | s == P4.full_mask
+
+
+def assert_couple_outputs_match_oracles(g):
+    """zeta, zeta_couples, zeta_prime, dominating_open_packings and the
+    efficient open dominating set equal their oracles, order included."""
+    if g.has_isolated_vertex():
+        with pytest.raises(DomainError):
+            zeta_couples(g)
+    else:
+        couples = zeta_couples_oracle(g)
+        assert zeta_couples(g) == couples
+        assert zeta(g) == (zeta_oracle(g), min(couples))
+    assert zeta_prime(g) == zeta_prime_set_oracle(g)
+    assert dominating_open_packings(g) == dominating_open_packings_oracle(g)
+    assert is_efficient_open_domination(g) == eod_oracle(g)
+
+
+class TestCoupleOutputsDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_strategy(max_n=9))
+    def test_random(self, g):
+        assert_couple_outputs_match_oracles(g)
+
+    def test_oracle_corpus(self, oracle_corpus):
+        for g in oracle_corpus:
+            assert_couple_outputs_match_oracles(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_edgeless(self, n):
+        g = build_graph(n, [])
+        assert_couple_outputs_match_oracles(g)
+        # only V dominates, and it is an open packing of weight 4n
+        assert zeta_prime(g) == (4 * n, g.full_mask)
+        assert is_efficient_open_domination(g) is None
 
 
 class TestInvariantChains:
