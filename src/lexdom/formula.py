@@ -33,11 +33,13 @@ from .solvers import (
     ParameterKind,
     _complete_roman,
     _feasible_sets,
+    _isolated_in,
     dominating_open_packings,
     enumerate_optimal_v2,
     is_feasible,
     is_prdf,
     is_rdf,
+    open_packings,
     solve,
     zeta,
     zeta_couples,
@@ -152,26 +154,6 @@ def _iff(claim: str, lhs: bool, rhs: bool, detail: str) -> ClaimRecord:
         lhs,
         f"{detail}; forward={'ok' if forward else 'FAIL'}, backward={'ok' if backward else 'FAIL'}",
     )
-
-
-def open_packings(g: Graph):
-    """All open packings of G (the empty set included)."""
-    adj = g.adj
-    n = g.n
-
-    def rec(i: int, smask: int, c1: int):
-        if i == n:
-            yield smask
-            return
-        yield from rec(i + 1, smask, c1)
-        if not c1 & adj[i]:
-            yield from rec(i + 1, smask | (1 << i), c1 | adj[i])
-    yield from rec(0, 0, 0)
-
-
-def _isolated_in(g: Graph, smask: int) -> int:
-    """The members of S without a neighbor in S."""
-    return mask_from(v for v in bits(smask) if not g.adj[v] & smask)
 
 
 def _min_degree_vertex(h: Graph) -> int:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CapExceededError, DomainError, InconsistencyError
-from .graph import Graph, RomanAssignment, assignment_from_masks, bits
+from .graph import Graph, RomanAssignment, assignment_from_masks, bits, mask_from
 
 #: Default cap for 2^n subset-scan kinds; override with LEXDOM_MAX_N.
 DEFAULT_SUBSET_CAP = 26
@@ -131,18 +131,24 @@ def is_trdf(g: Graph, f: RomanAssignment) -> bool:
 # -- caps and shared helpers -------------------------------------------
 
 
-def _check_cap(g: Graph, kind: ParameterKind, max_n: int | None) -> None:
-    cap = max_n if max_n is not None else (
-        DEFAULT_DEEP_CAP if kind is ParameterKind.gamma_tR else subset_cap()
-    )
+def _check_cap(g: Graph, max_n: int | None, name: str, default: int | None = None) -> None:
+    """Refuse G with more than ``max_n`` vertices; without ``max_n`` the
+    cap is ``default`` if given, else ``subset_cap()``.  ``name`` names
+    the cap in the message."""
+    cap = max_n if max_n is not None else default if default is not None else subset_cap()
     if g.n > cap:
-        raise CapExceededError(f"order {g.n} exceeds the {kind.value} cap {cap}")
+        raise CapExceededError(f"order {g.n} exceeds {name} {cap}")
 
 
 def _check_no_isolated(g: Graph, kind: ParameterKind) -> None:
     iso = g.isolated_vertices()
     if iso:
         raise DomainError(f"{kind.value} requires no isolated vertex; vertex {iso[0]} is isolated")
+
+
+def _isolated_in(g: Graph, smask: int) -> int:
+    """The members of S without a neighbor in S."""
+    return mask_from(v for v in bits(smask) if not g.adj[v] & smask)
 
 
 def _search_order(g: Graph) -> list[int]:
@@ -522,7 +528,8 @@ def _solve_gamma_tR(g: Graph):
 def solve(g: Graph, kind: ParameterKind, max_n: int | None = None) -> SolveResult:
     """Exact optimum with a canonical witness for any parameter kind."""
     kind = ParameterKind(kind)
-    _check_cap(g, kind, max_n)
+    _check_cap(g, max_n, f"the {kind.value} cap",
+               DEFAULT_DEEP_CAP if kind is ParameterKind.gamma_tR else None)
     if kind in TOTAL_KINDS:
         _check_no_isolated(g, kind)
 
@@ -555,7 +562,7 @@ def enumerate_optimal_v2(g: Graph, kind: ParameterKind, max_n: int | None = None
     kind = ParameterKind(kind)
     if kind not in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
         raise DomainError(f"enumerate_optimal_v2 supports gamma_R/gamma_Rp, not {kind.value}")
-    _check_cap(g, kind, max_n)
+    _check_cap(g, max_n, f"the {kind.value} cap")
     value, _, _ = _roman_scan(g, kind)
     masks, _ = _roman_scan(g, kind, target=value)
     return masks
@@ -578,33 +585,40 @@ def zeta_couples(g: Graph, max_n: int | None = None) -> list[tuple[int, int]]:
     For a fixed union U = A u B the couple condition forces B to contain
     exactly the isolated vertices of G[U] (any vertex of U with no
     U-neighbor fails the test unless it is in B, and enlarging B only
-    costs more), and requires U to be a dominating set; so one scan runs
-    over dominating sets U with B = iso(G[U]), keeping the couples at the
-    running minimum.
+    costs more), and requires U to be a dominating set.  So the search
+    walks the dominating sets U of each size k from gamma(G) upward, with
+    B = iso(G[U]) and weight 2k + |B|, and stops at the first k with 2k
+    above the best weight found, which no larger U can beat.
     """
     _check_no_isolated(g, ParameterKind.gamma_t)
-    cap = max_n if max_n is not None else subset_cap()
-    if g.n > cap:
-        raise CapExceededError(f"order {g.n} exceeds the zeta cap {cap}")
-    full = g.full_mask
-    best = None
-    result: list[tuple[int, int]] = []
-    for umask in range(1 << g.n):
-        outside = full & ~umask
-        cover = 0
-        iso = 0
-        for v in bits(umask):
-            cover |= g.adj[v]
-            if not g.adj[v] & umask:
-                iso |= 1 << v
-        if outside & ~cover:
-            continue
-        value = 2 * umask.bit_count() + iso.bit_count()
-        if best is None or value < best:
-            best, result = value, []
-        if value == best:
-            result.append((umask & ~iso, iso))
-    return result
+    _check_cap(g, max_n, "the zeta cap")
+    best = 2 * g.n  # U = V, which has no isolated vertex here
+    found: list[tuple[int, int]] = []
+    for k in range(_gamma_value(g)[0], g.n + 1):
+        if 2 * k > best:
+            break
+        for umask in _feasible_sets(g, ParameterKind.gamma, k):
+            iso = _isolated_in(g, umask)
+            value = 2 * k + iso.bit_count()
+            if value < best:
+                best, found = value, []
+            if value == best:
+                found.append((umask & ~iso, iso))
+    found.sort(key=lambda couple: couple[0] | couple[1])
+    return found
+
+
+def open_packings(g: Graph):
+    """All open packings of G, the empty set included, by size and then
+    in increasing numeric order.  Open packings are closed under taking
+    subsets, so the walk ends at the first size that has none."""
+    for k in range(g.n + 1):
+        empty = True
+        for smask in _feasible_sets(g, ParameterKind.rho_o, k):
+            empty = False
+            yield smask
+        if empty:
+            return
 
 
 def zeta_prime(g: Graph, max_n: int | None = None) -> tuple[int, int] | None:
@@ -612,57 +626,27 @@ def zeta_prime(g: Graph, max_n: int | None = None) -> tuple[int, int] | None:
 
     S0/S1 are the isolated/non-isolated vertices of G[S].  Note the
     minimum is a weight, not a cardinality; a zeta'-set is one attaining
-    this weight.
+    this weight (ties: smallest mask).  A set of size k weighs at least
+    2k, so the walk over open packings stops at the first size whose 2k
+    exceeds the best weight found.
     """
-    cap = max_n if max_n is not None else subset_cap()
-    if g.n > cap:
-        raise CapExceededError(f"order {g.n} exceeds the zeta' cap {cap}")
+    _check_cap(g, max_n, "the zeta' cap")
     full = g.full_mask
     best = None
-    best_set = None
-    for smask in range(1, 1 << g.n):
-        c1 = c2 = 0
-        cover = 0
-        ok = True
-        for v in bits(smask):
-            c2 |= c1 & g.adj[v]
-            c1 |= g.adj[v]
-            cover |= g.adj[v]
-            if c2:
-                ok = False
-                break
-        if not ok:
-            continue
-        if (full & ~smask) & ~cover:
-            continue
-        s0 = 0
-        for v in bits(smask):
-            if not g.adj[v] & smask:
-                s0 |= 1 << v
-        value = 4 * s0.bit_count() + 2 * (smask.bit_count() - s0.bit_count())
-        if best is None or value < best:
-            best, best_set = value, smask
-    if best is None:
-        return None
-    return best, best_set
+    for smask in open_packings(g):
+        size = smask.bit_count()
+        if best is not None and 2 * size > best[0]:
+            break
+        if g.closed_cover(smask) == full:
+            found = (2 * size + 2 * _isolated_in(g, smask).bit_count(), smask)
+            if best is None or found < best:
+                best = found
+    return best
 
 
 def dominating_open_packings(g: Graph, max_n: int | None = None) -> list[int]:
-    """All sets that are simultaneously dominating and open packings."""
-    cap = max_n if max_n is not None else subset_cap()
-    if g.n > cap:
-        raise CapExceededError(f"order {g.n} exceeds the cap {cap}")
+    """All sets that are simultaneously dominating and open packings, in
+    increasing numeric order."""
+    _check_cap(g, max_n, "the cap")
     full = g.full_mask
-    result = []
-    for smask in range(1, 1 << g.n):
-        c1 = c2 = 0
-        ok = True
-        for v in bits(smask):
-            c2 |= c1 & g.adj[v]
-            c1 |= g.adj[v]
-            if c2:
-                ok = False
-                break
-        if ok and not (full & ~smask) & ~c1:
-            result.append(smask)
-    return result
+    return sorted(s for s in open_packings(g) if g.closed_cover(s) == full)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import DomainError, HypothesisError, InconsistencyError
 from .graph import Graph
-from .solvers import ParameterKind, _feasible_sets, is_feasible, solve
+from .solvers import ParameterKind, _feasible_sets, is_feasible, open_packings, solve
 
 
 class HypothesisKind(str, Enum):
@@ -34,26 +34,21 @@ def is_efficient_open_domination(g: Graph) -> int | None:
     """Witness S such that every vertex of G has exactly one S-neighbor,
     i.e. a perfect dominating set inducing a disjoint union of edges;
     None when no such set exists.  Canonical: smallest mask.
+
+    These are the open packings whose open neighborhoods cover V, so the
+    walk over open packings of every size is filtered.  The size identity
+    |S| = gamma_t = rho_o is checked below, so the walk must not assume it.
     """
     full = g.full_mask
-    for smask in range(1, 1 << g.n):
-        c1 = c2 = 0
-        for v, row in enumerate(g.adj):
-            if smask >> v & 1:
-                c2 |= c1 & row
-                if c2:
-                    break
-                c1 |= row
-        else:
-            if c1 == full:
-                # cross-check the stated size identity
-                sizes = (smask.bit_count(), factor_value(g, ParameterKind.gamma_t),
-                         factor_value(g, ParameterKind.rho_o))
-                if len(set(sizes)) != 1:
-                    raise InconsistencyError(
-                        f"efficient open dominating set with |S|, gamma_t, rho_o = {sizes}")
-                return smask
-    return None
+    smask = min((s for s in open_packings(g) if g.open_cover(s) == full), default=None)
+    if smask is not None:
+        # cross-check the stated size identity
+        sizes = (smask.bit_count(), factor_value(g, ParameterKind.gamma_t),
+                 factor_value(g, ParameterKind.rho_o))
+        if len(set(sizes)) != 1:
+            raise InconsistencyError(
+                f"efficient open dominating set with |S|, gamma_t, rho_o = {sizes}")
+    return smask
 
 
 @lru_cache(maxsize=None)
