@@ -28,6 +28,14 @@ then decides vertices from n-1 down to 0, trying "exclude" before
 from the top bit, so this DFS reaches its leaves in increasing numeric
 order and its first feasible leaf is the canonical witness, without a
 scan over all C(n, k) masks.  Its nodes are not counted in ``explored``.
+
+The couple parameters walk the same DFS one set size k at a time:
+zeta_couples over the dominating sets from k = gamma(G) up, and
+zeta_prime, dominating_open_packings and open_packings over the open
+packings from k = 0 up.  zeta and zeta' stop once 2k exceeds the best
+weight found, since no set of size k weighs less than 2k; the open
+packing walks stop at the first empty size, since open packings are
+closed under taking subsets.  Both rules follow from the definitions.
 """
 
 from __future__ import annotations
@@ -39,7 +47,8 @@ from enum import Enum
 from .errors import CapExceededError, DomainError, InconsistencyError
 from .graph import Graph, RomanAssignment, assignment_from_masks, bits, mask_from
 
-#: Default cap for 2^n subset-scan kinds; override with LEXDOM_MAX_N.
+#: Default order cap for every kind but gamma_tR and for the couple
+#: parameters; override with LEXDOM_MAX_N.
 DEFAULT_SUBSET_CAP = 26
 #: Default cap for gamma_tR (V2 scan with an inner completion search).
 DEFAULT_DEEP_CAP = 14
@@ -619,7 +628,8 @@ def open_packings(g: Graph):
     """All open packings of G, the empty set included, by size and then
     in increasing numeric order.  Open packings are closed under taking
     subsets, so the walk ends at the first size that has none."""
-    for k in range(g.n + 1):
+    yield 0
+    for k in range(1, g.n + 1):
         empty = True
         for smask in _feasible_sets(g, ParameterKind.rho_o, k):
             empty = False

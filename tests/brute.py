@@ -2,12 +2,12 @@
 
 Every oracle here works straight from the definitions, with no shared
 machinery with the production solvers: Roman-type minima enumerate all
-3^n weight assignments as (V2, V1) partitions, set-type parameters,
+3^n weight assignments as (V2, V1) partitions; set-type parameters,
 dominating open packings, the zeta' set and efficient open domination
-enumerate all 2^n subsets, and the optimal couples of zeta enumerate
-pairs of disjoint subsets.  Canonical (numerically smallest) optimal sets come
-from a Gosper scan over the masks of the optimal size.  Slow on purpose;
-intended for n <= 9.
+enumerate all 2^n subsets; and the optimal couples of zeta enumerate all
+pairs of disjoint subsets.  Canonical (numerically smallest) optimal sets
+come from a Gosper scan over the masks of the optimal size.  Slow on
+purpose; intended for n <= 9.
 """
 
 from __future__ import annotations

@@ -329,9 +329,9 @@ class TestCoupleParameters:
         assert zeta_prime(C5) is None
 
     def test_zeta_prime_weight_not_cardinality(self):
-        # on K2 the singleton (weight 4) beats the full edge (weight 4)?
-        # no: {0,1} has S0 empty -> weight 4; {0} dominates with S0={0}
-        # -> weight 4 as well; canonical minimum-weight witness is {0}
+        # on K2 the singleton {0} (S0 = {0}: weight 4) and the edge {0, 1}
+        # (S0 empty, |S1| = 2: weight 4) tie on weight although their sizes
+        # differ; the tie goes to the smaller mask, {0}
         k2 = build_graph(2, [(0, 1)])
         value, smask = zeta_prime(k2)
         assert value == 4
