@@ -332,43 +332,43 @@ def _feasible_sets(g: Graph, kind: ParameterKind, k: int, initial_cover: int = 0
     """
     n = g.n
     closed = kind in (ParameterKind.gamma, ParameterKind.rho)
-    key = [g.adj[v] | 1 << v if closed else g.adj[v] for v in range(n)]
+    key = [g.adj[v] | 1 << v for v in range(n)] if closed else g.adj
     packing = kind in (ParameterKind.rho, ParameterKind.rho_o)
     perfect = kind is ParameterKind.gamma_p
     # closing[u]: vertices whose constraint is final once u, the lowest
     # vertex whose membership can change it, is decided; below[v + 1]:
     # those final once every vertex from v down is decided
     closing = [0] * n
+    below = [0] * (n + 1)
     if not packing:
         for w in range(n):
             scope = key[w] | 1 << w if perfect else key[w]
             closing[(scope & -scope).bit_length() - 1 if scope else n - 1] |= 1 << w
-    below = [0] * (n + 1)
-    for v in range(n):
-        below[v + 1] = below[v] | closing[v]
+        for v in range(n):
+            below[v + 1] = below[v] | closing[v]
 
-    def violated(final: int, smask: int, c1: int) -> int:
-        # final constraints that see no member; members of a perfect set
-        # are exempt, and seeing two is pruned in rec as soon as it happens
-        unseen = final & ~c1
-        return unseen & ~smask if perfect else unseen
+    # a final constraint fails when its vertex sees no member; members of
+    # a perfect set are exempt, and seeing two is pruned in rec as soon as
+    # it happens
+    exempt = g.full_mask if perfect else 0
 
     def rec(v: int, smask: int, out: int, cnt: int, c1: int, c2: int):
         if cnt == k or v < 0:
             # every vertex from v down is left out: decide them all at once
-            if not (perfect and c2 & ((1 << (v + 1)) - 1)) and not violated(below[v + 1], smask, c1):
+            if (not (perfect and c2 & ((1 << (v + 1)) - 1))
+                    and not below[v + 1] & ~(c1 | (smask & exempt))):
                 yield smask
             return
         b = 1 << v
         # exclude v: a perfect set cannot leave out a vertex seeing two members
-        if cnt + v >= k and not (perfect and c2 & b) and not violated(closing[v], smask, c1):
+        if cnt + v >= k and not (perfect and c2 & b) and not closing[v] & ~(c1 | (smask & exempt)):
             yield from rec(v - 1, smask, out | b, cnt, c1, c2)
         if packing and c1 & key[v]:
             return
         nc2 = c2 | (c1 & key[v])
         nc1 = c1 | key[v]
         ns = smask | b
-        if not (perfect and nc2 & out) and not violated(closing[v], ns, nc1):
+        if not (perfect and nc2 & out) and not closing[v] & ~(nc1 | (ns & exempt)):
             yield from rec(v - 1, ns, out, cnt + 1, nc1, nc2)
 
     yield from rec(n - 1, 0, 0, 0, initial_cover, 0)
