@@ -3,9 +3,10 @@
 Every oracle here works straight from the definitions, with no shared
 machinery with the production solvers: Roman-type minima enumerate all
 3^n weight assignments as (V2, V1) partitions; set-type parameters,
-dominating open packings, the zeta' set and efficient open domination
-enumerate all 2^n subsets; and the optimal couples of zeta enumerate all
-pairs of disjoint subsets.  Canonical (numerically smallest) optimal sets
+open packings, dominating open packings, the zeta' set and efficient
+open domination enumerate all 2^n subsets; and the optimal couples of
+zeta enumerate all pairs of disjoint subsets.  Canonical (numerically
+smallest) optimal sets, the efficient closed dominating set among them,
 come from a Gosper scan over the masks of the optimal size.  Slow on
 purpose; intended for n <= 9.
 """
@@ -206,3 +207,19 @@ def eod_oracle(g: Graph) -> int | None:
     exactly one neighbor in S, or None."""
     return next((s for s in range(1, 1 << g.n)
                  if all((g.adj[v] & s).bit_count() == 1 for v in range(g.n))), None)
+
+
+def open_packings_oracle(g: Graph) -> list[int]:
+    """Every open packing (no two members share a neighbor), the empty
+    set included, in increasing numeric order."""
+    open_packing = _set_predicate(g, "rho_o")
+    return [s for s in range(1 << g.n) if open_packing(s)]
+
+
+def ecd_oracle(g: Graph) -> int | None:
+    """The numerically smallest set of size gamma(G) that is dominating
+    and a packing (no two members have intersecting closed
+    neighborhoods), or None."""
+    dominating, packing = _set_predicate(g, "gamma"), _set_predicate(g, "rho")
+    return next((s for s in _gosper_masks(g.n, set_oracle(g, "gamma"))
+                 if dominating(s) and packing(s)), None)

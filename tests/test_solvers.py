@@ -28,8 +28,8 @@ from lexdom import (
 )
 from lexdom.graph import RomanAssignment
 from lexdom import solvers
-from lexdom.solvers import dominating_open_packings
-from lexdom.structure import is_efficient_open_domination
+from lexdom.solvers import dominating_open_packings, open_packings
+from lexdom.structure import is_efficient_closed_domination, is_efficient_open_domination
 
 from test_graph import random_graph_strategy
 
@@ -37,7 +37,9 @@ from brute import (
     canonical_set_oracle,
     canonical_trdf_v1_oracle,
     dominating_open_packings_oracle,
+    ecd_oracle,
     eod_oracle,
+    open_packings_oracle,
     roman_oracle,
     set_oracle,
     zeta_couples_oracle,
@@ -349,8 +351,9 @@ class TestCoupleParameters:
 
 
 def assert_couple_outputs_match_oracles(g):
-    """zeta, zeta_couples, zeta_prime, dominating_open_packings and the
-    efficient open dominating set equal their oracles, order included."""
+    """zeta, zeta_couples, zeta_prime, the open packings, the dominating
+    open packings and the efficient open and closed dominating sets equal
+    their oracles, order included."""
     if g.has_isolated_vertex():
         with pytest.raises(DomainError):
             zeta_couples(g)
@@ -359,8 +362,10 @@ def assert_couple_outputs_match_oracles(g):
         assert zeta_couples(g) == couples
         assert zeta(g) == (zeta_oracle(g), min(couples))
     assert zeta_prime(g) == zeta_prime_set_oracle(g)
+    assert sorted(open_packings(g)) == open_packings_oracle(g)
     assert dominating_open_packings(g) == dominating_open_packings_oracle(g)
     assert is_efficient_open_domination(g) == eod_oracle(g)
+    assert is_efficient_closed_domination(g) == ecd_oracle(g)
 
 
 class TestCoupleOutputsDifferential:
@@ -380,6 +385,7 @@ class TestCoupleOutputsDifferential:
         # only V dominates, and it is an open packing of weight 4n
         assert zeta_prime(g) == (4 * n, g.full_mask)
         assert is_efficient_open_domination(g) is None
+        assert is_efficient_closed_domination(g) == g.full_mask
 
 
 class TestInvariantChains:
