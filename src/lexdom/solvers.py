@@ -29,13 +29,13 @@ from the top bit, so this DFS reaches its leaves in increasing numeric
 order and its first feasible leaf is the canonical witness, without a
 scan over all C(n, k) masks.  Its nodes are not counted in ``explored``.
 
-The couple parameters walk the same DFS one set size k at a time:
-zeta_couples over the dominating sets from k = gamma(G) up, and
-zeta_prime, dominating_open_packings and open_packings over the open
-packings from k = 0 up.  zeta and zeta' stop once 2k exceeds the best
-weight found, since no set of size k weighs less than 2k; the open
-packing walks stop at the first empty size, since open packings are
-closed under taking subsets.  Both rules follow from the definitions.
+zeta_couples walks the same DFS one set size k at a time over the
+dominating sets from k = gamma(G) up, and stops once 2k exceeds the
+best weight found, since no set of size k weighs less than 2k.  The
+open packings come from one walk of their own, open_packings, which
+yields every open packing once in increasing numeric order; zeta_prime,
+dominating_open_packings and the efficient open and closed dominating
+sets of ``structure`` are filters over that walk.
 """
 
 from __future__ import annotations
@@ -187,18 +187,18 @@ def _search_order(g: Graph) -> list[int]:
 # -- set-kind solvers ---------------------------------------------------
 
 
-def _min_cover_value(g: Graph, closed: bool, preset: int = 0, initial_cover: int = 0):
+def _min_cover_value(g: Graph, closed: bool, preset: int = 0):
     """Exact minimum size of a set S (disjoint from ``preset``) such that
-    ``initial_cover`` together with the (closed/open) neighborhoods of
-    S covers every vertex.  Classic branch-on-uncovered-vertex search.
+    the (closed/open) neighborhoods of ``preset`` and S cover every
+    vertex.  Classic branch-on-uncovered-vertex search.
 
-    With closed=True, preset=0, initial_cover=0 this is the domination
-    number; with closed=False it is the total domination number.  Returns
+    With closed=True, preset=0 this is the domination number; with
+    closed=False it is the total domination number.  Returns
     (size, explored).
     """
     full = g.full_mask
     key = [g.closed_neighborhood(v) if closed else g.adj[v] for v in range(g.n)]
-    cover0 = initial_cover
+    cover0 = 0
     for v in bits(preset):
         cover0 |= key[v]
     best = g.n + 1
@@ -216,8 +216,7 @@ def _min_cover_value(g: Graph, closed: bool, preset: int = 0, initial_cover: int
         uncovered = full & ~cover
         u = (uncovered & -uncovered).bit_length() - 1
         # any feasible extension must pick a vertex whose key covers u
-        candidates = key[u] if closed else g.adj[u]
-        candidates &= ~forbidden & ~preset
+        candidates = key[u] & ~forbidden & ~preset
         taken = 0
         for w in bits(candidates):
             rec(cover | key[w], forbidden | taken, size + 1)
@@ -625,17 +624,25 @@ def zeta_couples(g: Graph, max_n: int | None = None) -> list[tuple[int, int]]:
 
 
 def open_packings(g: Graph):
-    """All open packings of G, the empty set included, by size and then
-    in increasing numeric order.  Open packings are closed under taking
-    subsets, so the walk ends at the first size that has none."""
-    yield 0
-    for k in range(1, g.n + 1):
-        empty = True
-        for smask in _feasible_sets(g, ParameterKind.rho_o, k):
-            empty = False
-            yield smask
-        if empty:
-            return
+    """All open packings of G, the empty set included, in increasing
+    numeric order.
+
+    The walk is the exclude-before-include DFS over vertices n-1 down to
+    0, with each run of exclusions taken in one step: a set is yielded
+    before its extensions, and these add one vertex below its lowest
+    member, lowest vertex first.  A vertex may join only while no vertex
+    sees two members.
+    """
+    adj = g.adj
+
+    def rec(top: int, smask: int, seen: int):
+        # seen: the vertices with a neighbor in smask
+        yield smask
+        for v in range(top):
+            if not seen & adj[v]:
+                yield from rec(v, smask | 1 << v, seen | adj[v])
+
+    return rec(g.n, 0, 0)
 
 
 def zeta_prime(g: Graph, max_n: int | None = None) -> tuple[int, int] | None:
@@ -643,22 +650,12 @@ def zeta_prime(g: Graph, max_n: int | None = None) -> tuple[int, int] | None:
 
     S0/S1 are the isolated/non-isolated vertices of G[S].  Note the
     minimum is a weight, not a cardinality; a zeta'-set is one attaining
-    this weight (ties: smallest mask).  A set of size k weighs at least
-    2k, so the walk over open packings stops at the first size whose 2k
-    exceeds the best weight found.
+    this weight (ties: smallest mask).
     """
     _check_cap(g, max_n, "the zeta' cap")
     full = g.full_mask
-    best = None
-    for smask in open_packings(g):
-        size = smask.bit_count()
-        if best is not None and 2 * size > best[0]:
-            break
-        if g.closed_cover(smask) == full:
-            found = (2 * size + 2 * _isolated_in(g, smask).bit_count(), smask)
-            if best is None or found < best:
-                best = found
-    return best
+    return min(((2 * s.bit_count() + 2 * _isolated_in(g, s).bit_count(), s)
+                for s in open_packings(g) if g.closed_cover(s) == full), default=None)
 
 
 def dominating_open_packings(g: Graph, max_n: int | None = None) -> list[int]:
@@ -666,4 +663,4 @@ def dominating_open_packings(g: Graph, max_n: int | None = None) -> list[int]:
     increasing numeric order."""
     _check_cap(g, max_n, "the cap")
     full = g.full_mask
-    return sorted(s for s in open_packings(g) if g.closed_cover(s) == full)
+    return [s for s in open_packings(g) if g.closed_cover(s) == full]

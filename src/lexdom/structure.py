@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import DomainError, HypothesisError, InconsistencyError
 from .graph import Graph
-from .solvers import ParameterKind, _feasible_sets, is_feasible, open_packings, solve
+from .solvers import ParameterKind, is_feasible, open_packings, solve
 
 
 class HypothesisKind(str, Enum):
@@ -35,12 +35,12 @@ def is_efficient_open_domination(g: Graph) -> int | None:
     i.e. a perfect dominating set inducing a disjoint union of edges;
     None when no such set exists.  Canonical: smallest mask.
 
-    These are the open packings whose open neighborhoods cover V, so the
-    walk over open packings of every size is filtered.  The size identity
+    These are the open packings whose open neighborhoods cover V, so this
+    is the first such set of the open-packing walk.  The size identity
     |S| = gamma_t = rho_o is checked below, so the walk must not assume it.
     """
     full = g.full_mask
-    smask = min((s for s in open_packings(g) if g.open_cover(s) == full), default=None)
+    smask = next((s for s in open_packings(g) if g.open_cover(s) == full), None)
     if smask is not None:
         # cross-check the stated size identity
         sizes = (smask.bit_count(), factor_value(g, ParameterKind.gamma_t),
@@ -54,17 +54,23 @@ def is_efficient_open_domination(g: Graph) -> int | None:
 @lru_cache(maxsize=None)
 def is_efficient_closed_domination(g: Graph) -> int | None:
     """Witness minimum dominating set that is also a packing, or None.
-    Canonical: smallest mask among sets of size gamma(G).
+    Canonical: smallest mask.
+
+    This is the first dominating open packing of the open-packing walk
+    that is also a packing.  Every dominating packing has size gamma(G),
+    as the closed neighborhoods of its members are disjoint and each
+    holds a vertex of any dominating set; |S| = gamma = rho is checked.
     """
-    value = factor_value(g, ParameterKind.gamma)
-    for smask in _feasible_sets(g, ParameterKind.gamma, value):
-        if is_feasible(g, smask, ParameterKind.rho):
-            rho = factor_value(g, ParameterKind.rho)
-            if value != rho:
-                raise InconsistencyError(
-                    f"efficient closed dominating set of size {value} but rho = {rho}")
-            return smask
-    return None
+    value = factor_value(g, ParameterKind.gamma)  # refuses G over the gamma cap
+    full = g.full_mask
+    smask = next((s for s in open_packings(g)
+                  if g.closed_cover(s) == full and is_feasible(g, s, ParameterKind.rho)), None)
+    if smask is not None:
+        sizes = (smask.bit_count(), value, factor_value(g, ParameterKind.rho))
+        if len(set(sizes)) != 1:
+            raise InconsistencyError(
+                f"efficient closed dominating set with |S|, gamma, rho = {sizes}")
+    return smask
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,7 @@ class TestEfficientClosedDomination:
 @pytest.mark.parametrize("predicate, wrong_kind", [
     (is_efficient_open_domination, ParameterKind.gamma_t),
     (is_efficient_open_domination, ParameterKind.rho_o),
+    (is_efficient_closed_domination, ParameterKind.gamma),
     (is_efficient_closed_domination, ParameterKind.rho),
 ])
 def test_size_cross_check_raises(monkeypatch, predicate, wrong_kind):
