@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -48,8 +47,8 @@ EXIT_CAP = 4
 
 
 def _read_graph(inline: str | None, path: str | None, family: str | None) -> Graph:
-    """Inline graph6, file (graph6 or edge list, auto-detected by the
-    leading digit of the edge-list header), or family spec."""
+    """Inline graph6, file (an edge list if its first line that is neither
+    blank nor a comment starts with a digit, else graph6), or family spec."""
     sources = [s for s in (inline, path, family) if s is not None]
     if len(sources) != 1:
         raise GraphFormatError("provide exactly one of --g6, --in, --family")
@@ -59,8 +58,9 @@ def _read_graph(inline: str | None, path: str | None, family: str | None) -> Gra
         return generate(parse_family(family))
     with open(path, "rb") as fh:
         data = fh.read()
-    text = data.decode("ascii", errors="replace").strip()
-    first = text.lstrip("#").strip().splitlines()[0].strip() if text else ""
+    text = data.decode("ascii", errors="replace")
+    first = next((ln for ln in map(str.strip, text.splitlines())
+                  if ln and not ln.startswith("#")), "")
     if first[:1].isdigit():
         return parse_edge_list(text)
     return parse_graph6(text.encode())
@@ -113,16 +113,9 @@ def _flatten(obj, prefix: str = "") -> dict:
     return flat
 
 
-def _max_n(args: argparse.Namespace) -> int | None:
-    if args.max_n is not None:
-        return args.max_n
-    env = os.environ.get("LEXDOM_MAX_N")
-    return int(env) if env else None
-
-
 def cmd_solve(args: argparse.Namespace, started: float) -> int:
     g = _get_graph(args, "")
-    result = solve(g, ParameterKind(args.param), max_n=_max_n(args))
+    result = solve(g, ParameterKind(args.param), max_n=args.max_n)
     _emit("solve", {"graph": write_graph6(g).decode(), "param": args.param},
           {"param": args.param, "value": result.value,
            "witness": _witness_json(result.witness), "explored": result.explored},

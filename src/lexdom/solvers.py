@@ -55,7 +55,14 @@ DEFAULT_DEEP_CAP = 14
 
 
 def subset_cap() -> int:
-    return int(os.environ.get("LEXDOM_MAX_N", DEFAULT_SUBSET_CAP))
+    """LEXDOM_MAX_N if set and not empty, else DEFAULT_SUBSET_CAP."""
+    env = os.environ.get("LEXDOM_MAX_N")
+    if not env:
+        return DEFAULT_SUBSET_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise DomainError(f"LEXDOM_MAX_N must be an integer, got {env!r}") from None
 
 
 class ParameterKind(str, Enum):
@@ -625,14 +632,10 @@ def zeta_couples(g: Graph, max_n: int | None = None) -> list[tuple[int, int]]:
 
 def open_packings(g: Graph):
     """All open packings of G, the empty set included, in increasing
-    numeric order.
-
-    The walk is the exclude-before-include DFS over vertices n-1 down to
-    0, with each run of exclusions taken in one step: a set is yielded
-    before its extensions, and these add one vertex below its lowest
-    member, lowest vertex first.  A vertex may join only while no vertex
-    sees two members.
-    """
+    numeric order: each set comes before its extensions by one vertex
+    below its lowest member, lowest vertex first.  This is the
+    exclude-before-include DFS over vertices n-1 down to 0, with each
+    run of exclusions taken in one step."""
     adj = g.adj
 
     def rec(top: int, smask: int, seen: int):

@@ -54,12 +54,9 @@ def is_efficient_open_domination(g: Graph) -> int | None:
 @lru_cache(maxsize=None)
 def is_efficient_closed_domination(g: Graph) -> int | None:
     """Witness minimum dominating set that is also a packing, or None.
-    Canonical: smallest mask.
-
-    This is the first dominating open packing of the open-packing walk
-    that is also a packing.  Every dominating packing has size gamma(G),
-    as the closed neighborhoods of its members are disjoint and each
-    holds a vertex of any dominating set; |S| = gamma = rho is checked.
+    Canonical: smallest mask.  Every dominating packing has size gamma:
+    the closed neighborhoods of its members are disjoint and each holds
+    a vertex of any dominating set.
     """
     value = factor_value(g, ParameterKind.gamma)  # refuses G over the gamma cap
     full = g.full_mask

@@ -40,6 +40,23 @@ class TestSolve:
         body = run_json(capsys, "solve", "--param", "gamma", "--in", str(path))
         assert body["results"]["value"] == 1
 
+    def test_edge_list_file_with_leading_comment(self, capsys, tmp_path, data_dir):
+        text = (data_dir / "fig1.edges").read_text()
+        plain, commented = tmp_path / "plain.edges", tmp_path / "commented.edges"
+        plain.write_text(text)
+        commented.write_text("# fig1, with a comment first\n\n" + text)
+        bodies = [run_json(capsys, "solve", "--param", "gamma", "--in", str(path))
+                  for path in (plain, commented)]
+        for body in bodies:
+            body.pop("timing_ms")
+        assert bodies[0] == bodies[1]
+
+    def test_comment_only_file(self, capsys, tmp_path):
+        path = tmp_path / "comment.txt"
+        path.write_text("#\n")
+        code, _, err = run(capsys, "solve", "--param", "gamma", "--in", str(path))
+        assert code == EXIT_PARSE and "error" in err
+
     def test_canonical_json_stable(self, capsys):
         argv = ("solve", "--param", "gamma", "--family", "cycle:5")
         first = run_json(capsys, *argv)
@@ -154,6 +171,24 @@ class TestExitCodes:
         monkeypatch.setenv("LEXDOM_MAX_N", "5")
         code, _, _ = run(capsys, "solve", "--param", "gamma", "--family", "path:8")
         assert code == EXIT_CAP
+
+    def test_env_cap_leaves_gamma_tR_cap(self, capsys, monkeypatch):
+        # LEXDOM_MAX_N sets the subset cap only; gamma_tR keeps its own cap
+        monkeypatch.setenv("LEXDOM_MAX_N", "20")
+        code, _, err = run(capsys, "solve", "--param", "gamma_tR", "--family", "cycle:15")
+        assert code == EXIT_CAP
+        assert "order 15 exceeds the gamma_tR cap 14" in err
+
+    def test_empty_env_cap_is_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEXDOM_MAX_N", "")
+        body = run_json(capsys, "solve", "--param", "gamma", "--family", "path:8")
+        assert body["results"]["value"] == 3
+
+    def test_non_integer_env_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEXDOM_MAX_N", "ten")
+        code, _, err = run(capsys, "solve", "--param", "gamma", "--family", "path:8")
+        assert code == EXIT_DOMAIN
+        assert "LEXDOM_MAX_N" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "solve", "--param", "gamma",

@@ -263,6 +263,16 @@ class TestDomainAndCaps:
         monkeypatch.setenv("LEXDOM_MAX_N", "30")
         assert solve(g, ParameterKind.gamma).value == 10
 
+    def test_cap_env_empty_or_malformed(self, monkeypatch):
+        g = generate(parse_family("path:8"))
+        monkeypatch.setenv("LEXDOM_MAX_N", "")
+        assert solvers.subset_cap() == solvers.DEFAULT_SUBSET_CAP
+        assert solve(g, ParameterKind.gamma).value == 3
+        for value in ("ten", "2.5"):
+            monkeypatch.setenv("LEXDOM_MAX_N", value)
+            with pytest.raises(DomainError, match="LEXDOM_MAX_N"):
+                solve(g, ParameterKind.gamma)
+
 
 class TestFeasibilityPredicates:
     def test_is_feasible_definitions(self):
