@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .errors import DomainError, HypothesisError, InconsistencyError
@@ -171,6 +171,13 @@ def _universal_vertex(h: Graph) -> int | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _optimal_prdfs(g: Graph) -> tuple[tuple[int, int], ...]:
+    """PairFacts.optimal_prdfs, memoized per G like factor_value."""
+    return tuple((v2, _complete_roman(g, ParameterKind.gamma_Rp, v2).v1)
+                 for v2 in enumerate_optimal_v2(g, ParameterKind.gamma_Rp))
+
+
 class PairFacts:
     """What the statements read about one pair (G, H), each quantity
     computed on first use and at most once.
@@ -242,10 +249,9 @@ class PairFacts:
         return zeta(self.g)
 
     @cached_property
-    def optimal_prdfs(self) -> list[tuple[int, int]]:
+    def optimal_prdfs(self) -> tuple[tuple[int, int], ...]:
         """(V2, V1) of every optimal PRDF on G, in enumeration order."""
-        return [(v2, _complete_roman(self.g, ParameterKind.gamma_Rp, v2).v1)
-                for v2 in enumerate_optimal_v2(self.g, ParameterKind.gamma_Rp)]
+        return _optimal_prdfs(self.g)
 
     @cached_property
     def prdf_fewest_positive(self) -> tuple[int, int]:

@@ -4,10 +4,10 @@ Set-valued kinds (gamma, gamma_t, gamma_p, rho, rho_o) are solved by
 branch-and-bound over vertex subsets.  Roman kinds are solved by scanning
 candidate V2 sets and completing each candidate optimally:
 
-* gamma_R:  given V2, every vertex outside N[V2] is forced to weight 1 and
-  every other non-V2 vertex to 0, so weight(V2) = 2|V2| + |V \\ N[V2]|;
-* gamma_Rp: a non-V2 vertex is 0 iff it has exactly one V2-neighbor, so
-  weight(V2) = 2|V2| + #{v not in V2 : |N(v) & V2| != 1};
+* gamma_R and gamma_Rp: given V2, let Z hold the vertices with a
+  V2-neighbor (gamma_R) or with exactly one (gamma_Rp).  A vertex outside
+  V2 takes 0 if it lies in Z and 1 otherwise, so
+  weight(V2) = 2|V2| + |V - V2 - Z| = n + |V2| - |Z - V2|;
 * gamma_tR: the forced weight-1 set must additionally be extended to make
   the positive set total dominating (inner exact cover search).
 
@@ -35,7 +35,9 @@ best weight found, since no set of size k weighs less than 2k.  The
 open packings come from one walk of their own, open_packings, which
 yields every open packing once in increasing numeric order; zeta_prime,
 dominating_open_packings and the efficient open and closed dominating
-sets of ``structure`` are filters over that walk.
+sets of ``structure`` are filters over that walk.  Where only dominating
+sets count, the walk leaves out the isolated vertices, which every
+dominating set holds.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import CapExceededError, DomainError, InconsistencyError
 from .graph import Graph, RomanAssignment, assignment_from_masks, bits, mask_from
@@ -392,25 +395,15 @@ def _first_feasible_set(g: Graph, kind: ParameterKind, k: int, initial_cover: in
 # -- Roman-kind solvers -------------------------------------------------
 
 
-def _roman_weight_fns(g: Graph, kind: ParameterKind):
-    n = g.n
-    full = g.full_mask
-    if kind is ParameterKind.gamma_R:
-        def weight(smask, k, c1, c2):
-            return 2 * k + (full & ~(c1 | smask)).bit_count()
-
-        def forced_ones(smask, out, c1, c2, unreach):
-            # decided-out vertices never dominated and out of future reach
-            return out & ~c1 & unreach
-    else:
-        def weight(smask, k, c1, c2):
-            exact1 = c1 & ~c2
-            return 2 * k + (n - k) - (exact1 & ~smask).bit_count()
-
-        def forced_ones(smask, out, c1, c2, unreach):
-            # >= 2 members seen is permanent; 0 seen and unreachable too
-            return out & (c2 | (~c1 & unreach))
-    return weight, forced_ones
+def _zero_candidates(g: Graph, v2mask: int, twice: int) -> int:
+    """Z: the vertices with a V2-neighbor, less those with two or more
+    when ``twice`` is the full mask (gamma_Rp) rather than 0 (gamma_R).
+    A vertex outside V2 may take weight 0 exactly when it lies in Z."""
+    c1 = c2 = 0
+    for v in bits(v2mask):
+        c2 |= c1 & g.adj[v]
+        c1 |= g.adj[v]
+    return c1 & ~(c2 & twice)
 
 
 def _greedy_dominating(g: Graph) -> int:
@@ -432,64 +425,71 @@ def _greedy_dominating(g: Graph) -> int:
 def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
     """Branch-and-bound over V2 sets for gamma_R / gamma_Rp.
 
+    One loop serves both kinds: c1 holds the vertices with a V2-neighbor
+    and c2, kept only for gamma_Rp (``twice`` is 0 for gamma_R), those
+    with two, so a node's weight is n + |V2| - |Z - V2| with Z = c1 - c2.
+    Its children are bounded by 2(|V2| + 1) plus the decided-out vertices
+    that must take weight 1 whatever is added: those seeing two members
+    (gamma_Rp), and those seeing none with no neighbor left to decide.
+
     With ``target`` set, collects every V2 mask whose completed weight
     equals ``target`` instead of optimizing.  Returns
     (value, mask, explored) or (collected_masks, explored).
     """
     n = g.n
-    weight, forced_ones = _roman_weight_fns(g, kind)
+    full = g.full_mask
+    twice = full if kind is ParameterKind.gamma_Rp else 0
     degs = [g.degree(v) for v in range(n)]
     order = sorted(range(n), key=lambda v: (-degs[v], v))
+    oadj = [g.adj[v] for v in order]
+    obit = [1 << v for v in order]
     # unreach[i]: vertices with no neighbor among order[i:]
     unreach = [0] * (n + 1)
     reach = 0
-    unreach[n] = g.full_mask
+    unreach[n] = full
     for i in range(n - 1, -1, -1):
-        reach |= g.adj[order[i]]
-        unreach[i] = g.full_mask & ~reach
-    adj = g.adj
+        reach |= oadj[i]
+        unreach[i] = full & ~reach
     explored = 0
 
+    # V2 = {} weighs n: every vertex takes 1
     collecting = target is not None
     collected: list[int] = []
     if collecting:
         best = target
         bestmask = None
-        if weight(0, 0, 0, 0) == target:
+        if n == target:
             collected.append(0)
     else:
-        best = weight(0, 0, 0, 0)
+        best = n
         bestmask = 0
         seed = _greedy_dominating(g)
-        c1 = c2 = 0
-        for v in bits(seed):
-            c2 |= c1 & adj[v]
-            c1 |= adj[v]
-        w = weight(seed, seed.bit_count(), c1, c2)
+        w = n + seed.bit_count() - (_zero_candidates(g, seed, twice) & ~seed).bit_count()
         if w < best:
             best, bestmask = w, seed
 
     def rec(start: int, smask: int, out: int, k: int, c1: int, c2: int) -> None:
         nonlocal best, bestmask, explored
-        skipped = 0
+        explored += n - start
+        k += 1  # |V2| of every child
+        base = n + k
+        floor = 2 * (k + 1)  # 2|V2| of every grandchild
+        # nout: the decided-out vertices, this node's and its earlier children's
+        nout = out
         for i in range(start, n):
-            explored += 1
-            v = order[i]
-            b = 1 << v
-            nc2 = c2 | (c1 & adj[v])
-            nc1 = c1 | adj[v]
-            ns = smask | b
-            nout = out | skipped
-            w = weight(ns, k + 1, nc1, nc2)
+            a = oadj[i]
+            nc2 = (c2 | c1 & a) & twice
+            nc1 = c1 | a
+            ns = smask | obit[i]
+            w = base - (nc1 & ~(nc2 | ns)).bit_count()
             if collecting:
                 if w == target:
                     collected.append(ns)
             elif w < best or (w == best and ns < bestmask):
                 best, bestmask = w, ns
-            lb = 2 * (k + 2) + forced_ones(ns, nout, nc1, nc2, unreach[i + 1]).bit_count()
-            if lb <= best:
-                rec(i + 1, ns, nout, k + 1, nc1, nc2)
-            skipped |= b
+            if floor + (nout & (nc2 | ~nc1 & unreach[i + 1])).bit_count() <= best:
+                rec(i + 1, ns, nout, k, nc1, nc2)
+            nout |= obit[i]
     rec(0, 0, 0, 0, 0, 0)
     if collecting:
         return sorted(collected), explored
@@ -497,16 +497,10 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
 
 
 def _complete_roman(g: Graph, kind: ParameterKind, v2mask: int) -> RomanAssignment:
-    """Forced optimal completion of a V2 set into a full assignment."""
-    c1 = c2 = 0
-    for v in bits(v2mask):
-        c2 |= c1 & g.adj[v]
-        c1 |= g.adj[v]
-    rest = g.full_mask & ~v2mask
-    if kind is ParameterKind.gamma_R:
-        v1 = rest & ~c1
-    else:
-        v1 = rest & ~(c1 & ~c2)
+    """Forced optimal completion of a V2 set into a full assignment: the
+    vertices outside V2 and Z take 1, the rest of V - V2 takes 0."""
+    twice = g.full_mask if kind is ParameterKind.gamma_Rp else 0
+    v1 = g.full_mask & ~v2mask & ~_zero_candidates(g, v2mask, twice)
     return assignment_from_masks(g.n, v1, v2mask)
 
 
@@ -600,7 +594,7 @@ def zeta(g: Graph, max_n: int | None = None) -> tuple[int, tuple[int, int]]:
     return 2 * a.bit_count() + 3 * b.bit_count(), (a, b)
 
 
-def zeta_couples(g: Graph, max_n: int | None = None) -> list[tuple[int, int]]:
+def zeta_couples(g: Graph, max_n: int | None = None) -> tuple[tuple[int, int], ...]:
     """All dominating couples achieving zeta(G), as (A, B) mask pairs in
     increasing A u B order.
 
@@ -610,10 +604,16 @@ def zeta_couples(g: Graph, max_n: int | None = None) -> list[tuple[int, int]]:
     costs more), and requires U to be a dominating set.  So the search
     walks the dominating sets U of each size k from gamma(G) upward, with
     B = iso(G[U]) and weight 2k + |B|, and stops at the first k with 2k
-    above the best weight found, which no larger U can beat.
+    above the best weight found, which no larger U can beat.  Memoized
+    per G; the caps are checked on every call.
     """
     _check_no_isolated(g, ParameterKind.gamma_t)
     _check_cap(g, max_n, "the zeta cap")
+    return _zeta_couples(g)
+
+
+@lru_cache(maxsize=None)
+def _zeta_couples(g: Graph) -> tuple[tuple[int, int], ...]:
     best = 2 * g.n  # U = V, which has no isolated vertex here
     found: list[tuple[int, int]] = []
     for k in range(_gamma_value(g)[0], g.n + 1):
@@ -627,25 +627,41 @@ def zeta_couples(g: Graph, max_n: int | None = None) -> list[tuple[int, int]]:
             if value == best:
                 found.append((umask & ~iso, iso))
     found.sort(key=lambda couple: couple[0] | couple[1])
-    return found
+    return tuple(found)
 
 
-def open_packings(g: Graph):
-    """All open packings of G, the empty set included, in increasing
-    numeric order: each set comes before its extensions by one vertex
-    below its lowest member, lowest vertex first.  This is the
-    exclude-before-include DFS over vertices n-1 down to 0, with each
-    run of exclusions taken in one step."""
-    adj = g.adj
+def open_packings(g: Graph, avoid: int = 0):
+    """All open packings of G disjoint from ``avoid``, the empty set
+    included, in increasing numeric order: each set comes before its
+    extensions by one vertex below its lowest member, lowest vertex
+    first.  This is the exclude-before-include DFS over vertices n-1 down
+    to 0, with each run of exclusions taken in one step."""
+    # an avoided vertex's key is bit n, which ``seen`` holds from the start
+    stop = 1 << g.n
+    key = [stop if avoid >> v & 1 else row for v, row in enumerate(g.adj)]
 
     def rec(top: int, smask: int, seen: int):
         # seen: the vertices with a neighbor in smask
         yield smask
         for v in range(top):
-            if not seen & adj[v]:
-                yield from rec(v, smask | 1 << v, seen | adj[v])
+            if not seen & key[v]:
+                yield from rec(v, smask | 1 << v, seen | key[v])
 
-    return rec(g.n, 0, 0)
+    return rec(g.n, 0, stop)
+
+
+def _dominating_open_packings(g: Graph):
+    """The dominating open packings in increasing numeric order.  Each
+    holds every isolated vertex, which nothing else dominates, and an
+    isolated vertex shares no neighbor with anything, so the walk leaves
+    the isolated vertices out and adds them to every set: on i isolated
+    vertices it is 2^i times shorter."""
+    iso = mask_from(g.isolated_vertices())
+    full = g.full_mask
+    for s in open_packings(g, avoid=iso):
+        s |= iso
+        if g.closed_cover(s) == full:
+            yield s
 
 
 def zeta_prime(g: Graph, max_n: int | None = None) -> tuple[int, int] | None:
@@ -653,17 +669,21 @@ def zeta_prime(g: Graph, max_n: int | None = None) -> tuple[int, int] | None:
 
     S0/S1 are the isolated/non-isolated vertices of G[S].  Note the
     minimum is a weight, not a cardinality; a zeta'-set is one attaining
-    this weight (ties: smallest mask).
+    this weight (ties: smallest mask).  Memoized per G; the cap is checked
+    on every call.
     """
     _check_cap(g, max_n, "the zeta' cap")
-    full = g.full_mask
+    return _zeta_prime(g)
+
+
+@lru_cache(maxsize=None)
+def _zeta_prime(g: Graph) -> tuple[int, int] | None:
     return min(((2 * s.bit_count() + 2 * _isolated_in(g, s).bit_count(), s)
-                for s in open_packings(g) if g.closed_cover(s) == full), default=None)
+                for s in _dominating_open_packings(g)), default=None)
 
 
 def dominating_open_packings(g: Graph, max_n: int | None = None) -> list[int]:
     """All sets that are simultaneously dominating and open packings, in
     increasing numeric order."""
     _check_cap(g, max_n, "the cap")
-    full = g.full_mask
-    return [s for s in open_packings(g) if g.closed_cover(s) == full]
+    return list(_dominating_open_packings(g))

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import DomainError, HypothesisError, InconsistencyError
 from .graph import Graph
-from .solvers import ParameterKind, is_feasible, open_packings, solve
+from .solvers import ParameterKind, _dominating_open_packings, is_feasible, open_packings, solve
 
 
 class HypothesisKind(str, Enum):
@@ -38,7 +38,10 @@ def is_efficient_open_domination(g: Graph) -> int | None:
     These are the open packings whose open neighborhoods cover V, so this
     is the first such set of the open-packing walk.  The size identity
     |S| = gamma_t = rho_o is checked below, so the walk must not assume it.
+    An isolated vertex has no neighbor at all, so then no such set exists.
     """
+    if g.has_isolated_vertex():
+        return None
     full = g.full_mask
     smask = next((s for s in open_packings(g) if g.open_cover(s) == full), None)
     if smask is not None:
@@ -56,12 +59,12 @@ def is_efficient_closed_domination(g: Graph) -> int | None:
     """Witness minimum dominating set that is also a packing, or None.
     Canonical: smallest mask.  Every dominating packing has size gamma:
     the closed neighborhoods of its members are disjoint and each holds
-    a vertex of any dominating set.
+    a vertex of any dominating set.  So it is the first packing among the
+    dominating open packings, which all hold every isolated vertex.
     """
     value = factor_value(g, ParameterKind.gamma)  # refuses G over the gamma cap
-    full = g.full_mask
-    smask = next((s for s in open_packings(g)
-                  if g.closed_cover(s) == full and is_feasible(g, s, ParameterKind.rho)), None)
+    smask = next((s for s in _dominating_open_packings(g)
+                  if is_feasible(g, s, ParameterKind.rho)), None)
     if smask is not None:
         sizes = (smask.bit_count(), value, factor_value(g, ParameterKind.rho))
         if len(set(sizes)) != 1:

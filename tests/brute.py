@@ -7,8 +7,9 @@ open packings, dominating open packings, the zeta' set and efficient
 open domination enumerate all 2^n subsets; and the optimal couples of
 zeta enumerate all pairs of disjoint subsets.  Canonical (numerically
 smallest) optimal sets, the efficient closed dominating set among them,
-come from a Gosper scan over the masks of the optimal size.  Slow on
-purpose; intended for n <= 9.
+come from a Gosper scan over the masks of the optimal size, and the
+canonical Roman witness (smallest optimal V2 mask) from the 3^n
+enumeration of the Roman minima.  Slow on purpose; intended for n <= 9.
 """
 
 from __future__ import annotations
@@ -62,6 +63,31 @@ def roman_oracle(g: Graph, kind: str) -> int:
                     break
             if ok:
                 best = weight
+    return best
+
+
+def canonical_roman_oracle(g: Graph, kind: str) -> tuple[int, int]:
+    """(value, V2) of the optimal RDF (gamma_R) or PRDF (gamma_Rp) whose
+    V2 mask is numerically smallest.  Every f: V -> {0,1,2} is tried as a
+    (V2, V1) partition with V2 in increasing order, and each 0-vertex is
+    checked against the definition: at least one 2-neighbor (RDF), or
+    exactly one (PRDF).  Only a strictly lighter function replaces the
+    best, so the first V2 to reach the minimum is kept.
+    """
+    if kind not in ("gamma_R", "gamma_Rp"):
+        raise ValueError(kind)
+    perfect = kind == "gamma_Rp"
+    full = (1 << g.n) - 1
+    best = None
+    for v2 in range(1 << g.n):
+        for v1 in _submasks(full & ~v2):
+            weight = 2 * v2.bit_count() + v1.bit_count()
+            if best is not None and weight >= best[0]:
+                continue
+            zeros = full & ~(v1 | v2)
+            twos_seen = [(g.adj[v] & v2).bit_count() for v in range(g.n) if zeros >> v & 1]
+            if all(t == 1 if perfect else t >= 1 for t in twos_seen):
+                best = (weight, v2)
     return best
 
 

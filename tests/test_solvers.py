@@ -8,6 +8,8 @@ from hypothesis import given, settings
 
 from lexdom import (
     CapExceededError,
+    lex_product,
+    parse_graph6,
     DomainError,
     InconsistencyError,
     ParameterKind,
@@ -34,6 +36,7 @@ from lexdom.structure import is_efficient_closed_domination, is_efficient_open_d
 from test_graph import random_graph_strategy
 
 from brute import (
+    canonical_roman_oracle,
     canonical_set_oracle,
     canonical_trdf_v1_oracle,
     dominating_open_packings_oracle,
@@ -145,6 +148,23 @@ class TestWitnesses:
                 optima = enumerate_optimal_v2(g, kind)
                 assert result.witness.v2 == min(optima)
 
+    def test_roman_witness_canonical_on_oracle_corpus(self, oracle_corpus):
+        # value and smallest optimal V2 mask straight from the definitions
+        for g in oracle_corpus:
+            if g.n > 6:
+                continue
+            for kind in ("gamma_R", "gamma_Rp"):
+                result = solve(g, ParameterKind(kind))
+                assert (result.value, result.witness.v2) == canonical_roman_oracle(g, kind), \
+                    (kind, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_strategy(max_n=7))
+    def test_roman_witness_canonical_random(self, g):
+        for kind in ("gamma_R", "gamma_Rp"):
+            result = solve(g, ParameterKind(kind))
+            assert (result.value, result.witness.v2) == canonical_roman_oracle(g, kind), kind
+
     def test_set_witness_canonical_on_oracle_corpus(self, oracle_corpus):
         # the numerically smallest optimal set, recomputed from the
         # definitions by a Gosper scan over the optimal size
@@ -187,6 +207,56 @@ class TestWitnesses:
                 first = solve(g, kind)
                 second = solve(g, kind)
                 assert (first.value, first.witness) == (second.value, second.witness)
+
+
+def _lex(g, h):
+    return lex_product(g, generate(parse_family(h)))[0]
+
+
+class TestRomanSearchTree:
+    """The gamma_R / gamma_Rp branch-and-bound, node for node.
+
+    Each row holds, for gamma_R then gamma_Rp, the value, the witness's V2
+    mask and ``explored`` of ``solve``, then the number of optimal V2 sets
+    and ``explored`` of the collecting scan that enumerate_optimal_v2
+    runs.  ``explored`` is part of every ``lexdom solve`` body, so the
+    perfbench cli pins hash it too: a change that moves a count here has
+    to re-pin both.
+    """
+
+    PINS = {
+        "fig2 o complete:3": [(6, 73, 3994, 27, 3994), (20, 19136584, 476403, 729, 449693)],
+        "fig2 o empty:3": [(6, 73, 3100, 27, 3100), (19, 9, 362271, 27, 328703)],
+        "cycle:12 o path:3": [(8, 268960770, 29152, 3, 29152),
+                              (8, 268960770, 10175, 3, 10175)],
+        "fig1": [(4, 1, 18, 3, 18), (4, 1, 18, 2, 18)],
+        "fig2": [(6, 7, 193, 1, 193), (9, 1, 444, 7, 444)],
+        "D`{": [(2, 16, 5, 1, 5), (2, 16, 5, 1, 5)],
+        "FxSQ?": [(4, 2, 25, 3, 25), (4, 2, 25, 2, 25)],
+        "F}bBg": [(3, 1, 7, 2, 7), (3, 1, 7, 2, 7)],
+        "F~~~w": [(2, 1, 7, 7, 7), (2, 1, 7, 7, 7)],
+        "GACQR?": [(6, 2, 69, 6, 69), (6, 2, 57, 5, 57)],
+        "empty:5": [(5, 0, 12, 1, 12), (5, 0, 12, 1, 12)],
+    }
+
+    @pytest.fixture(scope="class")
+    def graphs(self, fig1, fig2):
+        named = {"fig1": fig1, "fig2": fig2,
+                 "fig2 o complete:3": _lex(fig2, "complete:3"),
+                 "fig2 o empty:3": _lex(fig2, "empty:3"),
+                 "cycle:12 o path:3": _lex(generate(parse_family("cycle:12")), "path:3"),
+                 "empty:5": generate(parse_family("empty:5"))}
+        return {name: named.get(name) or parse_graph6(name) for name in self.PINS}
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_pinned(self, graphs, name):
+        g = graphs[name]
+        row = []
+        for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
+            result = solve(g, kind, max_n=g.n)
+            masks, explored = solvers._roman_scan(g, kind, target=result.value)
+            row.append((result.value, result.witness.v2, result.explored, len(masks), explored))
+        assert row == self.PINS[name]
 
 
 class TestEnumerateOptimalV2:
@@ -369,13 +439,18 @@ def assert_couple_outputs_match_oracles(g):
             zeta_couples(g)
     else:
         couples = zeta_couples_oracle(g)
-        assert zeta_couples(g) == couples
+        assert zeta_couples(g) == tuple(couples)
         assert zeta(g) == (zeta_oracle(g), min(couples))
     assert zeta_prime(g) == zeta_prime_set_oracle(g)
     assert list(open_packings(g)) == open_packings_oracle(g)
     assert dominating_open_packings(g) == dominating_open_packings_oracle(g)
     assert is_efficient_open_domination(g) == eod_oracle(g)
     assert is_efficient_closed_domination(g) == ecd_oracle(g)
+
+
+def _with_isolated(g, count):
+    """G plus ``count`` isolated vertices, numbered after V(G)."""
+    return build_graph(g.n + count, g.edges())
 
 
 class TestCoupleOutputsDifferential:
@@ -387,6 +462,28 @@ class TestCoupleOutputsDifferential:
     def test_oracle_corpus(self, oracle_corpus):
         for g in oracle_corpus:
             assert_couple_outputs_match_oracles(g)
+
+    def test_isolated_vertices(self):
+        # the dominating open packings, zeta' and ECD skip the isolated
+        # vertices in the walk and EOD stops at the first one; isolated
+        # vertices placed after, before and among the others
+        for g in random_graphs(40, max_n=6, seed=31):
+            for h in (_with_isolated(g, 2), _with_isolated(build_graph(1, []), 1),
+                      build_graph(g.n + 2, [(u + 2, v + 2) for u, v in g.edges()]),
+                      build_graph(g.n + 1, [(u + (u > 0), v + (v > 0)) for u, v in g.edges()])):
+                assert h.has_isolated_vertex()
+                assert_couple_outputs_match_oracles(h)
+
+    def test_many_isolated_vertices(self):
+        # P3 plus 13 isolated vertices: no EOD; the dominating open
+        # packings are the isolated vertices plus {1}, {0, 1} or {1, 2};
+        # the first of them is the ECD and, tied with {0, 1}, the zeta'-set
+        g = _with_isolated(build_graph(3, [(0, 1), (1, 2)]), 13)
+        iso = g.full_mask & ~0b111
+        assert is_efficient_open_domination(g) is None
+        assert is_efficient_closed_domination(g) == iso | 0b010
+        assert dominating_open_packings(g) == [iso | 0b010, iso | 0b011, iso | 0b110]
+        assert zeta_prime(g) == (4 * 14, iso | 0b010)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_edgeless(self, n):
