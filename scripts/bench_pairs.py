@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -41,10 +42,14 @@ def export(ref: str) -> tuple[str, Path]:
     """(commit, directory) of the committed tree of ``ref``."""
     sha = git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
     target = BUILD / sha
-    if not (target / "BENCHMARK.json").is_file():
-        target.mkdir(parents=True, exist_ok=True)
+    if not target.is_dir():
+        # extracted beside the target and renamed, so a half-written export is never reused
+        partial = BUILD / f"{sha}.partial"
+        shutil.rmtree(partial, ignore_errors=True)
+        partial.mkdir(parents=True)
         with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
-            tar.extractall(target, filter="data")
+            tar.extractall(partial, filter="data")
+        partial.rename(target)
     return sha, target
 
 
