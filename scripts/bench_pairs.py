@@ -1,16 +1,17 @@
 """Benchmark a change against its parent in alternating pairs.
 
     python3 scripts/bench_pairs.py --label NAME [--parent REF] [--change REF]
-        [--workloads W ...] [--pairs 10] [--seconds 30] [--seed 11001]
 
 Both commits are exported with ``git archive`` into ``.bench_build/<sha>``
 (the committed files only, as a fresh checkout would have them), and
-``perfbench/run.py`` runs from each export.  For each workload, pair i
-runs both sides with seed ``seed + 100 * (workload index + 1) + i``; the
-side that goes first alternates from pair to pair, so a drift of the
-host's speed falls on both sides alike.  One ``--trace 1`` run per side
-at the first seed adds the per-layer metrics, node counts included, which
-do not depend on the host.
+``perfbench/run.py`` runs from each export.  Every workload of the
+change's BENCHMARK.json runs in PAIRS alternating pairs of its
+``run_seconds`` each: pair i runs both sides with seed
+``SEED + 100 * (workload index + 1) + i``, and the side that goes first
+alternates from pair to pair, so a drift of the host's speed falls on
+both sides alike.  One ``--trace 1`` run per side at the first seed adds
+the per-layer metrics, node counts included, which do not depend on the
+host.
 
 The result goes to ``BENCH_<label>.json`` at the repository root: for
 every end-to-end metric, the per-run values of both sides, their medians
@@ -32,6 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
+#: Pairs per workload: a claimed gain must hold in nine of ten.
+PAIRS = 10
+SEED = 11001
 
 
 def git(*args: str) -> bytes:
@@ -48,7 +52,11 @@ def export(ref: str) -> tuple[str, Path]:
         shutil.rmtree(partial, ignore_errors=True)
         partial.mkdir(parents=True)
         with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
-            tar.extractall(partial, filter="data")
+            # extraction filters exist from Python 3.10.12 and 3.11.4 on
+            if hasattr(tarfile, "data_filter"):
+                tar.extractall(partial, filter="data")
+            else:
+                tar.extractall(partial)
         partial.rename(target)
     return sha, target
 
@@ -98,42 +106,36 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True)
     ap.add_argument("--parent", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--workloads", nargs="+")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--seed", type=int, default=11001)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
 
     sides = dict(zip(("parent", "change"), (export(args.parent), export(args.change))))
     spec = json.loads((sides["change"][1] / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    workloads = args.workloads or names
+    seconds = spec["run_seconds"]
     path = ROOT / f"BENCH_{args.label}.json"
     report = {
         "label": args.label,
         "parent": sides["parent"][0],
         "change": sides["change"][0],
-        "pairs": args.pairs,
-        "seconds": args.seconds,
+        "pairs": PAIRS,
+        "seconds": seconds,
         "python": sys.version.split()[0],
         "workloads": {},
     }
-    for w in workloads:
-        first_seed = args.seed + 100 * (names.index(w) + 1)
+    for index, workload in enumerate(spec["workloads"]):
+        w = workload["name"]
+        first_seed = SEED + 100 * (index + 1)
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run(sides[side][1], w, first_seed + i, args.seconds, 0)
+                result = run(sides[side][1], w, first_seed + i, seconds, 0)
                 runs[side].append(result)
                 print(f"{w} pair {i} {side}: wall_s {result['metrics']['wall_s']:.4g}, "
                       f"failed {result['failed']}", file=sys.stderr)
-        traced = {side: run(tree, w, first_seed, args.seconds, 1)["metrics"]
+        traced = {side: run(tree, w, first_seed, seconds, 1)["metrics"]
                   for side, (_, tree) in sides.items()}
         report["workloads"][w] = {
-            "seeds": [first_seed, first_seed + args.pairs - 1],
+            "seeds": [first_seed, first_seed + PAIRS - 1],
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
             "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
             "end_to_end": summarize(spec["end_to_end"], runs),

@@ -31,11 +31,12 @@ from .graph import Graph, assignment_from_masks, bits, mask_from
 from .product import lex_product
 from .solvers import (
     ParameterKind,
+    _check_cap,
     _complete_roman,
     _feasible_sets,
     _isolated_in,
+    _optimal_v2,
     dominating_open_packings,
-    enumerate_optimal_v2,
     is_feasible,
     is_prdf,
     is_rdf,
@@ -173,9 +174,10 @@ def _universal_vertex(h: Graph) -> int | None:
 
 @lru_cache(maxsize=None)
 def _optimal_prdfs(g: Graph) -> tuple[tuple[int, int], ...]:
-    """PairFacts.optimal_prdfs, memoized per G like factor_value."""
+    """PairFacts.optimal_prdfs, memoized per G like factor_value.  It
+    checks no cap: the caller does, on every call."""
     return tuple((v2, _complete_roman(g, ParameterKind.gamma_Rp, v2).v1)
-                 for v2 in enumerate_optimal_v2(g, ParameterKind.gamma_Rp))
+                 for v2 in _optimal_v2(g, ParameterKind.gamma_Rp))
 
 
 class PairFacts:
@@ -250,7 +252,10 @@ class PairFacts:
 
     @cached_property
     def optimal_prdfs(self) -> tuple[tuple[int, int], ...]:
-        """(V2, V1) of every optimal PRDF on G, in enumeration order."""
+        """(V2, V1) of every optimal PRDF on G, in enumeration order.  The
+        cap is checked before the memo is read, so a cached answer does not
+        outlive a lower LEXDOM_MAX_N."""
+        _check_cap(self.g, None, "the gamma_Rp cap")
         return _optimal_prdfs(self.g)
 
     @cached_property

@@ -579,6 +579,11 @@ def enumerate_optimal_v2(g: Graph, kind: ParameterKind, max_n: int | None = None
     if kind not in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
         raise DomainError(f"enumerate_optimal_v2 supports gamma_R/gamma_Rp, not {kind.value}")
     _check_cap(g, max_n, f"the {kind.value} cap")
+    return _optimal_v2(g, kind)
+
+
+def _optimal_v2(g: Graph, kind: ParameterKind) -> list[int]:
+    """enumerate_optimal_v2 without its kind and cap checks."""
     value, _, _ = _roman_scan(g, kind)
     masks, _ = _roman_scan(g, kind, target=value)
     return masks

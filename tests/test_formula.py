@@ -4,6 +4,7 @@ soundness, witness construction, and hypothesis refusals."""
 import pytest
 
 from lexdom import (
+    CapExceededError,
     DomainError,
     HypothesisError,
     InconsistencyError,
@@ -119,6 +120,18 @@ class TestOpenPackings:
             for i, u in enumerate(members):
                 for v in members[i + 1:]:
                     assert C5.adj[u] & C5.adj[v] == 0
+
+
+class TestPairFacts:
+    def test_optimal_prdfs_cap_after_cache(self, monkeypatch):
+        # the memo per G must not outlive a lower LEXDOM_MAX_N
+        g = generate(parse_family("path:10"))
+        monkeypatch.setenv("LEXDOM_MAX_N", "10")
+        answer = PairFacts(g, K2).optimal_prdfs
+        assert answer and PairFacts(g, K3).optimal_prdfs == answer
+        monkeypatch.setenv("LEXDOM_MAX_N", "9")
+        with pytest.raises(CapExceededError, match="^order 10 exceeds the gamma_Rp cap 9$"):
+            PairFacts(g, K2).optimal_prdfs
 
 
 class TestWitnessConstruction:

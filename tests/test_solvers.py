@@ -393,6 +393,10 @@ class TestCoupleParameters:
         answer = fn(g, max_n=10)  # an explicit cap overrides the environment
         monkeypatch.setenv("LEXDOM_MAX_N", "10")
         assert fn(g) == answer
+        # a memoized answer must not outlive a lower cap
+        monkeypatch.setenv("LEXDOM_MAX_N", "9")
+        with pytest.raises(CapExceededError, match=f"^order 10 exceeds {label} 9$"):
+            fn(g)
 
     def test_zeta_triangle(self):
         k3 = generate(parse_family("complete:3"))
