@@ -31,7 +31,7 @@ from .graph import Graph, assignment_from_masks, bits, mask_from
 from .product import lex_product
 from .solvers import (
     ParameterKind,
-    _check_cap,
+    _check_kind_cap,
     _complete_roman,
     _feasible_sets,
     _isolated_in,
@@ -255,7 +255,7 @@ class PairFacts:
         """(V2, V1) of every optimal PRDF on G, in enumeration order.  The
         cap is checked before the memo is read, so a cached answer does not
         outlive a lower LEXDOM_MAX_N."""
-        _check_cap(self.g, None, "the gamma_Rp cap")
+        _check_kind_cap(self.g, ParameterKind.gamma_Rp)
         return _optimal_prdfs(self.g)
 
     @cached_property

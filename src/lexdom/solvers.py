@@ -20,6 +20,14 @@ so every optimal function is the forced completion of its V2 set.  This is
 what lets enumerate_optimal_v2 stand in for "all optimal functions" in
 lemma checks.
 
+The gamma_R / gamma_Rp search adds V2 vertices in one fixed order, and
+each node's child loop stops at the first child after which every later
+child provably weighs more than the best weight found: the vertices
+already decided out that must take 1 only accumulate along the loop
+(proof in ``_roman_scan``).  ``explored`` counts the children of every
+expanded node, whether weighed one by one or cut off together by this
+bound, so the cut changes no count, value or witness.
+
 Canonical witnesses: the returned witness is the one whose V2 (or set)
 bitmask is numerically smallest among all optima.  For set kinds the
 value search finds only the optimum k; a second, bounded DFS with k fixed
@@ -159,6 +167,14 @@ def _check_cap(g: Graph, max_n: int | None, name: str, default: int | None = Non
         raise CapExceededError(f"order {g.n} exceeds {name} {cap}")
 
 
+def _check_kind_cap(g: Graph, kind: ParameterKind, max_n: int | None = None) -> None:
+    """The cap ``solve`` applies to ``kind``: ``max_n`` if given, else
+    DEFAULT_DEEP_CAP for gamma_tR and ``subset_cap()`` for every other
+    kind."""
+    _check_cap(g, max_n, f"the {kind.value} cap",
+               DEFAULT_DEEP_CAP if kind is ParameterKind.gamma_tR else None)
+
+
 def _check_no_isolated(g: Graph, kind: ParameterKind) -> None:
     iso = g.isolated_vertices()
     if iso:
@@ -248,15 +264,13 @@ def _gamma_p_value(g: Graph):
     closure checks (a vertex's constraint is final once N[v] is decided)."""
     n = g.n
     order = _search_order(g)
-    lastpos = [0] * n
     pos_of = [0] * n
     for i, v in enumerate(order):
         pos_of[v] = i
+    # closem[i]: the vertices v whose N[v] is fully decided at position i
+    closem = [0] * n
     for v in range(n):
-        lastpos[v] = max(pos_of[u] for u in bits(g.closed_neighborhood(v)))
-    close_at: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        close_at[lastpos[v]].append(v)
+        closem[max(pos_of[u] for u in bits(g.closed_neighborhood(v)))] |= 1 << v
 
     best = n  # S = V is always perfect dominating
     explored = 0
@@ -271,29 +285,19 @@ def _gamma_p_value(g: Graph):
             return
         v = order[i]
         b = 1 << v
+        # a vertex outside S must see exactly one member: seeing two is
+        # pruned as it happens, so ``out`` never meets c2, and a vertex
+        # whose N[v] is decided here must see one
+        close = closem[i]
         # exclude v
-        if not c2 >> v & 1:  # v already sees >= 2 members: cannot be outside S
-            ok = True
-            for w in close_at[i]:
-                # N[w] is now fully decided: outside vertices need exactly one
-                if not smask >> w & 1 and (not c1 >> w & 1 or c2 >> w & 1):
-                    ok = False
-                    break
-            if ok:
-                rec(i + 1, smask, out | b, c1, c2, size)
+        if not c2 & b and not close & ~(smask | c1):
+            rec(i + 1, smask, out | b, c1, c2, size)
         # include v
         nc2 = c2 | (c1 & g.adj[v])
         nc1 = c1 | g.adj[v]
-        if not nc2 & out:
-            ns = smask | b
-            ok = True
-            for w in close_at[i]:
-                if not ns >> w & 1:
-                    if not (nc1 >> w & 1) or (nc2 >> w & 1):
-                        ok = False
-                        break
-            if ok:
-                rec(i + 1, ns, out, nc1, nc2, size + 1)
+        ns = smask | b
+        if not nc2 & out and not close & ~(ns | nc1):
+            rec(i + 1, ns, out, nc1, nc2, size + 1)
     rec(0, 0, 0, 0, 0, 0)
     return best, explored
 
@@ -432,6 +436,24 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
     that must take weight 1 whatever is added: those seeing two members
     (gamma_Rp), and those seeing none with no neighbor left to decide.
 
+    The child loop stops early.  Let k be the children's |V2| and, once
+    child i is done and joined the decided-out set nout, let
+    T = |nout & (c2 | ~c1 & unreach[i + 1])|.  Every later child j keeps
+    these T vertices at weight 1, since c2 is part of its nc2 and
+    ~nc1_j & unreach[j + 1] = ~c1 & unreach[j], which holds
+    ~c1 & unreach[i + 1]; so it weighs at least 2k + T and its own test
+    for recursion reads at least 2(k + 1) + T.  T only grows with i, as
+    nout and unreach gain bits while c1 and c2 stay, and ``best`` only
+    falls.  So once 2k + T > best, no later child can improve on ``best``,
+    tie it, be collected (``best`` is ``target`` there) or recurse, and
+    the loop stops.  For gamma_R c2 is 0 and the same test holds.  The
+    tree, the order in which ``best`` changes, the canonical V2 and the
+    collected masks are those of the full loop.
+
+    ``explored`` counts the children of every expanded node, whether
+    weighed one by one or cut off together by this bound: n - start is
+    added as a node starts, so it too is that of the full loop.
+
     With ``target`` set, collects every V2 mask whose completed weight
     equals ``target`` instead of optimizing.  Returns
     (value, mask, explored) or (collected_masks, explored).
@@ -473,7 +495,8 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
         explored += n - start
         k += 1  # |V2| of every child
         base = n + k
-        floor = 2 * (k + 1)  # 2|V2| of every grandchild
+        least = 2 * k  # 2|V2| of every child
+        floor = least + 2  # 2|V2| of every grandchild
         # nout: the decided-out vertices, this node's and its earlier children's
         nout = out
         for i in range(start, n):
@@ -490,6 +513,9 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
             if floor + (nout & (nc2 | ~nc1 & unreach[i + 1])).bit_count() <= best:
                 rec(i + 1, ns, nout, k, nc1, nc2)
             nout |= obit[i]
+            # every later child weighs at least 2k + this count (docstring)
+            if least + (nout & (c2 | ~c1 & unreach[i + 1])).bit_count() > best:
+                break
     rec(0, 0, 0, 0, 0, 0)
     if collecting:
         return sorted(collected), explored
@@ -544,8 +570,7 @@ def _solve_gamma_tR(g: Graph):
 def solve(g: Graph, kind: ParameterKind, max_n: int | None = None) -> SolveResult:
     """Exact optimum with a canonical witness for any parameter kind."""
     kind = ParameterKind(kind)
-    _check_cap(g, max_n, f"the {kind.value} cap",
-               DEFAULT_DEEP_CAP if kind is ParameterKind.gamma_tR else None)
+    _check_kind_cap(g, kind, max_n)
     if kind in TOTAL_KINDS:
         _check_no_isolated(g, kind)
 
@@ -578,7 +603,7 @@ def enumerate_optimal_v2(g: Graph, kind: ParameterKind, max_n: int | None = None
     kind = ParameterKind(kind)
     if kind not in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
         raise DomainError(f"enumerate_optimal_v2 supports gamma_R/gamma_Rp, not {kind.value}")
-    _check_cap(g, max_n, f"the {kind.value} cap")
+    _check_kind_cap(g, kind, max_n)
     return _optimal_v2(g, kind)
 
 

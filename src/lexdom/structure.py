@@ -14,7 +14,14 @@ from functools import lru_cache
 
 from .errors import DomainError, HypothesisError, InconsistencyError
 from .graph import Graph
-from .solvers import ParameterKind, _dominating_open_packings, is_feasible, open_packings, solve
+from .solvers import (
+    ParameterKind,
+    _check_kind_cap,
+    _dominating_open_packings,
+    is_feasible,
+    open_packings,
+    solve,
+)
 
 
 class HypothesisKind(str, Enum):
@@ -23,10 +30,23 @@ class HypothesisKind(str, Enum):
     P3 = "P3"
 
 
-@lru_cache(maxsize=None)
 def factor_value(g: Graph, kind: ParameterKind) -> int:
-    """Memoized parameter value of a factor graph (default caps)."""
+    """Memoized parameter value of a factor graph (default caps).  The cap
+    is checked on every call, so a lower LEXDOM_MAX_N set after a cached
+    answer still refuses G as ``solve`` does; the value is memoized per
+    (G, kind), and ``cache_info`` and ``cache_clear`` are the memo's."""
+    kind = ParameterKind(kind)
+    _check_kind_cap(g, kind)
+    return _factor_value(g, kind)
+
+
+@lru_cache(maxsize=None)
+def _factor_value(g: Graph, kind: ParameterKind) -> int:
     return solve(g, kind).value
+
+
+factor_value.cache_info = _factor_value.cache_info
+factor_value.cache_clear = _factor_value.cache_clear
 
 
 @lru_cache(maxsize=None)

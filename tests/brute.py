@@ -10,6 +10,10 @@ smallest) optimal sets, the efficient closed dominating set among them,
 come from a Gosper scan over the masks of the optimal size, and the
 canonical Roman witness (smallest optimal V2 mask) from the 3^n
 enumeration of the Roman minima.  Slow on purpose; intended for n <= 9.
+
+One helper is not an oracle: ``roman_tree_reference`` replays the
+gamma_R / gamma_Rp branch-and-bound without the early stop of its child
+loop, so a test can require the same tree, ``explored`` included.
 """
 
 from __future__ import annotations
@@ -89,6 +93,79 @@ def canonical_roman_oracle(g: Graph, kind: str) -> tuple[int, int]:
             if all(t == 1 if perfect else t >= 1 for t in twos_seen):
                 best = (weight, v2)
     return best
+
+
+def roman_tree_reference(g: Graph, kind: str, target: int | None = None):
+    """The gamma_R / gamma_Rp branch-and-bound of ``solvers._roman_scan``
+    as it stood before its child loop learned to stop early: every child
+    of every expanded node is weighed and tested for recursion.  Same
+    vertex order (degree descending, then index), same greedy seed, same
+    tie rule and the same ``explored`` (n - start per expanded node), so
+    the production scan must return exactly what this returns.  Returns
+    (value, mask, explored), or (collected_masks, explored) with
+    ``target`` set.
+    """
+    if kind not in ("gamma_R", "gamma_Rp"):
+        raise ValueError(kind)
+    n = g.n
+    full = (1 << n) - 1
+    twice = full if kind == "gamma_Rp" else 0
+    order = sorted(range(n), key=lambda v: (-g.adj[v].bit_count(), v))
+    unreach = [full] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        unreach[i] = unreach[i + 1] & ~g.adj[order[i]]
+
+    def weight(v2: int) -> int:
+        c1 = c2 = 0
+        for v in range(n):
+            if v2 >> v & 1:
+                c2 |= c1 & g.adj[v]
+                c1 |= g.adj[v]
+        zeros = c1 & ~(c2 & twice) & ~v2
+        return n + v2.bit_count() - zeros.bit_count()
+
+    # greedy dominating seed: repeatedly the first vertex covering most
+    seed = cover = 0
+    while cover != full:
+        gains = [((g.adj[v] | 1 << v) & ~cover).bit_count() for v in range(n)]
+        v = gains.index(max(gains))
+        seed |= 1 << v
+        cover |= g.adj[v] | 1 << v
+
+    collected: list[int] = []
+    if target is not None:
+        best, bestmask = target, None
+        if n == target:
+            collected.append(0)
+    else:
+        best, bestmask = n, 0
+        if weight(seed) < best:
+            best, bestmask = weight(seed), seed
+    explored = 0
+
+    def rec(start: int, smask: int, out: int, k: int, c1: int, c2: int) -> None:
+        nonlocal best, bestmask, explored
+        explored += n - start
+        nout = out
+        for i in range(start, n):
+            v = order[i]
+            nc2 = (c2 | c1 & g.adj[v]) & twice
+            nc1 = c1 | g.adj[v]
+            ns = smask | 1 << v
+            w = n + k + 1 - (nc1 & ~(nc2 | ns)).bit_count()
+            if target is not None:
+                if w == target:
+                    collected.append(ns)
+            elif w < best or (w == best and ns < bestmask):
+                best, bestmask = w, ns
+            if 2 * (k + 2) + (nout & (nc2 | ~nc1 & unreach[i + 1])).bit_count() <= best:
+                rec(i + 1, ns, nout, k + 1, nc1, nc2)
+            nout |= 1 << v
+
+    rec(0, 0, 0, 0, 0, 0)
+    if target is not None:
+        return sorted(collected), explored
+    return best, bestmask, explored
 
 
 def _gosper_masks(n: int, k: int):

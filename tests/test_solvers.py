@@ -44,6 +44,7 @@ from brute import (
     eod_oracle,
     open_packings_oracle,
     roman_oracle,
+    roman_tree_reference,
     set_oracle,
     zeta_couples_oracle,
     zeta_oracle,
@@ -227,6 +228,8 @@ class TestRomanSearchTree:
     PINS = {
         "fig2 o complete:3": [(6, 73, 3994, 27, 3994), (20, 19136584, 476403, 729, 449693)],
         "fig2 o empty:3": [(6, 73, 3100, 27, 3100), (19, 9, 362271, 27, 328703)],
+        "fig2 o path:3": [(6, 73, 3981, 27, 3981), (18, 38273096, 346102, 12, 220342)],
+        "fig2 o complete:2": [(6, 21, 1267, 8, 1267), (15, 21, 23407, 8, 23407)],
         "cycle:12 o path:3": [(8, 268960770, 29152, 3, 29152),
                               (8, 268960770, 10175, 3, 10175)],
         "fig1": [(4, 1, 18, 3, 18), (4, 1, 18, 2, 18)],
@@ -244,6 +247,8 @@ class TestRomanSearchTree:
         named = {"fig1": fig1, "fig2": fig2,
                  "fig2 o complete:3": _lex(fig2, "complete:3"),
                  "fig2 o empty:3": _lex(fig2, "empty:3"),
+                 "fig2 o path:3": _lex(fig2, "path:3"),
+                 "fig2 o complete:2": _lex(fig2, "complete:2"),
                  "cycle:12 o path:3": _lex(generate(parse_family("cycle:12")), "path:3"),
                  "empty:5": generate(parse_family("empty:5"))}
         return {name: named.get(name) or parse_graph6(name) for name in self.PINS}
@@ -257,6 +262,19 @@ class TestRomanSearchTree:
             masks, explored = solvers._roman_scan(g, kind, target=result.value)
             row.append((result.value, result.witness.v2, result.explored, len(masks), explored))
         assert row == self.PINS[name]
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_graph_strategy(max_n=14))
+    def test_same_tree_as_reference(self, g):
+        # the early stop of the child loop skips only children that
+        # could not count, so every output, ``explored`` included, is the
+        # uncut loop's
+        for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
+            result = solvers._roman_scan(g, kind)
+            assert result == roman_tree_reference(g, kind.value), kind
+            for target in (result[0], result[0] + 1):
+                assert (solvers._roman_scan(g, kind, target=target)
+                        == roman_tree_reference(g, kind.value, target=target)), (kind, target)
 
 
 class TestEnumerateOptimalV2:

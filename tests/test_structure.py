@@ -4,6 +4,7 @@ properties, and the Roman graph classes."""
 import pytest
 
 from lexdom import (
+    CapExceededError,
     DomainError,
     HypothesisError,
     HypothesisKind,
@@ -29,6 +30,25 @@ C5 = generate(parse_family("cycle:5"))
 K2 = generate(parse_family("complete:2"))
 K3 = generate(parse_family("complete:3"))
 N2 = generate(parse_family("empty:2"))
+
+
+class TestFactorValue:
+    def test_cap_after_cache(self, monkeypatch):
+        # a memoized value must not outlive a lower cap; the refusal is
+        # solve's, message included
+        g = generate(parse_family("path:10"))
+        factor_value = structure.factor_value
+        factor_value.cache_clear()
+        assert factor_value(g, ParameterKind.gamma) == 4
+        monkeypatch.setenv("LEXDOM_MAX_N", "9")
+        with pytest.raises(CapExceededError, match="^order 10 exceeds the gamma cap 9$"):
+            solve(g, ParameterKind.gamma)
+        with pytest.raises(CapExceededError, match="^order 10 exceeds the gamma cap 9$"):
+            factor_value(g, ParameterKind.gamma)
+        monkeypatch.setenv("LEXDOM_MAX_N", "10")
+        assert factor_value(g, ParameterKind.gamma) == 4
+        info = factor_value.cache_info()  # the memo's counters
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestEfficientOpenDomination:
