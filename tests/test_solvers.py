@@ -277,6 +277,66 @@ class TestRomanSearchTree:
                         == roman_tree_reference(g, kind.value, target=target)), (kind, target)
 
 
+class TestSetSearchTree:
+    """The gamma_p and packing value searches, node for node.
+
+    Each row holds (value, explored) of ``_gamma_p_value``, of
+    ``_packing_value`` for rho and of ``_packing_value`` for rho_o, then
+    the ``_search_order`` both searches decide vertices in.  ``explored``
+    is part of every ``lexdom solve`` body, so the perfbench cli pins
+    hash it too: a change that moves a count here has to re-pin both.
+    """
+
+    PINS = {
+        "fig1": ([(2, 22), (2, 26), (3, 28)], [3, 2, 1, 0, 4, 5]),
+        "fig2": ([(6, 53), (3, 229), (3, 272)],
+                 [6, 0, 1, 2, 3, 4, 7, 8, 5, 9, 10, 11, 12, 13, 14]),
+        "GACQR?": ([(4, 36), (4, 43), (4, 69)], [0, 2, 7, 1, 3, 6, 4, 5]),
+        "F}bBg": ([(2, 20), (2, 28), (2, 32)], [4, 0, 1, 2, 3, 5, 6]),
+        "fig2 o complete:3": (
+            [(45, 155), (3, 7207), (3, 7207)],
+            [18, 0, 1, 2, 19, 20, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 21, 22, 23, 24,
+             25, 26, 15, 16, 17, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40,
+             41, 42, 43, 44]),
+        "fig2 o path:3": (
+            [(45, 134), (3, 7207), (3, 7207)],
+            [18, 0, 1, 2, 19, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 20, 21, 22, 23, 24,
+             25, 26, 15, 16, 17, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40,
+             41, 42, 43, 44]),
+        "cycle:12 o path:3": (
+            [(4, 291), (4, 11249), (4, 11249)],
+            [0, 1, 3, 4, 5, 33, 34, 35, 2, 6, 7, 8, 30, 31, 32, 9, 10, 11, 27, 28, 29, 12,
+             13, 14, 24, 25, 26, 15, 16, 17, 21, 22, 23, 18, 19, 20]),
+        "cycle:14 o empty:3": (
+            [(42, 37612), (4, 42209), (6, 574681)],
+            [0, 3, 4, 5, 39, 40, 41, 1, 2, 6, 7, 8, 36, 37, 38, 9, 10, 11, 33, 34, 35, 12,
+             13, 14, 30, 31, 32, 15, 16, 17, 27, 28, 29, 18, 19, 20, 24, 25, 26, 21, 22,
+             23]),
+        "cycle:15 o empty:3": (
+            [(45, 79168), (5, 70135), (7, 1209182)],
+            [0, 3, 4, 5, 42, 43, 44, 1, 2, 6, 7, 8, 39, 40, 41, 9, 10, 11, 36, 37, 38, 12,
+             13, 14, 33, 34, 35, 15, 16, 17, 30, 31, 32, 18, 19, 20, 27, 28, 29, 21, 22,
+             23, 24, 25, 26]),
+    }
+
+    @pytest.fixture(scope="class")
+    def graphs(self, fig1, fig2):
+        named = {"fig1": fig1, "fig2": fig2,
+                 "fig2 o complete:3": _lex(fig2, "complete:3"),
+                 "fig2 o path:3": _lex(fig2, "path:3"),
+                 "cycle:12 o path:3": _lex(generate(parse_family("cycle:12")), "path:3"),
+                 "cycle:14 o empty:3": _lex(generate(parse_family("cycle:14")), "empty:3"),
+                 "cycle:15 o empty:3": _lex(generate(parse_family("cycle:15")), "empty:3")}
+        return {name: named.get(name) or parse_graph6(name) for name in self.PINS}
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_pinned(self, graphs, name):
+        g = graphs[name]
+        row = [solvers._gamma_p_value(g), solvers._packing_value(g, open_=False),
+               solvers._packing_value(g, open_=True)]
+        assert (row, solvers._search_order(g)) == self.PINS[name]
+
+
 class TestEnumerateOptimalV2:
     def test_matches_brute_force(self):
         for g in random_graphs(12, max_n=6, seed=9):
