@@ -20,13 +20,15 @@ so every optimal function is the forced completion of its V2 set.  This is
 what lets enumerate_optimal_v2 stand in for "all optimal functions" in
 lemma checks.
 
-The gamma_R / gamma_Rp search adds V2 vertices in one fixed order, and
-each node's child loop stops at the first child after which every later
-child provably weighs more than the best weight found: the vertices
-already decided out that must take 1 only accumulate along the loop
-(proof in ``_roman_scan``).  ``explored`` counts the children of every
-expanded node, whether weighed one by one or cut off together by this
-bound, so the cut changes no count, value or witness.
+The gamma_R / gamma_Rp search adds V2 vertices in one fixed order.  A
+child is weighed only when the vertices already decided out that must
+take 1 in it leave its weight at most the best found, and each node's
+child loop stops at the first child after which no later child can
+weigh at most the best or recurse (proofs in ``_roman_scan``).
+``explored`` counts the children of every expanded node, whether
+weighed, passed over or cut off together by these bounds, so they change
+no count, value or witness.  The Roman and gamma_p searches read their
+per-position data from one row table each, built once per search.
 
 Canonical witnesses: the returned witness is the one whose V2 (or set)
 bitmask is numerically smallest among all optima.  For set kinds the
@@ -170,9 +172,11 @@ def _check_cap(g: Graph, max_n: int | None, name: str, default: int | None = Non
 def _check_kind_cap(g: Graph, kind: ParameterKind, max_n: int | None = None) -> None:
     """The cap ``solve`` applies to ``kind``: ``max_n`` if given, else
     DEFAULT_DEEP_CAP for gamma_tR and ``subset_cap()`` for every other
-    kind."""
-    _check_cap(g, max_n, f"the {kind.value} cap",
-               DEFAULT_DEEP_CAP if kind is ParameterKind.gamma_tR else None)
+    kind.  The cap's name is built only to refuse G."""
+    cap = (max_n if max_n is not None
+           else DEFAULT_DEEP_CAP if kind is ParameterKind.gamma_tR else subset_cap())
+    if g.n > cap:
+        _check_cap(g, cap, f"the {kind.value} cap")
 
 
 def _check_no_isolated(g: Graph, kind: ParameterKind) -> None:
@@ -192,21 +196,25 @@ def _search_order(g: Graph) -> list[int]:
     Keeps each vertex's neighborhood contiguous in the decision order so
     closure-based pruning fires early; deterministic.
     """
-    degs = [g.degree(v) for v in range(g.n)]
-    seen = [False] * g.n
+    adj = g.adj
+    seen = 0
     order: list[int] = []
-    for start in sorted(range(g.n), key=lambda v: (degs[v], v)):
-        if seen[start]:
+    # sorted() is stable, so equal degrees keep increasing index
+    for start in sorted(range(g.n), key=lambda v: adj[v].bit_count()):
+        if seen >> start & 1:
             continue
-        queue = [start]
-        seen[start] = True
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for u in bits(g.adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
+        seen |= 1 << start
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            # the unseen neighbors join the queue in increasing index
+            new = adj[order[head]] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                order.append(low.bit_length() - 1)
+                new ^= low
+            head += 1
     return order
 
 
@@ -263,14 +271,19 @@ def _gamma_p_value(g: Graph):
     """Minimum perfect dominating set size via include/exclude search with
     closure checks (a vertex's constraint is final once N[v] is decided)."""
     n = g.n
+    adj = g.adj
+    # rows[i] = (i + 1, bit, adj, closem[i]) for the vertex at position i;
+    # closem[i]: the vertices v whose N[v] is fully decided at position
+    # i, those of N[order[i]] in no N[] of a later position
+    rows = [None] * n
+    assigned = 0
     order = _search_order(g)
-    pos_of = [0] * n
-    for i, v in enumerate(order):
-        pos_of[v] = i
-    # closem[i]: the vertices v whose N[v] is fully decided at position i
-    closem = [0] * n
-    for v in range(n):
-        closem[max(pos_of[u] for u in bits(g.closed_neighborhood(v)))] |= 1 << v
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        b = 1 << v
+        close = (adj[v] | b) & ~assigned
+        assigned |= close
+        rows[i] = (i + 1, b, adj[v], close)
 
     best = n  # S = V is always perfect dominating
     explored = 0
@@ -283,21 +296,19 @@ def _gamma_p_value(g: Graph):
         if i == n:
             best = size
             return
-        v = order[i]
-        b = 1 << v
+        j, b, a, close = rows[i]
         # a vertex outside S must see exactly one member: seeing two is
         # pruned as it happens, so ``out`` never meets c2, and a vertex
         # whose N[v] is decided here must see one
-        close = closem[i]
         # exclude v
         if not c2 & b and not close & ~(smask | c1):
-            rec(i + 1, smask, out | b, c1, c2, size)
+            rec(j, smask, out | b, c1, c2, size)
         # include v
-        nc2 = c2 | (c1 & g.adj[v])
-        nc1 = c1 | g.adj[v]
+        nc2 = c2 | (c1 & a)
+        nc1 = c1 | a
         ns = smask | b
         if not nc2 & out and not close & ~(ns | nc1):
-            rec(i + 1, ns, out, nc1, nc2, size + 1)
+            rec(j, ns, out, nc1, nc2, size + 1)
     rec(0, 0, 0, 0, 0, 0)
     return best, explored
 
@@ -307,7 +318,7 @@ def _packing_value(g: Graph, open_: bool):
     member within its (open/closed) neighborhood."""
     n = g.n
     order = _search_order(g)
-    key = [g.adj[v] if open_ else g.closed_neighborhood(v) for v in range(n)]
+    key = g.adj if open_ else [row | 1 << v for v, row in enumerate(g.adj)]
     best = 0
     explored = 0
 
@@ -413,16 +424,18 @@ def _zero_candidates(g: Graph, v2mask: int, twice: int) -> int:
 def _greedy_dominating(g: Graph) -> int:
     """Cheap dominating set used only to seed the incumbent."""
     full = g.full_mask
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
     cover = 0
     smask = 0
     while cover != full:
+        # the first vertex that covers the most
         bestv, bestgain = -1, -1
-        for v in range(g.n):
-            gain = (g.closed_neighborhood(v) & ~cover).bit_count()
+        for v, row in enumerate(closed):
+            gain = (row & ~cover).bit_count()
             if gain > bestgain:
                 bestv, bestgain = v, gain
         smask |= 1 << bestv
-        cover |= g.closed_neighborhood(bestv)
+        cover |= closed[bestv]
     return smask
 
 
@@ -436,23 +449,43 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
     that must take weight 1 whatever is added: those seeing two members
     (gamma_Rp), and those seeing none with no neighbor left to decide.
 
-    The child loop stops early.  Let k be the children's |V2| and, once
-    child i is done and joined the decided-out set nout, let
-    T = |nout & (c2 | ~c1 & unreach[i + 1])|.  Every later child j keeps
-    these T vertices at weight 1, since c2 is part of its nc2 and
-    ~nc1_j & unreach[j + 1] = ~c1 & unreach[j], which holds
-    ~c1 & unreach[i + 1]; so it weighs at least 2k + T and its own test
-    for recursion reads at least 2(k + 1) + T.  T only grows with i, as
-    nout and unreach gain bits while c1 and c2 stay, and ``best`` only
-    falls.  So once 2k + T > best, no later child can improve on ``best``,
-    tie it, be collected (``best`` is ``target`` there) or recurse, and
-    the loop stops.  For gamma_R c2 is 0 and the same test holds.  The
-    tree, the order in which ``best`` changes, the canonical V2 and the
+    The search reads one row table, (i + 1, N(v), {v}, unreach[i + 1])
+    for the vertex v at position i of the order (degree descending, then
+    index), where unreach[i] holds the vertices with no neighbor among
+    order[i:].  Let k be the children's |V2| and nout the decided-out
+    set before child i: the node's own and its earlier children's, so
+    that V2 and nout hold exactly the positions before i.
+
+    Weigh gate.  r = |nout & (nc2 | ~nc1 & unreach[i + 1])| counts the
+    decided-out vertices that see two members (gamma_Rp) or none with no
+    neighbor left to decide; they take 1 in child i and in every node
+    below it.  They lie outside V2 and outside Z, so the child weighs at
+    least 2k + r.  It is weighed only when 2k + r <= best: a heavier
+    child can neither improve on ``best``, tie it nor be collected
+    (``best`` is ``target`` there), nor pass the recursion test
+    2k + 2 + r <= best, which follows the weighing as before.
+
+    Stop.  Once child i is done and joined nout, let
+    X = ~V2 & (c2 | ~c1 & unreach[i + 1]) and T = |nout & X|.  A later
+    child j keeps X - {order[j]} at weight 1, since c2 is part of its
+    nc2 and ~nc1_j & unreach[j + 1] = ~c1 & unreach[j], which holds
+    ~c1 & unreach[i + 1]; so it weighs at least
+    2k + |X| - [X meets a later position], and its own r reads at least
+    T, so its recursion test at least 2k + 2 + T.  ``best`` only falls.
+    So once 2k + 2 + T > best and 2k + |X| - [X meets a later
+    position] > best, no later child can improve on ``best``, tie it, be
+    collected or recurse, and the loop stops.  X meets a later position
+    when X & ~nout is not empty, as V2 and nout hold the positions up to
+    i.  A vertex of X at a later position is not in nout, so
+    T <= |X| - [X meets a later position], and 2k + T > best implies
+    both tests.  For gamma_R c2 is 0 and the same tests hold.  The tree,
+    the order in which ``best`` changes, the canonical V2 and the
     collected masks are those of the full loop.
 
     ``explored`` counts the children of every expanded node, whether
-    weighed one by one or cut off together by this bound: n - start is
-    added as a node starts, so it too is that of the full loop.
+    weighed, passed over by the gate or cut off together by the stop:
+    n - start is added as a node starts, so it too is that of the full
+    loop.
 
     With ``target`` set, collects every V2 mask whose completed weight
     equals ``target`` instead of optimizing.  Returns
@@ -461,17 +494,17 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
     n = g.n
     full = g.full_mask
     twice = full if kind is ParameterKind.gamma_Rp else 0
-    degs = [g.degree(v) for v in range(n)]
-    order = sorted(range(n), key=lambda v: (-degs[v], v))
-    oadj = [g.adj[v] for v in order]
-    obit = [1 << v for v in order]
-    # unreach[i]: vertices with no neighbor among order[i:]
-    unreach = [0] * (n + 1)
-    reach = 0
-    unreach[n] = full
+    adj = g.adj
+    # degree descending; sorted() is stable, so ties keep increasing index
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+    # rows[i] = (i + 1, adj, bit, unreach[i + 1]) for the vertex at
+    # position i; unreach[i]: the vertices with no neighbor among order[i:]
+    rows = [None] * n
+    unreach = full
     for i in range(n - 1, -1, -1):
-        reach |= oadj[i]
-        unreach[i] = full & ~reach
+        v = order[i]
+        rows[i] = (i + 1, adj[v], 1 << v, unreach)
+        unreach &= ~adj[v]
     explored = 0
 
     # V2 = {} weighs n: every vertex takes 1
@@ -497,24 +530,33 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
         base = n + k
         least = 2 * k  # 2|V2| of every child
         floor = least + 2  # 2|V2| of every grandchild
-        # nout: the decided-out vertices, this node's and its earlier children's
+        # nout: the decided-out vertices, this node's and its earlier
+        # children's; with smask they are the positions before the child
         nout = out
-        for i in range(start, n):
-            a = oadj[i]
+        # X of the stop (docstring) is held2 | held0 & unreach[i + 1]: the
+        # vertices outside V2 that see two members, or none so far
+        held2 = c2 & ~smask
+        held0 = ~(c1 | smask)
+        for j, a, b, u in rows[start:]:
             nc2 = (c2 | c1 & a) & twice
             nc1 = c1 | a
-            ns = smask | obit[i]
-            w = base - (nc1 & ~(nc2 | ns)).bit_count()
-            if collecting:
-                if w == target:
-                    collected.append(ns)
-            elif w < best or (w == best and ns < bestmask):
-                best, bestmask = w, ns
-            if floor + (nout & (nc2 | ~nc1 & unreach[i + 1])).bit_count() <= best:
-                rec(i + 1, ns, nout, k, nc1, nc2)
-            nout |= obit[i]
-            # every later child weighs at least 2k + this count (docstring)
-            if least + (nout & (c2 | ~c1 & unreach[i + 1])).bit_count() > best:
+            # decided-out vertices at weight 1 in the child and all below
+            r = (nout & (nc2 | ~nc1 & u)).bit_count()
+            if least + r <= best:  # the child weighs at least least + r
+                ns = smask | b
+                w = base - (nc1 & ~(nc2 | ns)).bit_count()
+                if collecting:
+                    if w == target:
+                        collected.append(ns)
+                elif w < best or (w == best and ns < bestmask):
+                    best, bestmask = w, ns
+                if floor + r <= best:
+                    rec(j, ns, nout, k, nc1, nc2)
+            nout |= b
+            # no later child weighs at most best or recurses (docstring)
+            x = held2 | held0 & u
+            t = (nout & x).bit_count()
+            if floor + t > best and least + x.bit_count() - ((x & ~nout) != 0) > best:
                 break
     rec(0, 0, 0, 0, 0, 0)
     if collecting:

@@ -35,7 +35,8 @@ def factor_value(g: Graph, kind: ParameterKind) -> int:
     is checked on every call, so a lower LEXDOM_MAX_N set after a cached
     answer still refuses G as ``solve`` does; the value is memoized per
     (G, kind), and ``cache_info`` and ``cache_clear`` are the memo's."""
-    kind = ParameterKind(kind)
+    if not isinstance(kind, ParameterKind):
+        kind = ParameterKind(kind)
     _check_kind_cap(g, kind)
     return _factor_value(g, kind)
 

@@ -266,15 +266,27 @@ class TestRomanSearchTree:
     @settings(max_examples=150, deadline=None)
     @given(random_graph_strategy(max_n=14))
     def test_same_tree_as_reference(self, g):
-        # the early stop of the child loop skips only children that
-        # could not count, so every output, ``explored`` included, is the
-        # uncut loop's
-        for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
-            result = solvers._roman_scan(g, kind)
-            assert result == roman_tree_reference(g, kind.value), kind
-            for target in (result[0], result[0] + 1):
-                assert (solvers._roman_scan(g, kind, target=target)
-                        == roman_tree_reference(g, kind.value, target=target)), (kind, target)
+        assert_same_roman_tree(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_strategy(max_n=6), random_graph_strategy(max_n=4))
+    def test_same_tree_as_reference_on_products(self, g, h):
+        # on products the set of vertices seeing two members grows large,
+        # which is where the stronger stop of the child loop fires
+        assert_same_roman_tree(lex_product(g, h)[0])
+
+
+def assert_same_roman_tree(g):
+    """The child loop of ``_roman_scan`` skips only children that could
+    not count, so every output, ``explored`` included, is the uncut
+    loop's: in optimizing mode and in collect mode at target = value and
+    value + 1, for both kinds."""
+    for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
+        result = solvers._roman_scan(g, kind)
+        assert result == roman_tree_reference(g, kind.value), kind
+        for target in (result[0], result[0] + 1):
+            assert (solvers._roman_scan(g, kind, target=target)
+                    == roman_tree_reference(g, kind.value, target=target)), (kind, target)
 
 
 class TestSetSearchTree:
