@@ -16,7 +16,11 @@ host.
 The result goes to ``BENCH_<label>.json`` at the repository root: for
 every end-to-end metric, the per-run values of both sides, their medians
 and interquartile ranges, the relative change of the medians, and the
-number of pairs in which the change did better.
+number of pairs in which the change did better, and
+``worse_than_bound``: whether the change's median is worse than the
+parent's by more than the metric's ``bound``, a fraction of the
+parent's median.  The workload/metric pairs that break their bound are
+printed to stderr at the end.
 """
 
 from __future__ import annotations
@@ -80,12 +84,16 @@ def quartile_spread(values: list[float]) -> float:
 
 
 def summarize(spec: list[dict], runs: dict[str, list[dict]]) -> dict:
+    """Per end-to-end metric of ``spec``: both sides' runs, medians,
+    quartile spreads, the relative change, the pairs the change won and
+    whether it is worse than the metric's bound."""
     out = {}
     for metric in spec:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
         mp, mc = statistics.median(parent), statistics.median(change)
+        worse = mc - mp if lower else mp - mc
         out[name] = {
             "unit": metric["unit"],
             "parent_median": mp,
@@ -95,6 +103,7 @@ def summarize(spec: list[dict], runs: dict[str, list[dict]]) -> dict:
             "change_iqr": quartile_spread(change),
             "change_better_pairs": sum(1 for p, c in zip(parent, change)
                                        if (c < p if lower else c > p)),
+            "worse_than_bound": worse > metric["bound"] * abs(mp),
             "parent": parent,
             "change": change,
         }
@@ -143,6 +152,11 @@ def main(argv=None) -> int:
         }
         # written after every workload, so an interrupted run keeps the finished ones
         path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    for w, result in report["workloads"].items():
+        for name, m in result["end_to_end"].items():
+            if m["worse_than_bound"]:
+                print(f"{w} {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g} "
+                      f"is worse than its bound", file=sys.stderr)
     print(path)
     return 0
 

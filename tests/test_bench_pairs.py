@@ -1,0 +1,62 @@
+"""scripts/bench_pairs.py: the per-metric summary of a parent/change
+run set, bound breaches included."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+SPEC = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05},
+    {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1},
+]
+
+
+def _runs(**series):
+    """Per side, one run per position of each metric's list."""
+    sides = {}
+    for side in ("parent", "change"):
+        count = len(next(iter(series.values()))[side])
+        sides[side] = [{"metrics": {name: values[side][i] for name, values in series.items()}}
+                       for i in range(count)]
+    return sides
+
+
+def test_summarize():
+    runs = _runs(
+        # the change is faster in four of five pairs
+        wall_s={"parent": [2.0, 2.1, 2.0, 1.9, 2.2], "change": [1.7, 1.8, 2.3, 1.6, 1.7]},
+        # +6% against a 5% bound
+        peak_rss_mb={"parent": [24.0, 24.2, 24.4, 24.6, 24.8],
+                     "change": [25.7, 25.8, 25.9, 26.0, 26.1]},
+        # 5% lower where higher is better, against a 10% bound
+        rate={"parent": [10.0, 10.0, 10.0, 10.0, 10.0], "change": [9.5, 9.5, 9.5, 9.5, 9.5]},
+    )
+    out = bench_pairs.summarize(SPEC, runs)
+    wall = out["wall_s"]
+    assert (wall["parent_median"], wall["change_median"]) == (2.0, 1.7)
+    assert wall["delta_frac"] == pytest.approx(-0.15)
+    assert wall["change_better_pairs"] == 4
+    assert wall["parent_iqr"] == pytest.approx(0.1)
+    assert wall["worse_than_bound"] is False
+    rss = out["peak_rss_mb"]
+    assert rss["delta_frac"] == pytest.approx(1.5 / 24.4)
+    assert rss["change_better_pairs"] == 0
+    assert rss["worse_than_bound"] is True
+    rate = out["rate"]
+    assert rate["change_better_pairs"] == 0
+    assert rate["worse_than_bound"] is False
+    assert rate["unit"] == "1/s"
+
+
+def test_worse_than_bound_higher_is_better():
+    runs = _runs(rate={"parent": [10.0, 10.0, 10.0], "change": [8.9, 8.9, 8.9]})
+    assert bench_pairs.summarize(SPEC[2:], runs)["rate"]["worse_than_bound"] is True
+    runs = _runs(rate={"parent": [10.0, 10.0, 10.0], "change": [30.0, 30.0, 30.0]})
+    assert bench_pairs.summarize(SPEC[2:], runs)["rate"]["worse_than_bound"] is False
