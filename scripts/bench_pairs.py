@@ -19,8 +19,11 @@ and interquartile ranges, the relative change of the medians, and the
 number of pairs in which the change did better, and
 ``worse_than_bound``: whether the change's median is worse than the
 parent's by more than the metric's ``bound``, a fraction of the
-parent's median.  The workload/metric pairs that break their bound are
-printed to stderr at the end.
+parent's median.  Per workload it also totals ``failed`` and
+``attempted`` per side, and ``failed_share_higher`` tells whether the
+change failed a larger share of its operations than the parent.  The
+workload/metric pairs that break their bound, and the workloads whose
+failed share rose, are printed to stderr at the end.
 """
 
 from __future__ import annotations
@@ -110,6 +113,17 @@ def summarize(spec: list[dict], runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def failures(runs: dict[str, list[dict]]) -> dict:
+    """Per side the failed and attempted operations over all runs and
+    their ratio, and whether the change's ratio is the higher."""
+    out = {key: {side: sum(r[key] for r in rs) for side, rs in runs.items()}
+           for key in ("failed", "attempted")}
+    out["failed_share"] = {side: out["failed"][side] / out["attempted"][side]
+                           if out["attempted"][side] else 0.0 for side in runs}
+    out["failed_share_higher"] = out["failed_share"]["change"] > out["failed_share"]["parent"]
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True)
@@ -145,14 +159,17 @@ def main(argv=None) -> int:
                   for side, (_, tree) in sides.items()}
         report["workloads"][w] = {
             "seeds": [first_seed, first_seed + PAIRS - 1],
-            "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
-            "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
+            **failures(runs),
             "end_to_end": summarize(spec["end_to_end"], runs),
             "per_layer_traced": traced,
         }
         # written after every workload, so an interrupted run keeps the finished ones
         path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for w, result in report["workloads"].items():
+        if result["failed_share_higher"]:
+            share = result["failed_share"]
+            print(f"{w}: failed share {share['parent']:.4g} -> {share['change']:.4g} "
+                  f"is higher", file=sys.stderr)
         for name, m in result["end_to_end"].items():
             if m["worse_than_bound"]:
                 print(f"{w} {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g} "

@@ -35,7 +35,7 @@ from .solvers import (
     _complete_roman,
     _feasible_sets,
     _isolated_in,
-    _optimal_v2,
+    _roman_scan,
     dominating_open_packings,
     is_feasible,
     is_prdf,
@@ -177,7 +177,7 @@ def _optimal_prdfs(g: Graph) -> tuple[tuple[int, int], ...]:
     """PairFacts.optimal_prdfs, memoized per G like factor_value.  It
     checks no cap: the caller does, on every call."""
     return tuple((v2, _complete_roman(g, ParameterKind.gamma_Rp, v2).v1)
-                 for v2 in _optimal_v2(g, ParameterKind.gamma_Rp))
+                 for v2 in _roman_scan(g, ParameterKind.gamma_Rp)[1])
 
 
 class PairFacts:

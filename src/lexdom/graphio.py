@@ -31,9 +31,15 @@ def _byte_value(data: bytes, offset: int) -> int:
 
 
 def parse_graph6(data: bytes | str) -> Graph:
-    """Parse one graph6 line (optional ``>>graph6<<`` header allowed)."""
+    """Parse one graph6 line (optional ``>>graph6<<`` header allowed).  A
+    ``str`` must be ASCII; the offset of a character that is not is its
+    index in the string."""
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise GraphFormatError(f"character {data[exc.start]!r} is not ASCII",
+                                   offset=exc.start) from None
     data = data.strip()
     if data.startswith(GRAPH6_HEADER):
         data = data[len(GRAPH6_HEADER):]

@@ -27,7 +27,10 @@ child loop stops at the first child after which no later child can
 weigh at most the best or recurse (proofs in ``_roman_scan``).
 ``explored`` counts the children of every expanded node, whether
 weighed, passed over or cut off together by these bounds, so they change
-no count, value or witness.  The Roman and gamma_p searches read their
+no count, value or witness.  The search keeps every V2 that weighs the
+best found so far, so its one optimizing pass returns all optimal V2
+sets: the smallest gives ``solve`` its witness, and all of them are what
+enumerate_optimal_v2 returns.  The Roman and gamma_p searches read their
 per-position data from one row table each, built once per search.
 
 Canonical witnesses: the returned witness is the one whose V2 (or set)
@@ -160,11 +163,10 @@ def is_trdf(g: Graph, f: RomanAssignment) -> bool:
 # -- caps and shared helpers -------------------------------------------
 
 
-def _check_cap(g: Graph, max_n: int | None, name: str, default: int | None = None) -> None:
-    """Refuse G with more than ``max_n`` vertices; without ``max_n`` the
-    cap is ``default`` if given, else ``subset_cap()``.  ``name`` names
-    the cap in the message."""
-    cap = max_n if max_n is not None else default if default is not None else subset_cap()
+def _check_cap(g: Graph, max_n: int | None, name: str) -> None:
+    """Refuse G with more than ``max_n`` vertices, or ``subset_cap()``
+    without ``max_n``.  ``name`` names the cap in the message."""
+    cap = subset_cap() if max_n is None else max_n
     if g.n > cap:
         raise CapExceededError(f"order {g.n} exceeds {name} {cap}")
 
@@ -439,7 +441,7 @@ def _greedy_dominating(g: Graph) -> int:
     return smask
 
 
-def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
+def _roman_scan(g: Graph, kind: ParameterKind):
     """Branch-and-bound over V2 sets for gamma_R / gamma_Rp.
 
     One loop serves both kinds: c1 holds the vertices with a V2-neighbor
@@ -461,9 +463,8 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
     neighbor left to decide; they take 1 in child i and in every node
     below it.  They lie outside V2 and outside Z, so the child weighs at
     least 2k + r.  It is weighed only when 2k + r <= best: a heavier
-    child can neither improve on ``best``, tie it nor be collected
-    (``best`` is ``target`` there), nor pass the recursion test
-    2k + 2 + r <= best, which follows the weighing as before.
+    child can neither improve on ``best`` nor tie it, nor pass the
+    recursion test 2k + 2 + r <= best, which follows the weighing.
 
     Stop.  Once child i is done and joined nout, let
     X = ~V2 & (c2 | ~c1 & unreach[i + 1]) and T = |nout & X|.  A later
@@ -473,23 +474,30 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
     2k + |X| - [X meets a later position], and its own r reads at least
     T, so its recursion test at least 2k + 2 + T.  ``best`` only falls.
     So once 2k + 2 + T > best and 2k + |X| - [X meets a later
-    position] > best, no later child can improve on ``best``, tie it, be
-    collected or recurse, and the loop stops.  X meets a later position
-    when X & ~nout is not empty, as V2 and nout hold the positions up to
-    i.  A vertex of X at a later position is not in nout, so
+    position] > best, no later child can improve on ``best``, tie it or
+    recurse, and the loop stops.  X meets a later position when
+    X & ~nout is not empty, as V2 and nout hold the positions up to i.
+    A vertex of X at a later position is not in nout, so
     T <= |X| - [X meets a later position], and 2k + T > best implies
-    both tests.  For gamma_R c2 is 0 and the same tests hold.  The tree,
-    the order in which ``best`` changes, the canonical V2 and the
-    collected masks are those of the full loop.
+    both tests.  For gamma_R c2 is 0 and the same tests hold.  The tree
+    and the order in which ``best`` changes are those of the full loop.
+
+    Optimal masks.  ``masks`` holds every V2 weighed so far at weight
+    ``best``: it is emptied when a lighter child lowers ``best`` and
+    grows when a child ties it.  It starts as [0], since V2 = {} (the
+    root, never weighed as a child) weighs n, and is emptied when the
+    greedy seed weighs less than n, as the tree weighs the seed again.
+    Every optimal V2 is weighed, because ``best`` never falls below the
+    optimum and each bound above is a lower bound on the weight of a
+    child or of every node below it, tested with ``<= best``: no bound
+    can pass over a node of optimal weight, nor the path down to it.
+    Each V2 is weighed at most once, so on return ``masks`` holds each
+    optimal V2 once, and sorted, masks[0] is the canonical V2.
 
     ``explored`` counts the children of every expanded node, whether
     weighed, passed over by the gate or cut off together by the stop:
     n - start is added as a node starts, so it too is that of the full
-    loop.
-
-    With ``target`` set, collects every V2 mask whose completed weight
-    equals ``target`` instead of optimizing.  Returns
-    (value, mask, explored) or (collected_masks, explored).
+    loop.  Returns (value, sorted optimal V2 masks, explored).
     """
     n = g.n
     full = g.full_mask
@@ -508,23 +516,15 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
     explored = 0
 
     # V2 = {} weighs n: every vertex takes 1
-    collecting = target is not None
-    collected: list[int] = []
-    if collecting:
-        best = target
-        bestmask = None
-        if n == target:
-            collected.append(0)
-    else:
-        best = n
-        bestmask = 0
-        seed = _greedy_dominating(g)
-        w = n + seed.bit_count() - (_zero_candidates(g, seed, twice) & ~seed).bit_count()
-        if w < best:
-            best, bestmask = w, seed
+    best = n
+    masks = [0]
+    seed = _greedy_dominating(g)
+    w = n + seed.bit_count() - (_zero_candidates(g, seed, twice) & ~seed).bit_count()
+    if w < best:
+        best, masks = w, []
 
     def rec(start: int, smask: int, out: int, k: int, c1: int, c2: int) -> None:
-        nonlocal best, bestmask, explored
+        nonlocal best, masks, explored
         explored += n - start
         k += 1  # |V2| of every child
         base = n + k
@@ -545,11 +545,10 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
             if least + r <= best:  # the child weighs at least least + r
                 ns = smask | b
                 w = base - (nc1 & ~(nc2 | ns)).bit_count()
-                if collecting:
-                    if w == target:
-                        collected.append(ns)
-                elif w < best or (w == best and ns < bestmask):
-                    best, bestmask = w, ns
+                if w < best:
+                    best, masks = w, [ns]
+                elif w == best:
+                    masks.append(ns)
                 if floor + r <= best:
                     rec(j, ns, nout, k, nc1, nc2)
             nout |= b
@@ -559,9 +558,8 @@ def _roman_scan(g: Graph, kind: ParameterKind, target: int | None = None):
             if floor + t > best and least + x.bit_count() - ((x & ~nout) != 0) > best:
                 break
     rec(0, 0, 0, 0, 0, 0)
-    if collecting:
-        return sorted(collected), explored
-    return best, bestmask, explored
+    masks.sort()
+    return best, masks, explored
 
 
 def _complete_roman(g: Graph, kind: ParameterKind, v2mask: int) -> RomanAssignment:
@@ -627,8 +625,8 @@ def solve(g: Graph, kind: ParameterKind, max_n: int | None = None) -> SolveResul
     elif kind is ParameterKind.rho_o:
         value, explored = _packing_value(g, open_=True)
     elif kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
-        value, v2mask, explored = _roman_scan(g, kind)
-        return SolveResult(value, _complete_roman(g, kind, v2mask), explored)
+        value, masks, explored = _roman_scan(g, kind)
+        return SolveResult(value, _complete_roman(g, kind, masks[0]), explored)
     else:
         value, witness, explored = _solve_gamma_tR(g)
         return SolveResult(value, witness, explored)
@@ -646,14 +644,7 @@ def enumerate_optimal_v2(g: Graph, kind: ParameterKind, max_n: int | None = None
     if kind not in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
         raise DomainError(f"enumerate_optimal_v2 supports gamma_R/gamma_Rp, not {kind.value}")
     _check_kind_cap(g, kind, max_n)
-    return _optimal_v2(g, kind)
-
-
-def _optimal_v2(g: Graph, kind: ParameterKind) -> list[int]:
-    """enumerate_optimal_v2 without its kind and cap checks."""
-    value, _, _ = _roman_scan(g, kind)
-    masks, _ = _roman_scan(g, kind, target=value)
-    return masks
+    return _roman_scan(g, kind)[1]
 
 
 def zeta(g: Graph, max_n: int | None = None) -> tuple[int, tuple[int, int]]:

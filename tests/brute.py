@@ -13,7 +13,8 @@ enumeration of the Roman minima.  Slow on purpose; intended for n <= 9.
 
 One helper is not an oracle: ``roman_tree_reference`` replays the
 gamma_R / gamma_Rp branch-and-bound without the early stop of its child
-loop, so a test can require the same tree, ``explored`` included.
+loop, so a test can require the same tree, ``explored`` and the list of
+optimal V2 sets included.
 """
 
 from __future__ import annotations
@@ -95,15 +96,15 @@ def canonical_roman_oracle(g: Graph, kind: str) -> tuple[int, int]:
     return best
 
 
-def roman_tree_reference(g: Graph, kind: str, target: int | None = None):
+def roman_tree_reference(g: Graph, kind: str):
     """The gamma_R / gamma_Rp branch-and-bound of ``solvers._roman_scan``
     as it stood before its child loop learned to stop early: every child
     of every expanded node is weighed and tested for recursion.  Same
     vertex order (degree descending, then index), same greedy seed, same
-    tie rule and the same ``explored`` (n - start per expanded node), so
-    the production scan must return exactly what this returns.  Returns
-    (value, mask, explored), or (collected_masks, explored) with
-    ``target`` set.
+    list of the V2 sets that weigh the best found (emptied when it falls,
+    grown on a tie) and the same ``explored`` (n - start per expanded
+    node), so the production scan must return exactly what this returns:
+    (value, sorted optimal V2 masks, explored).
     """
     if kind not in ("gamma_R", "gamma_Rp"):
         raise ValueError(kind)
@@ -132,19 +133,14 @@ def roman_tree_reference(g: Graph, kind: str, target: int | None = None):
         seed |= 1 << v
         cover |= g.adj[v] | 1 << v
 
-    collected: list[int] = []
-    if target is not None:
-        best, bestmask = target, None
-        if n == target:
-            collected.append(0)
-    else:
-        best, bestmask = n, 0
-        if weight(seed) < best:
-            best, bestmask = weight(seed), seed
+    # V2 = {} weighs n; the tree weighs the seed again
+    best, masks = n, [0]
+    if weight(seed) < best:
+        best, masks = weight(seed), []
     explored = 0
 
     def rec(start: int, smask: int, out: int, k: int, c1: int, c2: int) -> None:
-        nonlocal best, bestmask, explored
+        nonlocal best, masks, explored
         explored += n - start
         nout = out
         for i in range(start, n):
@@ -153,19 +149,16 @@ def roman_tree_reference(g: Graph, kind: str, target: int | None = None):
             nc1 = c1 | g.adj[v]
             ns = smask | 1 << v
             w = n + k + 1 - (nc1 & ~(nc2 | ns)).bit_count()
-            if target is not None:
-                if w == target:
-                    collected.append(ns)
-            elif w < best or (w == best and ns < bestmask):
-                best, bestmask = w, ns
+            if w < best:
+                best, masks = w, [ns]
+            elif w == best:
+                masks.append(ns)
             if 2 * (k + 2) + (nout & (nc2 | ~nc1 & unreach[i + 1])).bit_count() <= best:
                 rec(i + 1, ns, nout, k + 1, nc1, nc2)
             nout |= 1 << v
 
     rec(0, 0, 0, 0, 0, 0)
-    if target is not None:
-        return sorted(collected), explored
-    return best, bestmask, explored
+    return best, sorted(masks), explored
 
 
 def _gosper_masks(n: int, k: int):

@@ -1,5 +1,5 @@
 """scripts/bench_pairs.py: the per-metric summary of a parent/change
-run set, bound breaches included."""
+run set, bound breaches included, and the failed share per side."""
 
 import importlib.util
 from pathlib import Path
@@ -60,3 +60,19 @@ def test_worse_than_bound_higher_is_better():
     assert bench_pairs.summarize(SPEC[2:], runs)["rate"]["worse_than_bound"] is True
     runs = _runs(rate={"parent": [10.0, 10.0, 10.0], "change": [30.0, 30.0, 30.0]})
     assert bench_pairs.summarize(SPEC[2:], runs)["rate"]["worse_than_bound"] is False
+
+
+def test_failures():
+    runs = {"parent": [{"failed": 0, "attempted": 100}, {"failed": 1, "attempted": 100}],
+            "change": [{"failed": 1, "attempted": 150}, {"failed": 1, "attempted": 150}]}
+    out = bench_pairs.failures(runs)
+    assert out["failed"] == {"parent": 1, "change": 2}
+    assert out["attempted"] == {"parent": 200, "change": 300}
+    assert out["failed_share"] == {"parent": 0.005, "change": pytest.approx(2 / 300)}
+    assert out["failed_share_higher"] is True
+    # more failures over more operations is a lower share
+    runs["change"][1]["attempted"] = 400
+    assert bench_pairs.failures(runs)["failed_share_higher"] is False
+    # none attempted reads as a share of 0
+    none = {"parent": [{"failed": 0, "attempted": 0}], "change": [{"failed": 0, "attempted": 0}]}
+    assert bench_pairs.failures(none)["failed_share"] == {"parent": 0.0, "change": 0.0}

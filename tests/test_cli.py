@@ -148,6 +148,10 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--param", "gamma", "--g6", "\x01bad")
         assert code == EXIT_PARSE and "error" in err
 
+    def test_non_ascii_g6(self, capsys):
+        code, out, err = run(capsys, "solve", "--param", "gamma", "--g6", "A\u00e9")
+        assert code == EXIT_PARSE and not out and "offset 1" in err
+
     def test_missing_input(self, capsys):
         code, _, _ = run(capsys, "solve", "--param", "gamma")
         assert code == EXIT_PARSE

@@ -52,6 +52,12 @@ class TestGraph6:
             parse_graph6(b"C\x01\x02")
         assert exc.value.offset is not None
 
+    def test_non_ascii_character_reports_offset(self):
+        # U+00E9 must not turn into '?', the graph6 byte for value 0
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph6("A\u00e9")
+        assert exc.value.offset == 1
+
     def test_truncated_payload(self):
         with pytest.raises(GraphFormatError):
             parse_graph6(b"D")  # order 5 needs payload bytes
