@@ -21,9 +21,13 @@ number of pairs in which the change did better, and
 parent's by more than the metric's ``bound``, a fraction of the
 parent's median.  Per workload it also totals ``failed`` and
 ``attempted`` per side, and ``failed_share_higher`` tells whether the
-change failed a larger share of its operations than the parent.  The
-workload/metric pairs that break their bound, and the workloads whose
-failed share rose, are printed to stderr at the end.
+change failed a larger share of its operations than the parent, and
+``counts_differ`` lists the traced count metrics (nodes explored, calls,
+factor-cache hits and misses, product vertices) whose two sides differ:
+a change that keeps every search tree and op leaves it empty.  The
+workload/metric pairs that break their bound, the workloads whose
+failed share rose and the counts that differ are printed to stderr at
+the end.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ BUILD = ROOT / ".bench_build"
 #: Pairs per workload: a claimed gain must hold in nine of ten.
 PAIRS = 10
 SEED = 11001
+#: Name endings of the traced metrics that count, not time: equal on both
+#: sides unless a search tree, the op list or the caching changed.
+COUNT_SUFFIXES = ("_explored", "_calls", ".factor_value.hits", ".factor_value.misses",
+                  "product.vertices")
 
 
 def git(*args: str) -> bytes:
@@ -124,6 +132,13 @@ def failures(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def counts_differ(parent: dict, change: dict) -> list[str]:
+    """The count metrics of two traced runs whose values differ, sorted;
+    a count missing on one side differs."""
+    names = {name for name in (*parent, *change) if name.endswith(COUNT_SUFFIXES)}
+    return sorted(name for name in names if parent.get(name) != change.get(name))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True)
@@ -160,6 +175,7 @@ def main(argv=None) -> int:
         report["workloads"][w] = {
             "seeds": [first_seed, first_seed + PAIRS - 1],
             **failures(runs),
+            "counts_differ": counts_differ(traced["parent"], traced["change"]),
             "end_to_end": summarize(spec["end_to_end"], runs),
             "per_layer_traced": traced,
         }
@@ -170,6 +186,9 @@ def main(argv=None) -> int:
             share = result["failed_share"]
             print(f"{w}: failed share {share['parent']:.4g} -> {share['change']:.4g} "
                   f"is higher", file=sys.stderr)
+        if result["counts_differ"]:
+            print(f"{w}: traced counts differ: {', '.join(result['counts_differ'])}",
+                  file=sys.stderr)
         for name, m in result["end_to_end"].items():
             if m["worse_than_bound"]:
                 print(f"{w} {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g} "

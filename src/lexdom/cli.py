@@ -63,7 +63,8 @@ def _read_graph(inline: str | None, path: str | None, family: str | None) -> Gra
                   if ln and not ln.startswith("#")), "")
     if first[:1].isdigit():
         return parse_edge_list(text)
-    return parse_graph6(text.encode())
+    # the raw bytes, so an error names the offending byte and its offset
+    return parse_graph6(data)
 
 
 def _graph_arguments(parser: argparse.ArgumentParser, tag: str) -> None:

@@ -196,10 +196,6 @@ class RomanAssignment:
     def weight(self) -> int:
         return sum(self.weights)
 
-    def restricted_weight(self, mask: int) -> int:
-        """Total weight over the vertices of ``mask``."""
-        return sum(self.weights[v] for v in bits(mask))
-
 
 def assignment_from_masks(n: int, v1: int, v2: int) -> RomanAssignment:
     """RomanAssignment with the given V1/V2 masks (must be disjoint)."""

@@ -9,7 +9,12 @@ candidate V2 sets and completing each candidate optimally:
   V2 takes 0 if it lies in Z and 1 otherwise, so
   weight(V2) = 2|V2| + |V - V2 - Z| = n + |V2| - |Z - V2|;
 * gamma_tR: the forced weight-1 set must additionally be extended to make
-  the positive set total dominating (inner exact cover search).
+  the positive set total dominating (inner exact cover search).  The V2
+  sets come from a branch-and-bound in increasing numeric order that
+  passes over whole blocks of masks whose forced weight alone reaches
+  the best found; ``explored`` still counts every mask once, so it is
+  the count of a plain scan of all 2^n - 1 nonempty masks (proof in
+  ``_solve_gamma_tR``).
 
 The completion is exact because each forced weight is individually optimal
 and independent of the others.  It also yields a one-to-one correspondence
@@ -571,36 +576,79 @@ def _complete_roman(g: Graph, kind: ParameterKind, v2mask: int) -> RomanAssignme
 
 
 def _solve_gamma_tR(g: Graph):
-    """V2 scan with an exact inner search for the extra weight-1 vertices
-    needed to make the positive set total dominating."""
+    """Total Roman domination: the smallest 2|V2| + |V1| over V2 sets,
+    each completed by an exact inner search.
+
+    For a nonempty V2, every vertex outside V2 without a V2-neighbor
+    must take 1 (``forced``), so the weight of V2 is at least
+    base = 2|V2| + |forced|; the fewest extra weight-1 vertices that make
+    the positive set total dominating come from ``_min_cover_value`` with
+    preset = V2 | forced.  The result is the V2 = {} completion (V1 = V,
+    weight n) unless some V2 mask weighs less; the first mask, in
+    increasing numeric order, to reach the minimum gives the witness,
+    with V1 = forced plus the numerically smallest extra set.
+
+    The masks are visited by a branch-and-bound over V2 that decides
+    vertex n-1 down to 0, "exclude" before "include", so they come in
+    increasing numeric order.  A node with chosen set T and positions
+    0..j-1 undecided is the block of the 2^j masks T | s, s within
+    0..j-1.  A decided-out vertex outside N(T) with no neighbor below j
+    lies outside every V2 of the block and outside its neighborhood, so
+    it is forced in every mask of the block:
+    base >= 2|T| + |{such vertices}| for all of them.  When that bound
+    reaches the best weight found, a scan of the block in numeric order
+    would pass over each mask at ``base >= best`` and never change the
+    best, so the block is passed over whole.  At a leaf (j = 0) the
+    bound is base itself.
+
+    ``explored`` is the count of that scan of masks 1..2^n - 1: one per
+    mask, passed over or not, plus the nodes of the inner search of
+    every mask with base below the best.  A passed-over block adds its
+    2^j masks (2^j - 1 when T is empty, as mask 0 is not scanned).
+    """
     n = g.n
     full = g.full_mask
+    adj = g.adj
+    # free[j]: the vertices without a neighbor below j
+    free = [full] * (n + 1)
+    for j in range(n):
+        free[j + 1] = free[j] & ~adj[j]
     best = n  # V2 = empty, V1 = V is a TRDF when G has no isolated vertex
     best_v2 = 0
     best_v1 = full
     explored = 0
-    for v2mask in range(1, 1 << n):
-        k = v2mask.bit_count()
-        cover2 = g.open_cover(v2mask)
-        forced = full & ~v2mask & ~cover2
-        base = 2 * k + forced.bit_count()
+
+    def rec(j: int, t: int, ct: int, out: int, k: int) -> None:
+        # t: V2 within positions j..n-1; ct = N(t); out: the decided-out positions
+        nonlocal best, best_v2, best_v1, explored
+        bound = 2 * k + (out & ~ct & free[j]).bit_count()
+        if bound >= best:
+            explored += (1 << j) - (not t)
+            return
+        if j:
+            v = j - 1
+            rec(v, t, ct, out | 1 << v, k)
+            rec(v, t | 1 << v, ct | adj[v], out, k + 1)
+            return
+        # a leaf: bound = base < best, and t != 0 (mask 0 weighs n >= best)
         explored += 1
-        if base >= best:
-            continue
-        extra, sub = _min_cover_value(g, closed=False, preset=v2mask | forced)
+        forced = out & ~ct
+        preset = t | forced
+        extra, sub = _min_cover_value(g, closed=False, preset=preset)
         explored += sub
         if extra > n:  # no completion exists (cannot happen without isolated vertices)
-            continue
-        w = base + extra
-        if w < best:
+            return
+        if bound + extra < best:
             # canonical minimal extra set at the optimal size; no such set
             # meets the preset, as dropping a preset vertex (its neighbors
             # are already covered) would beat the minimum ``extra``
             e_mask = _first_feasible_set(g, ParameterKind.gamma_t, extra,
-                                         initial_cover=g.open_cover(v2mask | forced))
-            best = w
-            best_v2 = v2mask
+                                         initial_cover=g.open_cover(preset))
+            best = bound + extra
+            best_v2 = t
             best_v1 = forced | e_mask
+
+    rec(n, 0, 0, 0, 0)
     return best, assignment_from_masks(n, best_v1, best_v2), explored
 
 

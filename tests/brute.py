@@ -11,10 +11,11 @@ come from a Gosper scan over the masks of the optimal size, and the
 canonical Roman witness (smallest optimal V2 mask) from the 3^n
 enumeration of the Roman minima.  Slow on purpose; intended for n <= 9.
 
-One helper is not an oracle: ``roman_tree_reference`` replays the
+Two helpers are not oracles: ``roman_tree_reference`` replays the
 gamma_R / gamma_Rp branch-and-bound without the early stop of its child
 loop, so a test can require the same tree, ``explored`` and the list of
-optimal V2 sets included.
+optimal V2 sets included; ``gamma_tR_loop_reference`` is the plain scan
+of every V2 mask that the gamma_tR search counts its nodes against.
 """
 
 from __future__ import annotations
@@ -159,6 +160,67 @@ def roman_tree_reference(g: Graph, kind: str):
 
     rec(0, 0, 0, 0, 0, 0)
     return best, sorted(masks), explored
+
+
+def gamma_tR_loop_reference(g: Graph):
+    """The gamma_tR search of ``solvers._solve_gamma_tR`` as a plain scan
+    of every V2 mask from 1 to 2^n - 1, with the same inner cover search:
+    a mask is passed over when 2|V2| + |forced| already reaches the best
+    weight, else the fewest extra weight-1 vertices come from a
+    branch-on-the-lowest-uncovered-vertex search.  ``explored`` is one per
+    mask plus the inner nodes of every mask not passed over, so the
+    production search must return exactly what this returns:
+    (value, V1 mask, V2 mask, explored).
+    """
+    n = g.n
+    full = (1 << n) - 1
+
+    def cover_of(mask: int) -> int:
+        cover = 0
+        for v in range(n):
+            if mask >> v & 1:
+                cover |= g.adj[v]
+        return cover
+
+    def min_extra(preset: int) -> tuple[int, int]:
+        # fewest vertices outside preset whose open neighborhoods, with
+        # those of preset, cover V; (size, nodes), size n + 1 if none
+        best = n + 1
+        nodes = 0
+
+        def rec(cover: int, forbidden: int, size: int) -> None:
+            nonlocal best, nodes
+            nodes += 1
+            if cover == full:
+                best = min(best, size)
+                return
+            if size + 1 >= best:
+                return
+            uncovered = full & ~cover
+            u = (uncovered & -uncovered).bit_length() - 1
+            taken = 0
+            for w in range(n):
+                if g.adj[u] >> w & 1 and not (forbidden | preset) >> w & 1:
+                    rec(cover | g.adj[w], forbidden | taken, size + 1)
+                    taken |= 1 << w
+
+        rec(cover_of(preset), 0, 0)
+        return best, nodes
+
+    best, best_v1, best_v2 = n, full, 0
+    explored = 0
+    for v2 in range(1, 1 << n):
+        forced = full & ~v2 & ~cover_of(v2)
+        base = 2 * v2.bit_count() + forced.bit_count()
+        explored += 1
+        if base >= best:
+            continue
+        extra, nodes = min_extra(v2 | forced)
+        explored += nodes
+        if extra <= n and base + extra < best:
+            best, best_v2 = base + extra, v2
+            best_v1 = canonical_trdf_v1_oracle(g, v2, best)
+    return best, best_v1, best_v2, explored
 
 
 def _gosper_masks(n: int, k: int):

@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py: the per-metric summary of a parent/change
-run set, bound breaches included, and the failed share per side."""
+run set, bound breaches included, the failed share per side and the
+traced counts that differ."""
 
 import importlib.util
 from pathlib import Path
@@ -76,3 +77,19 @@ def test_failures():
     # none attempted reads as a share of 0
     none = {"parent": [{"failed": 0, "attempted": 0}], "change": [{"failed": 0, "attempted": 0}]}
     assert bench_pairs.failures(none)["failed_share"] == {"parent": 0.0, "change": 0.0}
+
+
+def test_counts_differ():
+    parent = {"solvers.solve.roman_explored": 100, "solvers.solve.roman_s": 0.5,
+              "solvers.solve_calls": 7, "structure.factor_value.hits": 3,
+              "structure.factor_value.misses": 2, "product.vertices": 45,
+              "structure.factor_value.hit_ratio": 0.6}
+    # a change that keeps every tree differs only in times
+    same = dict(parent, **{"solvers.solve.roman_s": 0.2})
+    assert bench_pairs.counts_differ(parent, same) == []
+    moved = dict(same, **{"solvers.solve.roman_explored": 90, "structure.factor_value.hits": 4,
+                          "product.vertices": 44, "structure.factor_value.hit_ratio": 0.7})
+    del moved["solvers.solve_calls"]
+    assert bench_pairs.counts_differ(parent, moved) == [
+        "product.vertices", "solvers.solve.roman_explored", "solvers.solve_calls",
+        "structure.factor_value.hits"]

@@ -152,6 +152,13 @@ class TestExitCodes:
         code, out, err = run(capsys, "solve", "--param", "gamma", "--g6", "A\u00e9")
         assert code == EXIT_PARSE and not out and "offset 1" in err
 
+    def test_non_ascii_g6_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"A\xff")
+        code, out, err = run(capsys, "solve", "--param", "gamma", "--in", str(path))
+        assert code == EXIT_PARSE and not out
+        assert "byte 0xff outside graph6 range" in err and "byte offset 1" in err
+
     def test_missing_input(self, capsys):
         code, _, _ = run(capsys, "solve", "--param", "gamma")
         assert code == EXIT_PARSE

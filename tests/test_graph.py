@@ -121,7 +121,6 @@ class TestRomanAssignment:
         assert f.v0 == mask_from([0, 3])
         assert f.v1 == mask_from([1])
         assert f.v2 == mask_from([2])
-        assert f.restricted_weight(mask_from([2, 3])) == 2
 
     def test_from_masks(self):
         f = assignment_from_masks(3, mask_from([0]), mask_from([2]))
