@@ -312,8 +312,8 @@ class TestGammaTRSearchTree:
     @settings(max_examples=150, deadline=None)
     @given(random_graph_strategy(max_n=11))
     def test_same_as_loop_reference(self, g):
-        # the block skip and the inner-search memo change no output of
-        # the scan over every V2 mask, ``explored`` included
+        # the block skip changes no output of the scan over every V2
+        # mask, ``explored`` included
         value, witness, explored = solvers._solve_gamma_tR(g)
         assert (value, witness.v1, witness.v2, explored) == gamma_tR_loop_reference(g)
 
