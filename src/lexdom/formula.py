@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 from .errors import DomainError, HypothesisError, InconsistencyError
@@ -36,6 +36,7 @@ from .solvers import (
     _feasible_sets,
     _isolated_in,
     _roman_scan,
+    capped_memo,
     dominating_open_packings,
     is_feasible,
     is_prdf,
@@ -172,10 +173,9 @@ def _universal_vertex(h: Graph) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@capped_memo(lambda g: _check_kind_cap(g, ParameterKind.gamma_Rp))
 def _optimal_prdfs(g: Graph) -> tuple[tuple[int, int], ...]:
-    """PairFacts.optimal_prdfs, memoized per G like factor_value.  It
-    checks no cap: the caller does, on every call."""
+    """PairFacts.optimal_prdfs, memoized per G like factor_value."""
     return tuple((v2, _complete_roman(g, ParameterKind.gamma_Rp, v2).v1)
                  for v2 in _roman_scan(g, ParameterKind.gamma_Rp)[1])
 
@@ -252,10 +252,8 @@ class PairFacts:
 
     @cached_property
     def optimal_prdfs(self) -> tuple[tuple[int, int], ...]:
-        """(V2, V1) of every optimal PRDF on G, in enumeration order.  The
-        cap is checked before the memo is read, so a cached answer does not
-        outlive a lower LEXDOM_MAX_N."""
-        _check_kind_cap(self.g, ParameterKind.gamma_Rp)
+        """(V2, V1) of every optimal PRDF on G, in enumeration order,
+        refused over the gamma_Rp cap (``solvers.capped_memo``)."""
         return _optimal_prdfs(self.g)
 
     @cached_property

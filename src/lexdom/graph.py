@@ -66,11 +66,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def neighborhood(self, v: int) -> int:
-        """Open neighborhood N(v) as a mask."""
-        self._check_vertex(v)
-        return self.adj[v]
-
     def closed_neighborhood(self, v: int) -> int:
         """Closed neighborhood N[v] = N(v) | {v}."""
         self._check_vertex(v)

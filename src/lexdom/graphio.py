@@ -71,32 +71,23 @@ def parse_graph6(data: bytes | str) -> Graph:
     if len(data) - pos > nbytes:
         raise GraphFormatError("trailing bytes after graph6 payload", offset=pos + nbytes)
 
+    # the bits come in the column-major order write_graph6 emits them
     rows = [0] * n
-    bit_index = 0
-    for k in range(nbytes):
-        value = _byte_value(data, pos + k)
-        for shift in (5, 4, 3, 2, 1, 0):
-            bit = value >> shift & 1
-            if bit_index >= nbits:
-                if bit:
-                    raise GraphFormatError("nonzero padding bits", offset=pos + k)
-                bit_index += 1
-                continue
-            if bit:
-                u, v = _edge_for_bit(bit_index)
+    k = pos
+    value = shift = 0
+    for v in range(1, n):
+        for u in range(v):
+            if not shift:
+                value = _byte_value(data, k)
+                k += 1
+                shift = 6
+            shift -= 1
+            if value >> shift & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            bit_index += 1
+    if value & ((1 << shift) - 1):
+        raise GraphFormatError("nonzero padding bits", offset=k - 1)
     return Graph(n, tuple(rows))
-
-
-def _edge_for_bit(index: int) -> tuple[int, int]:
-    # column-major upper triangle: column v holds bits (0,v)..(v-1,v)
-    v = 1
-    while v * (v - 1) // 2 + v <= index:
-        v += 1
-    u = index - v * (v - 1) // 2
-    return u, v
 
 
 def write_graph6(g: Graph) -> bytes:

@@ -19,12 +19,6 @@ class ProductIndexMap:
     n_g: int
     n_h: int
 
-    def encode(self, u: int, v: int) -> int:
-        return u * self.n_h + v
-
-    def decode(self, index: int) -> tuple[int, int]:
-        return divmod(index, self.n_h)
-
     def layer_set(self, u: int) -> int:
         """The layer {u} x V(H) as a product-vertex mask."""
         if not 0 <= u < self.n_g:

@@ -63,7 +63,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import CapExceededError, DomainError, InconsistencyError
 from .graph import Graph, RomanAssignment, assignment_from_masks, bits, mask_from
@@ -168,22 +168,46 @@ def is_trdf(g: Graph, f: RomanAssignment) -> bool:
 # -- caps and shared helpers -------------------------------------------
 
 
-def _check_cap(g: Graph, max_n: int | None, name: str) -> None:
-    """Refuse G with more than ``max_n`` vertices, or ``subset_cap()``
-    without ``max_n``.  ``name`` names the cap in the message."""
-    cap = subset_cap() if max_n is None else max_n
+def _check_cap(g: Graph, name: str) -> None:
+    """Refuse G with more than ``subset_cap()`` vertices.  ``name`` names
+    the cap in the message."""
+    cap = subset_cap()
     if g.n > cap:
         raise CapExceededError(f"order {g.n} exceeds {name} {cap}")
 
 
 def _check_kind_cap(g: Graph, kind: ParameterKind, max_n: int | None = None) -> None:
-    """The cap ``solve`` applies to ``kind``: ``max_n`` if given, else
-    DEFAULT_DEEP_CAP for gamma_tR and ``subset_cap()`` for every other
-    kind.  The cap's name is built only to refuse G."""
+    """The cap ``solve`` applies to ``kind``, a member or its name:
+    ``max_n`` if given, else DEFAULT_DEEP_CAP for gamma_tR and
+    ``subset_cap()`` for every other kind."""
     cap = (max_n if max_n is not None
-           else DEFAULT_DEEP_CAP if kind is ParameterKind.gamma_tR else subset_cap())
+           else DEFAULT_DEEP_CAP if kind == ParameterKind.gamma_tR else subset_cap())
     if g.n > cap:
-        _check_cap(g, cap, f"the {kind.value} cap")
+        raise CapExceededError(f"order {g.n} exceeds the {ParameterKind(kind).value} cap {cap}")
+
+
+def capped_memo(check):
+    """Memoize ``fn(g, *args)`` and run ``check(g, *args)`` before every
+    lookup, hit or miss.
+
+    This is the rule for every per-graph memo of the package: ``check``
+    refuses what a cold call refuses, with the same error, so a memoized
+    answer does not outlive a lower LEXDOM_MAX_N.  ``cache_info`` and
+    ``cache_clear`` are the memo's, and ``__wrapped__`` is ``fn`` itself,
+    unchecked and unmemoized.
+    """
+    def decorate(fn):
+        memo = lru_cache(maxsize=None)(fn)
+
+        @wraps(fn)
+        def capped(g: Graph, *args):
+            check(g, *args)
+            return memo(g, *args)
+
+        capped.cache_info = memo.cache_info
+        capped.cache_clear = memo.cache_clear
+        return capped
+    return decorate
 
 
 def _check_no_isolated(g: Graph, kind: ParameterKind) -> None:
@@ -695,17 +719,23 @@ def enumerate_optimal_v2(g: Graph, kind: ParameterKind, max_n: int | None = None
     return _roman_scan(g, kind)[1]
 
 
-def zeta(g: Graph, max_n: int | None = None) -> tuple[int, tuple[int, int]]:
+def zeta(g: Graph) -> tuple[int, tuple[int, int]]:
     """min{2|A| + 3|B|} over dominating couples (A, B); ties go to the
     smallest (A, B) pair."""
-    couples = zeta_couples(g, max_n)
+    couples = zeta_couples(g)
     if not couples:
         raise InconsistencyError("no dominating couple, yet U = V always dominates")
     a, b = min(couples)
     return 2 * a.bit_count() + 3 * b.bit_count(), (a, b)
 
 
-def zeta_couples(g: Graph, max_n: int | None = None) -> tuple[tuple[int, int], ...]:
+def _check_zeta_couples(g: Graph) -> None:
+    _check_no_isolated(g, ParameterKind.gamma_t)
+    _check_cap(g, "the zeta cap")
+
+
+@capped_memo(_check_zeta_couples)
+def zeta_couples(g: Graph) -> tuple[tuple[int, int], ...]:
     """All dominating couples achieving zeta(G), as (A, B) mask pairs in
     increasing A u B order.
 
@@ -715,16 +745,9 @@ def zeta_couples(g: Graph, max_n: int | None = None) -> tuple[tuple[int, int], .
     costs more), and requires U to be a dominating set.  So the search
     walks the dominating sets U of each size k from gamma(G) upward, with
     B = iso(G[U]) and weight 2k + |B|, and stops at the first k with 2k
-    above the best weight found, which no larger U can beat.  Memoized
-    per G; the caps are checked on every call.
+    above the best weight found, which no larger U can beat.  Refuses G
+    with an isolated vertex, then G over the zeta cap (``capped_memo``).
     """
-    _check_no_isolated(g, ParameterKind.gamma_t)
-    _check_cap(g, max_n, "the zeta cap")
-    return _zeta_couples(g)
-
-
-@lru_cache(maxsize=None)
-def _zeta_couples(g: Graph) -> tuple[tuple[int, int], ...]:
     best = 2 * g.n  # U = V, which has no isolated vertex here
     found: list[tuple[int, int]] = []
     for k in range(_gamma_value(g)[0], g.n + 1):
@@ -775,26 +798,21 @@ def _dominating_open_packings(g: Graph):
             yield s
 
 
-def zeta_prime(g: Graph, max_n: int | None = None) -> tuple[int, int] | None:
+@capped_memo(lambda g: _check_cap(g, "the zeta' cap"))
+def zeta_prime(g: Graph) -> tuple[int, int] | None:
     """min{4|S0| + 2|S1|} over dominating open packings, or None.
 
     S0/S1 are the isolated/non-isolated vertices of G[S].  Note the
     minimum is a weight, not a cardinality; a zeta'-set is one attaining
-    this weight (ties: smallest mask).  Memoized per G; the cap is checked
-    on every call.
+    this weight (ties: smallest mask).  Refuses G over the zeta' cap
+    (``capped_memo``).
     """
-    _check_cap(g, max_n, "the zeta' cap")
-    return _zeta_prime(g)
-
-
-@lru_cache(maxsize=None)
-def _zeta_prime(g: Graph) -> tuple[int, int] | None:
     return min(((2 * s.bit_count() + 2 * _isolated_in(g, s).bit_count(), s)
                 for s in _dominating_open_packings(g)), default=None)
 
 
-def dominating_open_packings(g: Graph, max_n: int | None = None) -> list[int]:
+def dominating_open_packings(g: Graph) -> list[int]:
     """All sets that are simultaneously dominating and open packings, in
     increasing numeric order."""
-    _check_cap(g, max_n, "the cap")
+    _check_cap(g, "the cap")
     return list(_dominating_open_packings(g))

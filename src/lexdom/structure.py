@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from .errors import DomainError, HypothesisError, InconsistencyError
+from .errors import CapExceededError, DomainError, HypothesisError, InconsistencyError
 from .graph import Graph
 from .solvers import (
     ParameterKind,
     _check_kind_cap,
     _dominating_open_packings,
+    capped_memo,
     is_feasible,
     open_packings,
     solve,
@@ -30,27 +30,25 @@ class HypothesisKind(str, Enum):
     P3 = "P3"
 
 
+@capped_memo(_check_kind_cap)
 def factor_value(g: Graph, kind: ParameterKind) -> int:
-    """Memoized parameter value of a factor graph (default caps).  The cap
-    is checked on every call, so a lower LEXDOM_MAX_N set after a cached
-    answer still refuses G as ``solve`` does; the value is memoized per
-    (G, kind), and ``cache_info`` and ``cache_clear`` are the memo's."""
-    if not isinstance(kind, ParameterKind):
-        kind = ParameterKind(kind)
-    _check_kind_cap(g, kind)
-    return _factor_value(g, kind)
-
-
-@lru_cache(maxsize=None)
-def _factor_value(g: Graph, kind: ParameterKind) -> int:
+    """Memoized parameter value of a factor graph, refused over the cap
+    ``solve`` applies to ``kind`` (``capped_memo``)."""
     return solve(g, kind).value
 
 
-factor_value.cache_info = _factor_value.cache_info
-factor_value.cache_clear = _factor_value.cache_clear
+def _check_eod_cap(g: Graph) -> None:
+    """The gamma_t cap, which the size identity's gamma_t solve applies.
+    A G with an isolated vertex is answered at any order: it has no
+    efficient open dominating set, and no walk is made."""
+    try:
+        _check_kind_cap(g, ParameterKind.gamma_t)
+    except CapExceededError:
+        if not g.has_isolated_vertex():
+            raise
 
 
-@lru_cache(maxsize=None)
+@capped_memo(_check_eod_cap)
 def is_efficient_open_domination(g: Graph) -> int | None:
     """Witness S such that every vertex of G has exactly one S-neighbor,
     i.e. a perfect dominating set inducing a disjoint union of edges;
@@ -75,7 +73,7 @@ def is_efficient_open_domination(g: Graph) -> int | None:
     return smask
 
 
-@lru_cache(maxsize=None)
+@capped_memo(lambda g: _check_kind_cap(g, ParameterKind.gamma))
 def is_efficient_closed_domination(g: Graph) -> int | None:
     """Witness minimum dominating set that is also a packing, or None.
     Canonical: smallest mask.  Every dominating packing has size gamma:
@@ -83,7 +81,7 @@ def is_efficient_closed_domination(g: Graph) -> int | None:
     a vertex of any dominating set.  So it is the first packing among the
     dominating open packings, which all hold every isolated vertex.
     """
-    value = factor_value(g, ParameterKind.gamma)  # refuses G over the gamma cap
+    value = factor_value(g, ParameterKind.gamma)
     smask = next((s for s in _dominating_open_packings(g)
                   if is_feasible(g, s, ParameterKind.rho)), None)
     if smask is not None:

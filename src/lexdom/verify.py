@@ -140,24 +140,23 @@ class LemmaReport:
     detail: str = ""
 
 
-def check_structural_lemmas(g: Graph, h: Graph,
-                            max_product_order: int = LEMMA_PRODUCT_CAP) -> LemmaReport:
+def check_structural_lemmas(g: Graph, h: Graph) -> LemmaReport:
     """Exhaustive checks of the two optimal-function lemmas on G o H.
 
     * every optimal PRDF: a layer disjoint from V2 is all-0 or all-1;
     * every optimal RDF with |V2| maximum: A_f (factor vertices whose
       layer meets V2) dominates G, and B_f is empty.
     """
-    if g.n * h.n > max_product_order:
+    if g.n * h.n > LEMMA_PRODUCT_CAP:
         raise CapExceededError(
-            f"product order {g.n * h.n} exceeds the lemma-suite cap {max_product_order}"
+            f"product order {g.n * h.n} exceeds the lemma-suite cap {LEMMA_PRODUCT_CAP}"
         )
     product, index = lex_product(g, h)
     layer_masks = [index.layer_set(u) for u in range(g.n)]
 
     dichotomy_ok = True
     prdf_masks = enumerate_optimal_v2(product, ParameterKind.gamma_Rp,
-                                      max_n=max_product_order)
+                                      max_n=LEMMA_PRODUCT_CAP)
     details = []
     for v2 in prdf_masks:
         f = _complete_roman(product, ParameterKind.gamma_Rp, v2)
@@ -172,7 +171,7 @@ def check_structural_lemmas(g: Graph, h: Graph,
     rdf_checked = 0
     if not g.has_isolated_vertex() and h.n >= 2:
         rdf_masks = enumerate_optimal_v2(product, ParameterKind.gamma_R,
-                                         max_n=max_product_order)
+                                         max_n=LEMMA_PRODUCT_CAP)
         max_v2 = max(m.bit_count() for m in rdf_masks)
         for v2 in rdf_masks:
             if v2.bit_count() != max_v2:

