@@ -21,10 +21,10 @@ construct_witness() builds one statement's object and validates it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, HypothesisError, InconsistencyError
 from .graph import Graph, assignment_from_masks, bits, mask_from
@@ -84,17 +84,19 @@ class TheoremId(str, Enum):
     PR_EQ_ROMAN_CHAR = "PR_EQ_ROMAN_CHAR"
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(namedtuple("Prediction", "lo hi provenance")):
     """Closed interval [lo, hi]; exact when the interval collapses.
 
     ``provenance`` lists the statements (with branch details) that
     produced the reported numbers.
     """
 
-    lo: int
-    hi: int
-    provenance: tuple[str, ...]
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int, provenance: tuple[str, ...]):
+        self = tuple.__new__(cls, (lo, hi, provenance))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.lo > self.hi:
@@ -129,8 +131,7 @@ SKIP = "skip"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(NamedTuple):
     claim: str
     outcome: str
     predicted: object = None
@@ -315,8 +316,8 @@ class PairFacts:
 
 # -- the kinds of conclusion ------------------------------------------------
 #
-# Plain classes: the registry is built on every import, and a dataclass or
-# NamedTuple costs far more to define than the 25 statements do to build.
+# Plain classes: the registry is built on every import, and a NamedTuple
+# costs far more to define than the 25 statements do to build.
 
 
 class Exact:

@@ -7,7 +7,7 @@ member.  All solvers trade exclusively in these masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphFormatError
@@ -32,8 +32,7 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n adj")):
     """Simple undirected graph with adjacency stored as per-vertex bit rows.
 
     ``adj[v]`` has bit ``u`` set iff ``u ~ v``.  Instances are immutable
@@ -41,8 +40,13 @@ class Graph:
     keys.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
+
+    # The checks run in __post_init__: perfbench's tracer wraps it to count graphs.
+    def __new__(cls, n: int, adj: tuple[int, ...]):
+        self = tuple.__new__(cls, (n, adj))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_VERTICES:
@@ -154,15 +158,19 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-@dataclass(frozen=True)
-class RomanAssignment:
+class RomanAssignment(namedtuple("RomanAssignment", "weights")):
     """Per-vertex weights in {0,1,2} with derived level sets.
 
     The level sets V0, V1, V2 partition the vertex set; the weight is
     |V1| + 2|V2|.
     """
 
-    weights: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, weights: tuple[int, ...]):
+        self = tuple.__new__(cls, (weights,))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if any(w not in (0, 1, 2) for w in self.weights):

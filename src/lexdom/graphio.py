@@ -15,7 +15,7 @@ The edge-list text format is a ``"n m"`` header line followed by m lines
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GraphFormatError
 from .graph import MAX_VERTICES, Graph, build_graph
@@ -32,35 +32,35 @@ def _byte_value(data: bytes, offset: int) -> int:
 
 def parse_graph6(data: bytes | str) -> Graph:
     """Parse one graph6 line (optional ``>>graph6<<`` header allowed).  A
-    ``str`` must be ASCII; the offset of a character that is not is its
-    index in the string."""
+    ``str`` must be ASCII.  An error's offset indexes the input as given,
+    leading blanks and header included."""
     if isinstance(data, str):
         try:
             data = data.encode("ascii")
         except UnicodeEncodeError as exc:
             raise GraphFormatError(f"character {data[exc.start]!r} is not ASCII",
                                    offset=exc.start) from None
-    data = data.strip()
-    if data.startswith(GRAPH6_HEADER):
-        data = data[len(GRAPH6_HEADER):]
-    if not data:
-        raise GraphFormatError("empty graph6 input", offset=0)
+    data = data.rstrip()
+    start = len(data) - len(data.lstrip())
+    if data.startswith(GRAPH6_HEADER, start):
+        start += len(GRAPH6_HEADER)
+    if start == len(data):
+        raise GraphFormatError("empty graph6 input", offset=start)
 
-    pos = 0
-    if data[pos] == 126:
-        if len(data) < 4:
+    if data[start] == 126:
+        pos = start + 4
+        if len(data) < pos:
             raise GraphFormatError("truncated long-form size", offset=len(data))
         n = 0
-        for i in range(1, 4):
+        for i in range(start + 1, pos):
             n = n << 6 | _byte_value(data, i)
-        pos = 4
     else:
-        n = _byte_value(data, 0)
-        pos = 1
+        n = _byte_value(data, start)
+        pos = start + 1
     if n < 1:
-        raise GraphFormatError(f"unsupported graph order {n}", offset=0)
+        raise GraphFormatError(f"unsupported graph order {n}", offset=start)
     if n > MAX_VERTICES:
-        raise GraphFormatError(f"graph order {n} exceeds the supported maximum {MAX_VERTICES}", offset=0)
+        raise GraphFormatError(f"graph order {n} exceeds the supported maximum {MAX_VERTICES}", offset=start)
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -173,8 +173,7 @@ def load_corpus(path) -> list[Graph]:
 FAMILIES = ("path", "cycle", "complete", "empty", "star", "union", "corona")
 
 
-@dataclass(frozen=True)
-class GraphFamilySpec:
+class GraphFamilySpec(NamedTuple):
     """Recipe for a named graph family.
 
     ``params`` holds the family-specific integers; ``subspecs`` holds the

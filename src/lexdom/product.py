@@ -6,14 +6,13 @@ so witnesses and reports are reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceededError
 from .graph import MAX_VERTICES, Graph
 
 
-@dataclass(frozen=True)
-class ProductIndexMap:
+class ProductIndexMap(NamedTuple):
     """Bijection between factor coordinates and product indices."""
 
     n_g: int

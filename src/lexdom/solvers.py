@@ -61,9 +61,9 @@ dominating set holds.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, wraps
+from typing import NamedTuple
 
 from .errors import CapExceededError, DomainError, InconsistencyError
 from .graph import Graph, RomanAssignment, assignment_from_masks, bits, mask_from
@@ -108,8 +108,7 @@ ROMAN_KINDS = (ParameterKind.gamma_R, ParameterKind.gamma_Rp, ParameterKind.gamm
 TOTAL_KINDS = (ParameterKind.gamma_t, ParameterKind.gamma_tR)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     value: int
     witness: "int | RomanAssignment"
     explored: int

@@ -8,8 +8,8 @@ reports can be replayed by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import CapExceededError, DomainError, HypothesisError, InconsistencyError
 from .graph import Graph
@@ -92,8 +92,7 @@ def is_efficient_closed_domination(g: Graph) -> int | None:
     return smask
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     """Truth of a P1/P2/P3 property plus the facts that decided it."""
 
     kind: HypothesisKind
@@ -138,8 +137,7 @@ def check_hypothesis(g: Graph, h: Graph, kind: HypothesisKind) -> HypothesisChec
     return HypothesisCheck(kind, holds, tuple(facts))
 
 
-@dataclass(frozen=True)
-class GraphClassResult:
+class GraphClassResult(NamedTuple):
     """Equality test gamma_R = 2*gamma (roman) or gamma_Rp = 2*gamma_p
     (perfect_roman), with both sides recorded."""
 

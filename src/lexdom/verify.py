@@ -14,9 +14,8 @@ characterization stratum the source material leaves open is reported as
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError
 from .graph import Graph
@@ -41,8 +40,7 @@ DEFAULT_PRODUCT_CAP = 24
 LEMMA_PRODUCT_CAP = 14
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     g6_g: str
     g6_h: str
     records: tuple[ClaimRecord, ...]
@@ -94,8 +92,7 @@ def verify_pair(g: Graph, h: Graph,
     return VerificationReport(g6g, g6h, records)
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(NamedTuple):
     totals: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
     failures: tuple[tuple[str, str, ClaimRecord], ...]
     pairs: int
@@ -131,8 +128,7 @@ def verify_corpus(gs: Sequence[Graph], hs: Sequence[Graph],
     return CorpusReport(totals, tuple(sorted(failures, key=lambda t: (t[0], t[1], t[2].claim))), pairs)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     layer_dichotomy_checked: int
     layer_dichotomy_ok: bool
     max_v2_checked: int

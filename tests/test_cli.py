@@ -1,7 +1,12 @@
 """Command-line surface: JSON/TSV output, exit codes, and subcommands."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import lexdom
 from lexdom.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
 
 
@@ -205,3 +210,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, "solve", "--param", "gamma",
                          "--in", str(tmp_path / "none.g6"))
         assert code == EXIT_PARSE
+
+
+def _modules_loaded(prelude: str) -> set[str]:
+    src = str(Path(lexdom.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = f"{prelude}import sys; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    return set(out.split())
+
+
+def test_cold_start_loads_no_dataclasses():
+    # Every lexdom command is a fresh process that pays for each module it
+    # imports; dataclasses alone brings inspect, ast, dis and tokenize.
+    # Compared with a bare start, so that a site hook's preloads do not count.
+    added = _modules_loaded("import lexdom.cli; ") - _modules_loaded("")
+    assert "lexdom.cli" in added and "dataclasses" not in added

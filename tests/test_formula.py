@@ -48,8 +48,9 @@ class TestPredictionType:
             _ = interval.value
 
     def test_empty_interval_rejected(self):
-        with pytest.raises(InconsistencyError):
-            Prediction(4, 3, ("X",))
+        for lo, hi in ((4, 3), (2, 1)):
+            with pytest.raises(InconsistencyError):
+                Prediction(lo, hi, ("X",))
         with pytest.raises(InconsistencyError):
             Prediction(1, 1, ())
 

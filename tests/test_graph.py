@@ -8,6 +8,7 @@ from lexdom import (
     DomainError,
     Graph,
     GraphFormatError,
+    Prediction,
     RomanAssignment,
     assignment_from_masks,
     bits,
@@ -61,6 +62,8 @@ class TestConstruction:
             Graph(2, (0b10, 0b00))
         with pytest.raises(DomainError):
             Graph(1, (0b1,))  # loop bit
+        with pytest.raises(DomainError):
+            Graph(2, (0b10,))  # one row for two vertices
 
     @given(random_graph_strategy())
     def test_symmetry_and_loop_freeness(self, g):
@@ -133,6 +136,37 @@ class TestRomanAssignment:
     def test_rejects_bad_weight(self):
         with pytest.raises(DomainError):
             RomanAssignment((0, 3))
+
+
+class TestRecordSemantics:
+    """The records that check their fields do so on every construction,
+    and compare, hash and print by value."""
+
+    RECORDS = [
+        (Graph, {"n": 2, "adj": (2, 1)}, "Graph(n=2, adj=(2, 1))"),
+        (RomanAssignment, {"weights": (0, 1, 2)}, "RomanAssignment(weights=(0, 1, 2))"),
+        (Prediction, {"lo": 1, "hi": 2, "provenance": ("x",)},
+         "Prediction(lo=1, hi=2, provenance=('x',))"),
+    ]
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS)
+    def test_value_semantics(self, cls, fields, text):
+        by_name, by_position = cls(**fields), cls(*fields.values())
+        assert by_name == by_position and hash(by_name) == hash(by_position)
+        # the verify-sweep pins hash repr(predicted) and repr(measured)
+        assert repr(by_name) == text
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(by_name, name, None)
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS)
+    def test_checks_run_once_per_construction(self, monkeypatch, cls, fields, text):
+        calls = []
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append(check(self)))
+        cls(**fields)
+        cls(*fields.values())
+        assert len(calls) == 2
 
 
 def test_mask_helpers():

@@ -49,16 +49,21 @@ class TestGraph6:
 
     def test_bad_byte_reports_offset(self):
         # the first byte outside 63..126: the size byte, a payload byte
-        # (order 5 has two), a long-form size byte
+        # (order 5 has two), a long-form size byte; offsets index the input
+        # as given, leading blanks and >>graph6<< header included
         for data, offset in ((b"\x01", 0), (b"C\x01", 1), (b"D?\x7f", 2),
-                             (b"D\x01\x7f", 1), (b"~?\x01?", 2)):
+                             (b"D\x01\x7f", 1), (b"~?\x01?", 2),
+                             (b">>graph6<<C\x01", 11), (b"  D?\x7f", 4),
+                             (b" >>graph6<<\x01", 11)):
             with pytest.raises(GraphFormatError, match="outside graph6 range") as exc:
                 parse_graph6(data)
             assert exc.value.offset == offset, data
 
     def test_nonzero_padding_reports_offset(self):
         # order 2 has 1 adjacency bit in its byte, order 5 has 10 in two
-        for data, offset in ((b"A`", 1), (b"A@", 1), (b"D~@", 2), (b"D?A", 2)):
+        for data, offset in ((b"A`", 1), (b"A@", 1), (b"D~@", 2), (b"D?A", 2),
+                             (b">>graph6<<A`", 11), (b"  A`", 3),
+                             (b"\t>>graph6<<D~@\n", 13)):
             with pytest.raises(GraphFormatError, match="nonzero padding bits") as exc:
                 parse_graph6(data)
             assert exc.value.offset == offset, data

@@ -1,7 +1,9 @@
 """Exact solvers: hand-checked values, witness validity, canonical
 tie-breaking, caps and domain errors, and the couple parameters."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,17 @@ class TestHandValues:
 
 
 class TestOracleAgreement:
+    def test_oracles_import_only_the_graph_type(self):
+        # an oracle that reuses production code cannot catch its bugs
+        tree = ast.parse(Path(__file__).with_name("brute.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert {m for m in imported if m.split(".")[0] == "lexdom"} <= {"lexdom.graph"}
+
     def test_set_kinds(self):
         for g in random_graphs(40):
             for kind in SET_KINDS:
