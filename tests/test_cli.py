@@ -213,8 +213,8 @@ class TestExitCodes:
 
 
 def _modules_loaded(prelude: str) -> set[str]:
-    src = str(Path(lexdom.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    paths = (str(Path(lexdom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     code = f"{prelude}import sys; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
