@@ -36,7 +36,7 @@ from .graphio import (
 )
 from .product import lex_product
 from .solvers import ParameterKind, solve
-from .formula import TheoremId, construct_witness, predict
+from .formula import PREDICT_KINDS, TheoremId, construct_witness, predict
 from .verify import DEFAULT_PRODUCT_CAP, verify_corpus
 
 EXIT_OK = 0
@@ -219,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("predict", help="predict a product parameter from factor data")
-    p.add_argument("--param", required=True,
-                   choices=["gamma", "gamma_p", "gamma_R", "gamma_Rp"])
+    p.add_argument("--param", required=True, choices=[k.value for k in PREDICT_KINDS])
     _graph_arguments(p, "G")
     _graph_arguments(p, "H")
     common(p)

@@ -9,7 +9,7 @@ class GraphFormatError(LexdomError):
     """Malformed graph6 / edge-list input.
 
     Carries the byte offset (for inline data) or line number (for corpus
-    files) where parsing failed.
+    and edge-list files) where parsing failed.
     """
 
     def __init__(self, message, *, offset=None, line=None):

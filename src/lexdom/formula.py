@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, HypothesisError, InconsistencyError
-from .graph import Graph, assignment_from_masks, bits, mask_from
+from .graph import CheckedRecord, Graph, assignment_from_masks, bits, mask_from
 from .product import lex_product
 from .solvers import (
     ParameterKind,
@@ -84,7 +84,7 @@ class TheoremId(str, Enum):
     PR_EQ_ROMAN_CHAR = "PR_EQ_ROMAN_CHAR"
 
 
-class Prediction(namedtuple("Prediction", "lo hi provenance")):
+class Prediction(CheckedRecord, namedtuple("Prediction", "lo hi provenance")):
     """Closed interval [lo, hi]; exact when the interval collapses.
 
     ``provenance`` lists the statements (with branch details) that
@@ -92,11 +92,6 @@ class Prediction(namedtuple("Prediction", "lo hi provenance")):
     """
 
     __slots__ = ()
-
-    def __new__(cls, lo: int, hi: int, provenance: tuple[str, ...]):
-        self = tuple.__new__(cls, (lo, hi, provenance))
-        self.__post_init__()
-        return self
 
     def __post_init__(self):
         if self.lo > self.hi:

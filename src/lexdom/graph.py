@@ -32,7 +32,25 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class Graph(namedtuple("Graph", "n adj")):
+class CheckedRecord:
+    """Base of the namedtuple records that check their fields, listed before
+    the namedtuple.  Every construction, ``_make`` and ``_replace`` included,
+    runs the record's ``__post_init__`` once."""
+
+    __slots__ = ()
+
+    # __post_init__ keeps its name: perfbench's tracer wraps Graph's to count graphs.
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Graph(CheckedRecord, namedtuple("Graph", "n adj")):
     """Simple undirected graph with adjacency stored as per-vertex bit rows.
 
     ``adj[v]`` has bit ``u`` set iff ``u ~ v``.  Instances are immutable
@@ -41,12 +59,6 @@ class Graph(namedtuple("Graph", "n adj")):
     """
 
     __slots__ = ()
-
-    # The checks run in __post_init__: perfbench's tracer wraps it to count graphs.
-    def __new__(cls, n: int, adj: tuple[int, ...]):
-        self = tuple.__new__(cls, (n, adj))
-        self.__post_init__()
-        return self
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_VERTICES:
@@ -158,7 +170,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-class RomanAssignment(namedtuple("RomanAssignment", "weights")):
+class RomanAssignment(CheckedRecord, namedtuple("RomanAssignment", "weights")):
     """Per-vertex weights in {0,1,2} with derived level sets.
 
     The level sets V0, V1, V2 partition the vertex set; the weight is
@@ -166,11 +178,6 @@ class RomanAssignment(namedtuple("RomanAssignment", "weights")):
     """
 
     __slots__ = ()
-
-    def __new__(cls, weights: tuple[int, ...]):
-        self = tuple.__new__(cls, (weights,))
-        self.__post_init__()
-        return self
 
     def __post_init__(self):
         if any(w not in (0, 1, 2) for w in self.weights):

@@ -92,8 +92,6 @@ def parse_graph6(data: bytes | str) -> Graph:
 
 def write_graph6(g: Graph) -> bytes:
     """Encode a graph; ``parse_graph6(write_graph6(g)) == g`` bit-exactly."""
-    if g.n > MAX_VERTICES:
-        raise GraphFormatError(f"graph order {g.n} exceeds the supported maximum {MAX_VERTICES}")
     out = bytearray()
     if g.n <= 62:
         out.append(63 + g.n)
@@ -115,33 +113,39 @@ def write_graph6(g: Graph) -> bytes:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the ``"n m"`` header / ``"u v"`` lines edge-list format."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Parse the ``"n m"`` header / ``"u v"`` lines edge-list format.  Blank
+    and ``#`` lines are skipped; an error's line number counts every line of
+    the input as given."""
+    lines = [(i, ln.split()) for i, ln in enumerate(map(str.strip, text.splitlines()), start=1)
+             if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty edge-list input", line=1)
-    head = lines[0].split()
+    line, head = lines[0]
     if len(head) != 2:
-        raise GraphFormatError("edge-list header must be 'n m'", line=1)
+        raise GraphFormatError("edge-list header must be 'n m'", line=line)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
-        raise GraphFormatError("edge-list header must be two integers", line=1) from None
+        raise GraphFormatError("edge-list header must be two integers", line=line) from None
     if len(lines) - 1 != m:
-        raise GraphFormatError(f"header declares {m} edges, found {len(lines) - 1}", line=1)
-    edges = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError("edge line must be 'u v'", line=i)
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise GraphFormatError("edge endpoints must be integers", line=i) from None
+        raise GraphFormatError(f"header declares {m} edges, found {len(lines) - 1}", line=line)
+
+    def pairs():
+        nonlocal line
+        for line, parts in lines[1:]:
+            if len(parts) != 2:
+                raise GraphFormatError("edge line must be 'u v'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError("edge endpoints must be integers") from None
+            yield u, v
+
     try:
-        return build_graph(n, edges)
+        return build_graph(n, pairs())
     except GraphFormatError as exc:
-        raise GraphFormatError(str(exc)) from None
+        # pairs() and build_graph stop at the first bad edge, the last one read
+        raise GraphFormatError(str(exc), line=line) from None
 
 
 def write_edge_list(g: Graph) -> str:

@@ -659,8 +659,6 @@ def _solve_gamma_tR(g: Graph):
         preset = t | forced
         extra, sub = _min_cover_value(g, closed=False, preset=preset)
         explored += sub
-        if extra > n:  # no completion exists (cannot happen without isolated vertices)
-            return
         if bound + extra < best:
             # canonical minimal extra set at the optimal size; no such set
             # meets the preset, as dropping a preset vertex (its neighbors

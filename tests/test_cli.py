@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import lexdom
-from lexdom.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, main
+from lexdom import InconsistencyError, cli
+from lexdom.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_FAILURES, EXIT_OK, EXIT_PARSE, main
 
 
 def run(capsys, *argv):
@@ -205,6 +208,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", "--param", "gamma", "--family", "path:8")
         assert code == EXIT_DOMAIN
         assert "LEXDOM_MAX_N" in err
+
+    @pytest.mark.parametrize("name, data, where", [
+        ("bad.edges", b"# fig\n\n3 1\n0 5\n", "endpoint out of range for n=3 (line 4)"),
+        ("bad.g6", b"A_?\n", "trailing bytes after graph6 payload (byte offset 2)"),
+    ])
+    def test_malformed_file(self, capsys, tmp_path, name, data, where):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run(capsys, "solve", "--param", "gamma", "--in", str(path))
+        assert code == EXIT_PARSE and not out and where in err
+
+    def test_inconsistency(self, capsys, monkeypatch):
+        def disagree(*args, **kwargs):
+            raise InconsistencyError("exact statements disagree")
+
+        monkeypatch.setattr(cli, "solve", disagree)
+        code, out, err = run(capsys, "solve", "--param", "gamma", "--family", "path:4")
+        assert code == EXIT_FAILURES and not out
+        assert err.startswith("inconsistency: exact statements disagree")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "solve", "--param", "gamma",

@@ -22,7 +22,7 @@ from lexdom import (
     predict,
     solve,
 )
-from lexdom.formula import PREDICT_KINDS, STATEMENTS, Exact, PairFacts, open_packings
+from lexdom.formula import PREDICT_KINDS, STATEMENTS, Exact, Lower, PairFacts, open_packings
 from lexdom.graph import RomanAssignment
 
 P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -109,6 +109,35 @@ class TestSoundness:
         assert p.exact and p.value == 6
         assert any("PR_EXACT_ECD" in t for t in p.provenance)
         assert any("PR_EXACT_EOD" in t for t in p.provenance)
+
+
+class TestCrossChecks:
+    """Each runtime cross-check raises InconsistencyError once one
+    registry statement is made wrong."""
+
+    def test_exact_statements_disagree(self, monkeypatch):
+        # on P4 o P4 both PR_EXACT_ECD and PR_EXACT_EOD fire for gamma_Rp
+        monkeypatch.setattr(STATEMENTS[TheoremId.PR_EXACT_EOD], "conclusion",
+                            Exact(lambda f: (None, 7)))
+        with pytest.raises(InconsistencyError, match="exact statements disagree"):
+            predict(P4, P4, ParameterKind.gamma_Rp)
+
+    def test_exact_value_outside_bounds(self, monkeypatch):
+        # PR_EXACT_ECD gives 4 on P4 o K3; a lower bound of 5 excludes it
+        monkeypatch.setattr(STATEMENTS[TheoremId.PR_TRIVIAL_LB], "conclusion",
+                            Lower(lambda f: 5))
+        with pytest.raises(InconsistencyError, match="exact value 4 outside aggregated bounds"):
+            predict(P4, K3, ParameterKind.gamma_Rp)
+
+    def test_invalid_set_construction(self, monkeypatch):
+        monkeypatch.setattr(STATEMENTS[TheoremId.GAMMA_LEX], "witness", lambda f, branch: 1)
+        with pytest.raises(InconsistencyError, match="GAMMA_LEX construction invalid: size 1"):
+            construct_witness(TheoremId.GAMMA_LEX, P4, K2)
+
+    def test_invalid_assignment_construction(self, monkeypatch):
+        monkeypatch.setattr(STATEMENTS[TheoremId.ROMAN_LEX], "witness", lambda f, branch: (0, 1))
+        with pytest.raises(InconsistencyError, match="ROMAN_LEX construction invalid: weight 1"):
+            construct_witness(TheoremId.ROMAN_LEX, P4, K2K1)
 
 
 class TestOpenPackings:

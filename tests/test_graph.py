@@ -8,6 +8,7 @@ from lexdom import (
     DomainError,
     Graph,
     GraphFormatError,
+    InconsistencyError,
     Prediction,
     RomanAssignment,
     assignment_from_masks,
@@ -159,14 +160,35 @@ class TestRecordSemantics:
             with pytest.raises(AttributeError):
                 setattr(by_name, name, None)
 
+    #: A field value each record rejects, and the error it raises.
+    INVALID = {
+        Graph: ({"adj": (2, 0)}, DomainError),
+        RomanAssignment: ({"weights": (0, 7)}, DomainError),
+        Prediction: ({"lo": 5}, InconsistencyError),
+    }
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS)
+    def test_make_and_replace_run_the_checks(self, cls, fields, text):
+        record = cls(**fields)
+        for built in (cls._make(fields.values()), record._replace(**fields)):
+            assert type(built) is cls and built == record
+        bad, error = self.INVALID[cls]
+        with pytest.raises(error):
+            cls._make({**fields, **bad}.values())
+        with pytest.raises(error):
+            record._replace(**bad)
+
     @pytest.mark.parametrize("cls, fields, text", RECORDS)
     def test_checks_run_once_per_construction(self, monkeypatch, cls, fields, text):
+        record = cls(**fields)
         calls = []
         check = cls.__post_init__
         monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append(check(self)))
-        cls(**fields)
-        cls(*fields.values())
-        assert len(calls) == 2
+        builds = (lambda: cls(**fields), lambda: cls(*fields.values()),
+                  lambda: cls._make(fields.values()), lambda: record._replace(**fields))
+        for count, build in enumerate(builds, start=1):
+            build()
+            assert len(calls) == count
 
 
 def test_mask_helpers():

@@ -77,8 +77,25 @@ class TestGraph6:
         assert exc.value.offset == 1
 
     def test_truncated_payload(self):
-        with pytest.raises(GraphFormatError):
-            parse_graph6(b"D")  # order 5 needs payload bytes
+        # order 5 needs payload bytes; a long-form size needs three bytes
+        for data, offset, what in ((b"D", 1, "truncated payload"),
+                                   (b"~??", 3, "truncated long-form size")):
+            with pytest.raises(GraphFormatError, match=what) as exc:
+                parse_graph6(data)
+            assert exc.value.offset == offset, data
+
+    def test_trailing_bytes(self):
+        with pytest.raises(GraphFormatError, match="trailing bytes") as exc:
+            parse_graph6(b"A_?")
+        assert exc.value.offset == 2
+
+    def test_order_out_of_range(self):
+        # order 0, and a long-form order of 192
+        for data, what in ((b"?", "unsupported graph order 0"),
+                           (b"~?B?", "graph order 192 exceeds the supported maximum 128")):
+            with pytest.raises(GraphFormatError, match=what) as exc:
+                parse_graph6(data)
+            assert exc.value.offset == 0, data
 
     def test_empty_input(self):
         with pytest.raises(GraphFormatError):
@@ -91,13 +108,30 @@ class TestEdgeList:
         assert parse_edge_list(write_edge_list(g)) == g
 
     def test_header_mismatch(self):
-        with pytest.raises(GraphFormatError) as exc:
-            parse_edge_list("2 2\n0 1\n")
-        assert exc.value.line is not None
+        # line numbers count the blank and comment lines of the input
+        for text, line, what in (("2 2\n0 1\n", 1, "declares 2 edges, found 1"),
+                                 ("# c\n\n2 2\n0 1\n", 3, "declares 2 edges, found 1"),
+                                 ("", 1, "empty edge-list input"),
+                                 ("# c\n\n", 1, "empty edge-list input"),
+                                 ("2\n", 1, "header must be 'n m'"),
+                                 ("# c\n2 1 0\n0 1\n", 2, "header must be 'n m'"),
+                                 ("x 1\n0 1\n", 1, "header must be two integers"),
+                                 ("\n\n2 y\n", 3, "header must be two integers")):
+            with pytest.raises(GraphFormatError, match=what) as exc:
+                parse_edge_list(text)
+            assert exc.value.line == line, text
 
     def test_bad_tokens(self):
-        with pytest.raises(GraphFormatError):
-            parse_edge_list("2 1\n0 x\n")
+        for text, line, what in (("2 1\n0 x\n", 2, "endpoints must be integers"),
+                                 ("# fig\n\n3 1\n0 x\n", 4, "endpoints must be integers"),
+                                 ("2 1\n0 1 1\n", 2, "edge line must be 'u v'"),
+                                 ("3 2\n0 1\n# c\n2\n", 4, "edge line must be 'u v'"),
+                                 ("3 1\n0 5\n", 2, "endpoint out of range for n=3"),
+                                 ("3 1\n1 1\n", 2, "loop at vertex 1"),
+                                 ("3 2\n0 1\n\n# c\n2 2\n", 5, "loop at vertex 2")):
+            with pytest.raises(GraphFormatError, match=what) as exc:
+                parse_edge_list(text)
+            assert exc.value.line == line, text
 
     def test_comments_and_blanks(self):
         g = parse_edge_list("# fixture\n3 2\n\n0 1\n1 2\n")
@@ -123,10 +157,16 @@ class TestCorpus:
 
     def test_malformed_line_aborts_with_lineno(self, tmp_path):
         path = tmp_path / "bad.g6"
-        path.write_bytes(b"A_\n\x01\x01\n")
-        with pytest.raises(GraphFormatError) as exc:
-            load_corpus(path)
-        assert exc.value.line == 2
+        for data, line in ((b"A_\n\x01\x01\n", 2), (b"\nA_\n \n\x01\x01\n", 4)):
+            path.write_bytes(data)
+            with pytest.raises(GraphFormatError) as exc:
+                load_corpus(path)
+            assert exc.value.line == line, data
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blanks.g6"
+        path.write_bytes(b"\nA_\n\n  \nBw\n\n")
+        assert [g.n for g in load_corpus(path)] == [2, 3]
 
 
 class TestFamilies:
