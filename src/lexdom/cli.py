@@ -7,6 +7,7 @@ byte.  TSV is a flat convenience projection of the results object.
 
 Exit codes: 0 success; 1 verification failures or internal inconsistency;
 2 malformed graph input; 3 domain/hypothesis violation; 4 size cap.
+``REFUSALS`` maps each error class to its code and stderr prefix.
 """
 
 from __future__ import annotations
@@ -45,12 +46,31 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_CAP = 4
 
+#: The exit code and the stderr prefix of each error ``main`` reports.
+#: Every ``LexdomError`` subclass has an entry; an ``OSError`` (a missing
+#: file, a broken pipe) counts as malformed input.
+REFUSALS = {
+    GraphFormatError: (EXIT_PARSE, "error"),
+    OSError: (EXIT_PARSE, "error"),
+    DomainError: (EXIT_DOMAIN, "error"),
+    HypothesisError: (EXIT_DOMAIN, "error"),
+    CapExceededError: (EXIT_CAP, "error"),
+    InconsistencyError: (EXIT_FAILURES, "inconsistency"),
+}
 
-def _read_graph(inline: str | None, path: str | None, family: str | None) -> Graph:
-    """Inline graph6, file (an edge list if its first line that is neither
-    blank nor a comment starts with a digit, else graph6), or family spec."""
-    sources = [s for s in (inline, path, family) if s is not None]
-    if len(sources) != 1:
+
+def _graph_arguments(parser: argparse.ArgumentParser, tag: str) -> None:
+    parser.add_argument(f"--g6{tag}", help=f"inline graph6 for {tag or 'the graph'}")
+    parser.add_argument(f"--in{tag}", dest=f"in{tag}", help="path to a graph6 or edge-list file")
+    parser.add_argument(f"--family{tag}", help="family spec, e.g. path:4 or corona(cycle:3,2)")
+
+
+def _get_graph(args: argparse.Namespace, tag: str) -> Graph:
+    """The graph of ``--g6<tag>`` (inline graph6), ``--in<tag>`` (a file:
+    an edge list if its first line that is neither blank nor a comment
+    starts with a digit, else graph6) or ``--family<tag>``."""
+    inline, path, family = (getattr(args, f"{opt}{tag}") for opt in ("g6", "in", "family"))
+    if [inline, path, family].count(None) != 2:
         raise GraphFormatError("provide exactly one of --g6, --in, --family")
     if inline is not None:
         return parse_graph6(inline)
@@ -67,15 +87,10 @@ def _read_graph(inline: str | None, path: str | None, family: str | None) -> Gra
     return parse_graph6(data)
 
 
-def _graph_arguments(parser: argparse.ArgumentParser, tag: str) -> None:
-    parser.add_argument(f"--g6{tag}", help=f"inline graph6 for {tag or 'the graph'}")
-    parser.add_argument(f"--in{tag}", dest=f"in{tag}", help="path to a graph6 or edge-list file")
-    parser.add_argument(f"--family{tag}", help="family spec, e.g. path:4 or corona(cycle:3,2)")
-
-
-def _get_graph(args: argparse.Namespace, tag: str) -> Graph:
-    return _read_graph(getattr(args, f"g6{tag}"), getattr(args, f"in{tag}"),
-                       getattr(args, f"family{tag}"))
+def _get_pair(args: argparse.Namespace) -> tuple[Graph, Graph, dict]:
+    """G, H, and the inputs entry that gives both in graph6."""
+    g, h = _get_graph(args, "G"), _get_graph(args, "H")
+    return g, h, {"G": write_graph6(g).decode(), "H": write_graph6(h).decode()}
 
 
 def _witness_json(witness) -> dict:
@@ -114,19 +129,16 @@ def _flatten(obj, prefix: str = "") -> dict:
     return flat
 
 
-def cmd_solve(args: argparse.Namespace, started: float) -> int:
+def cmd_solve(args: argparse.Namespace) -> tuple[dict, dict]:
     g = _get_graph(args, "")
     result = solve(g, ParameterKind(args.param), max_n=args.max_n)
-    _emit("solve", {"graph": write_graph6(g).decode(), "param": args.param},
-          {"param": args.param, "value": result.value,
-           "witness": _witness_json(result.witness), "explored": result.explored},
-          args.format, started)
-    return EXIT_OK
+    return ({"graph": write_graph6(g).decode(), "param": args.param},
+            {"param": args.param, "value": result.value,
+             "witness": _witness_json(result.witness), "explored": result.explored})
 
 
-def cmd_predict(args: argparse.Namespace, started: float) -> int:
-    g = _get_graph(args, "G")
-    h = _get_graph(args, "H")
+def cmd_predict(args: argparse.Namespace) -> tuple[dict, dict]:
+    g, h, inputs = _get_pair(args)
     p = predict(g, h, ParameterKind(args.param))
     results = {"param": args.param, "provenance": list(p.provenance)}
     if p.exact:
@@ -134,39 +146,28 @@ def cmd_predict(args: argparse.Namespace, started: float) -> int:
     else:
         results["lo"] = p.lo
         results["hi"] = p.hi
-    _emit("predict",
-          {"G": write_graph6(g).decode(), "H": write_graph6(h).decode(), "param": args.param},
-          results, args.format, started)
-    return EXIT_OK
+    return {**inputs, "param": args.param}, results
 
 
-def cmd_product(args: argparse.Namespace, started: float) -> int:
-    g = _get_graph(args, "G")
-    h = _get_graph(args, "H")
+def cmd_product(args: argparse.Namespace) -> tuple[dict, dict]:
+    g, h, inputs = _get_pair(args)
     product, _ = lex_product(g, h)
     results = {"order": product.n, "edges": product.edge_count,
                "graph6": write_graph6(product).decode()}
     if args.edge_list:
         results["edge_list"] = write_edge_list(product)
-    _emit("product", {"G": write_graph6(g).decode(), "H": write_graph6(h).decode()},
-          results, args.format, started)
-    return EXIT_OK
+    return inputs, results
 
 
-def cmd_witness(args: argparse.Namespace, started: float) -> int:
-    g = _get_graph(args, "G")
-    h = _get_graph(args, "H")
+def cmd_witness(args: argparse.Namespace) -> tuple[dict, dict]:
+    g, h, inputs = _get_pair(args)
     theorem = TheoremId(args.theorem)
     witness = construct_witness(theorem, g, h)
-    _emit("witness",
-          {"G": write_graph6(g).decode(), "H": write_graph6(h).decode(),
-           "theorem": theorem.value},
-          {"theorem": theorem.value, "witness": _witness_json(witness), "validated": True},
-          args.format, started)
-    return EXIT_OK
+    return ({**inputs, "theorem": theorem.value},
+            {"theorem": theorem.value, "witness": _witness_json(witness), "validated": True})
 
 
-def cmd_verify(args: argparse.Namespace, started: float) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, int]:
     gs = load_corpus(args.gs)
     hs = load_corpus(args.hs)
     claims = None
@@ -185,20 +186,17 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
             for g6g, g6h, rec in report.failures
         ],
     }
-    _emit("verify", {"gs": args.gs, "hs": args.hs, "claims": args.claims or "ALL"},
-          results, args.format, started)
-    return EXIT_FAILURES if report.failed else EXIT_OK
+    return ({"gs": args.gs, "hs": args.hs, "claims": args.claims or "ALL"}, results,
+            EXIT_FAILURES if report.failed else EXIT_OK)
 
 
-def cmd_gen(args: argparse.Namespace, started: float) -> int:
+def cmd_gen(args: argparse.Namespace) -> tuple[dict, dict]:
     g = generate(parse_family(args.family))
     line = write_graph6(g).decode()
     if args.out:
         with open(args.out, "a") as fh:
             fh.write(line + "\n")
-    _emit("gen", {"family": args.family},
-          {"graph6": line, "order": g.n, "edges": g.edge_count}, args.format, started)
-    return EXIT_OK
+    return {"family": args.family}, {"graph6": line, "order": g.n, "edges": g.edge_count}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,22 +258,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        return args.func(args, started)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DomainError, HypothesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return EXIT_FAILURES
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        inputs, results, *status = args.func(args)
+        _emit(args.command, inputs, results, args.format, started)
+        return status[0] if status else EXIT_OK
+    except tuple(REFUSALS) as exc:
+        # no class of the table derives from another, so the first one in
+        # the error's MRO is its only entry
+        code, prefix = next(REFUSALS[cls] for cls in type(exc).__mro__ if cls in REFUSALS)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -31,12 +31,12 @@ from .graph import CheckedRecord, Graph, assignment_from_masks, bits, mask_from
 from .product import lex_product
 from .solvers import (
     ParameterKind,
-    _check_kind_cap,
     _complete_roman,
     _feasible_sets,
     _isolated_in,
     _roman_scan,
     capped_memo,
+    check_cap,
     dominating_open_packings,
     is_feasible,
     is_prdf,
@@ -169,7 +169,7 @@ def _universal_vertex(h: Graph) -> int | None:
     return None
 
 
-@capped_memo(lambda g: _check_kind_cap(g, ParameterKind.gamma_Rp))
+@capped_memo(lambda g: check_cap(g, ParameterKind.gamma_Rp))
 def _optimal_prdfs(g: Graph) -> tuple[tuple[int, int], ...]:
     """PairFacts.optimal_prdfs, memoized per G like factor_value."""
     return tuple((v2, _complete_roman(g, ParameterKind.gamma_Rp, v2).v1)
@@ -291,8 +291,9 @@ class PairFacts:
         """(value, S) of the open packing S of G minimizing
         |S0|(n(H)-maxdeg(H)+1) + |S - S0|(2+mindeg(H)) + n(H)(n(G) - |N[S]|),
         where S0 holds the members without a neighbor in S (ties: smallest
-        S)."""
+        S).  Refuses G over the subset cap before the walk."""
         g, n_h = self.g, self.h.n
+        check_cap(g, "open-packing")
         terms = []
         for smask in open_packings(g):
             s0 = _isolated_in(g, smask).bit_count()

@@ -107,7 +107,7 @@ class Graph(CheckedRecord, namedtuple("Graph", "n adj")):
         return sum(row.bit_count() for row in self.adj) // 2
 
     def has_isolated_vertex(self) -> bool:
-        return any(row == 0 for row in self.adj)
+        return 0 in self.adj
 
     def isolated_vertices(self) -> list[int]:
         return [v for v, row in enumerate(self.adj) if row == 0]

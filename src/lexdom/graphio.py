@@ -127,6 +127,8 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphFormatError("edge-list header must be two integers", line=line) from None
+    if not 1 <= n <= MAX_VERTICES:
+        raise GraphFormatError(f"graph order must be in 1..{MAX_VERTICES}, got {n}", line=line)
     if len(lines) - 1 != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(lines) - 1}", line=line)
 

@@ -104,7 +104,6 @@ SET_KINDS = (
     ParameterKind.rho,
     ParameterKind.rho_o,
 )
-ROMAN_KINDS = (ParameterKind.gamma_R, ParameterKind.gamma_Rp, ParameterKind.gamma_tR)
 TOTAL_KINDS = (ParameterKind.gamma_t, ParameterKind.gamma_tR)
 
 
@@ -167,22 +166,16 @@ def is_trdf(g: Graph, f: RomanAssignment) -> bool:
 # -- caps and shared helpers -------------------------------------------
 
 
-def _check_cap(g: Graph, name: str) -> None:
-    """Refuse G with more than ``subset_cap()`` vertices.  ``name`` names
-    the cap in the message."""
-    cap = subset_cap()
-    if g.n > cap:
-        raise CapExceededError(f"order {g.n} exceeds {name} {cap}")
-
-
-def _check_kind_cap(g: Graph, kind: ParameterKind, max_n: int | None = None) -> None:
-    """The cap ``solve`` applies to ``kind``, a member or its name:
-    ``max_n`` if given, else DEFAULT_DEEP_CAP for gamma_tR and
-    ``subset_cap()`` for every other kind."""
+def check_cap(g: Graph, name: str, max_n: int | None = None) -> None:
+    """The one size cap of the package: refuse G over ``max_n`` if given,
+    else over DEFAULT_DEEP_CAP for gamma_tR, else over ``subset_cap()``.
+    ``name``, a parameter kind or its name, or the name of a walk, names
+    the cap in the message; the empty name gives "the cap"."""
     cap = (max_n if max_n is not None
-           else DEFAULT_DEEP_CAP if kind == ParameterKind.gamma_tR else subset_cap())
+           else DEFAULT_DEEP_CAP if name == ParameterKind.gamma_tR else subset_cap())
     if g.n > cap:
-        raise CapExceededError(f"order {g.n} exceeds the {ParameterKind(kind).value} cap {cap}")
+        label = " ".join(filter(None, ("the", getattr(name, "value", name), "cap")))
+        raise CapExceededError(f"order {g.n} exceeds {label} {cap}")
 
 
 def capped_memo(check):
@@ -209,10 +202,10 @@ def capped_memo(check):
     return decorate
 
 
-def _check_no_isolated(g: Graph, kind: ParameterKind) -> None:
+def _check_no_isolated(g: Graph, name: str) -> None:
     iso = g.isolated_vertices()
     if iso:
-        raise DomainError(f"{kind.value} requires no isolated vertex; vertex {iso[0]} is isolated")
+        raise DomainError(f"{name} requires no isolated vertex; vertex {iso[0]} is isolated")
 
 
 def _isolated_in(g: Graph, smask: int) -> int:
@@ -679,9 +672,9 @@ def _solve_gamma_tR(g: Graph):
 def solve(g: Graph, kind: ParameterKind, max_n: int | None = None) -> SolveResult:
     """Exact optimum with a canonical witness for any parameter kind."""
     kind = ParameterKind(kind)
-    _check_kind_cap(g, kind, max_n)
+    check_cap(g, kind, max_n)
     if kind in TOTAL_KINDS:
-        _check_no_isolated(g, kind)
+        _check_no_isolated(g, kind.value)
 
     if kind is ParameterKind.gamma:
         value, explored = _gamma_value(g)
@@ -712,7 +705,7 @@ def enumerate_optimal_v2(g: Graph, kind: ParameterKind, max_n: int | None = None
     kind = ParameterKind(kind)
     if kind not in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
         raise DomainError(f"enumerate_optimal_v2 supports gamma_R/gamma_Rp, not {kind.value}")
-    _check_kind_cap(g, kind, max_n)
+    check_cap(g, kind, max_n)
     return _roman_scan(g, kind)[1]
 
 
@@ -727,8 +720,8 @@ def zeta(g: Graph) -> tuple[int, tuple[int, int]]:
 
 
 def _check_zeta_couples(g: Graph) -> None:
-    _check_no_isolated(g, ParameterKind.gamma_t)
-    _check_cap(g, "the zeta cap")
+    _check_no_isolated(g, "zeta")
+    check_cap(g, "zeta")
 
 
 @capped_memo(_check_zeta_couples)
@@ -795,7 +788,7 @@ def _dominating_open_packings(g: Graph):
             yield s
 
 
-@capped_memo(lambda g: _check_cap(g, "the zeta' cap"))
+@capped_memo(lambda g: check_cap(g, "zeta'"))
 def zeta_prime(g: Graph) -> tuple[int, int] | None:
     """min{4|S0| + 2|S1|} over dominating open packings, or None.
 
@@ -811,5 +804,5 @@ def zeta_prime(g: Graph) -> tuple[int, int] | None:
 def dominating_open_packings(g: Graph) -> list[int]:
     """All sets that are simultaneously dominating and open packings, in
     increasing numeric order."""
-    _check_cap(g, "the cap")
+    check_cap(g, "")
     return list(_dominating_open_packings(g))

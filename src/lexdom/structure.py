@@ -11,13 +11,13 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import CapExceededError, DomainError, HypothesisError, InconsistencyError
+from .errors import DomainError, HypothesisError, InconsistencyError
 from .graph import Graph
 from .solvers import (
     ParameterKind,
-    _check_kind_cap,
     _dominating_open_packings,
     capped_memo,
+    check_cap,
     is_feasible,
     open_packings,
     solve,
@@ -30,29 +30,21 @@ class HypothesisKind(str, Enum):
     P3 = "P3"
 
 
-@capped_memo(_check_kind_cap)
+@capped_memo(check_cap)
 def factor_value(g: Graph, kind: ParameterKind) -> int:
     """Memoized parameter value of a factor graph, refused over the cap
     ``solve`` applies to ``kind`` (``capped_memo``)."""
     return solve(g, kind).value
 
 
-def _check_eod_cap(g: Graph) -> None:
-    """The gamma_t cap, which the size identity's gamma_t solve applies.
-    A G with an isolated vertex is answered at any order: it has no
-    efficient open dominating set, and no walk is made."""
-    try:
-        _check_kind_cap(g, ParameterKind.gamma_t)
-    except CapExceededError:
-        if not g.has_isolated_vertex():
-            raise
-
-
-@capped_memo(_check_eod_cap)
+@capped_memo(lambda g: g.has_isolated_vertex() or check_cap(g, ParameterKind.gamma_t))
 def is_efficient_open_domination(g: Graph) -> int | None:
     """Witness S such that every vertex of G has exactly one S-neighbor,
     i.e. a perfect dominating set inducing a disjoint union of edges;
-    None when no such set exists.  Canonical: smallest mask.
+    None when no such set exists.  Canonical: smallest mask.  Refused
+    over the gamma_t cap, which the size identity's gamma_t solve
+    applies, unless G has an isolated vertex: then the answer is None at
+    any order, and no walk is made.
 
     These are the open packings whose open neighborhoods cover V, so this
     is the first such set of the open-packing walk.  The size identity
@@ -73,7 +65,7 @@ def is_efficient_open_domination(g: Graph) -> int | None:
     return smask
 
 
-@capped_memo(lambda g: _check_kind_cap(g, ParameterKind.gamma))
+@capped_memo(lambda g: check_cap(g, ParameterKind.gamma))
 def is_efficient_closed_domination(g: Graph) -> int | None:
     """Witness minimum dominating set that is also a packing, or None.
     Canonical: smallest mask.  Every dominating packing has size gamma:

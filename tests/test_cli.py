@@ -9,8 +9,32 @@ from pathlib import Path
 import pytest
 
 import lexdom
-from lexdom import InconsistencyError, cli
+from lexdom import (
+    CapExceededError,
+    DomainError,
+    GraphFormatError,
+    HypothesisError,
+    InconsistencyError,
+    LexdomError,
+    cli,
+)
 from lexdom.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_FAILURES, EXIT_OK, EXIT_PARSE, main
+
+#: The exit codes the README documents for each class of error.
+DOCUMENTED_EXIT = {
+    GraphFormatError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    DomainError: EXIT_DOMAIN,
+    HypothesisError: EXIT_DOMAIN,
+    CapExceededError: EXIT_CAP,
+    InconsistencyError: EXIT_FAILURES,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
 
 def run(capsys, *argv):
@@ -212,6 +236,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, data, where", [
         ("bad.edges", b"# fig\n\n3 1\n0 5\n", "endpoint out of range for n=3 (line 4)"),
         ("bad.g6", b"A_?\n", "trailing bytes after graph6 payload (byte offset 2)"),
+        ("order.edges", b"0 0\n", "graph order must be in 1..128, got 0 (line 1)"),
+        ("big.edges", b"# big\n200 0\n", "graph order must be in 1..128, got 200 (line 2)"),
     ])
     def test_malformed_file(self, capsys, tmp_path, name, data, where):
         path = tmp_path / name
@@ -232,6 +258,39 @@ class TestExitCodes:
         code, _, _ = run(capsys, "solve", "--param", "gamma",
                          "--in", str(tmp_path / "none.g6"))
         assert code == EXIT_PARSE
+
+    def test_packing_cap(self, capsys):
+        # the open-packing walk is refused like every other search
+        code, out, err = run(capsys, "witness", "--theorem", "PR_UB_PACKING",
+                             "--familyG", "cycle:27", "--familyH", "complete:2")
+        assert code == EXIT_CAP and not out
+        assert err == "error: order 27 exceeds the open-packing cap 26\n"
+
+    @pytest.mark.parametrize("error", [*_subclasses(LexdomError), OSError, BrokenPipeError],
+                             ids=lambda cls: cls.__name__)
+    def test_every_error_has_one_exit_code(self, capsys, monkeypatch, error):
+        # a new error class without an entry would escape main as a traceback
+        entries = [cls for cls in cli.REFUSALS if issubclass(error, cls)]
+        assert len(entries) == 1
+        code, prefix = cli.REFUSALS[entries[0]]
+        assert code == DOCUMENTED_EXIT[entries[0]]
+
+        def fail(*args, **kwargs):
+            raise error("refused")
+
+        monkeypatch.setattr(cli, "solve", fail)
+        assert run(capsys, "solve", "--param", "gamma", "--family", "path:4") == (
+            code, "", f"{prefix}: refused\n")
+
+    def test_broken_pipe(self, capsys, monkeypatch):
+        # the body is written inside main's error handling
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code, _, err = run(capsys, "solve", "--param", "gamma", "--family", "path:4")
+        assert code == EXIT_PARSE and err.startswith("error: ")
 
 
 def _modules_loaded(prelude: str) -> set[str]:

@@ -116,7 +116,9 @@ class TestEdgeList:
                                  ("2\n", 1, "header must be 'n m'"),
                                  ("# c\n2 1 0\n0 1\n", 2, "header must be 'n m'"),
                                  ("x 1\n0 1\n", 1, "header must be two integers"),
-                                 ("\n\n2 y\n", 3, "header must be two integers")):
+                                 ("\n\n2 y\n", 3, "header must be two integers"),
+                                 ("0 0\n", 1, "graph order must be in 1..128, got 0"),
+                                 ("# c\n129 0\n", 2, "graph order must be in 1..128, got 129")):
             with pytest.raises(GraphFormatError, match=what) as exc:
                 parse_edge_list(text)
             assert exc.value.line == line, text

@@ -441,6 +441,11 @@ class TestDomainAndCaps:
         for kind in (ParameterKind.gamma_t, ParameterKind.gamma_tR):
             with pytest.raises(DomainError):
                 solve(g, kind)
+        # the couple parameters name themselves, not gamma_t
+        for fn in (zeta, zeta_couples):
+            with pytest.raises(DomainError,
+                               match="^zeta requires no isolated vertex; vertex 2 is isolated$"):
+                fn(g)
         # open packings tolerate isolated vertices: they conflict with nothing
         assert solve(g, ParameterKind.rho_o).value == 3
 
