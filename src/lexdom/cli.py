@@ -8,6 +8,12 @@ byte.  TSV is a flat convenience projection of the results object.
 Exit codes: 0 success; 1 verification failures or internal inconsistency;
 2 malformed graph input; 3 domain/hypothesis violation; 4 size cap.
 ``REFUSALS`` maps each error class to its code and stderr prefix.
+
+Each process compiles every module it imports, so a command imports only
+the layers it runs: ``solve``, ``product`` and ``gen`` need no analysis
+layer, ``predict`` and ``witness`` import ``formula`` (and with it
+``structure``), and ``verify`` imports ``verify`` as well.  The parser
+reads its choices and defaults from ``solvers`` and ``product``.
 """
 
 from __future__ import annotations
@@ -35,10 +41,8 @@ from .graphio import (
     write_edge_list,
     write_graph6,
 )
-from .product import lex_product
-from .solvers import ParameterKind, solve
-from .formula import PREDICT_KINDS, TheoremId, construct_witness, predict
-from .verify import DEFAULT_PRODUCT_CAP, verify_corpus
+from .product import DEFAULT_PRODUCT_CAP, lex_product
+from .solvers import PREDICT_KINDS, ParameterKind, TheoremId, solve
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -138,6 +142,7 @@ def cmd_solve(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def cmd_predict(args: argparse.Namespace) -> tuple[dict, dict]:
+    from .formula import predict
     g, h, inputs = _get_pair(args)
     p = predict(g, h, ParameterKind(args.param))
     results = {"param": args.param, "provenance": list(p.provenance)}
@@ -160,6 +165,7 @@ def cmd_product(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def cmd_witness(args: argparse.Namespace) -> tuple[dict, dict]:
+    from .formula import construct_witness
     g, h, inputs = _get_pair(args)
     theorem = TheoremId(args.theorem)
     witness = construct_witness(theorem, g, h)
@@ -168,6 +174,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, int]:
+    from .verify import verify_corpus
     gs = load_corpus(args.gs)
     hs = load_corpus(args.hs)
     claims = None

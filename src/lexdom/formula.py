@@ -22,7 +22,6 @@ construct_witness() builds one statement's object and validates it.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -30,7 +29,9 @@ from .errors import DomainError, HypothesisError, InconsistencyError
 from .graph import CheckedRecord, Graph, assignment_from_masks, bits, mask_from
 from .product import lex_product
 from .solvers import (
+    PREDICT_KINDS,
     ParameterKind,
+    TheoremId,
     _complete_roman,
     _feasible_sets,
     _isolated_in,
@@ -54,34 +55,6 @@ from .structure import (
     is_efficient_closed_domination,
     is_efficient_open_domination,
 )
-
-
-class TheoremId(str, Enum):
-    GAMMA_LEX = "GAMMA_LEX"
-    GAMMAP_LEX = "GAMMAP_LEX"
-    ROMAN_LEX = "ROMAN_LEX"
-    ROMAN_GRAPH_COR = "ROMAN_GRAPH_COR"
-    ZETA_BOUNDS = "ZETA_BOUNDS"
-    PR_UB_CORONA = "PR_UB_CORONA"
-    PR_UB_FUNCTION_I = "PR_UB_FUNCTION_I"
-    PR_UB_FUNCTION_II = "PR_UB_FUNCTION_II"
-    PR_UB_FUNCTION_III = "PR_UB_FUNCTION_III"
-    PR_UB_FUNCTION_IV = "PR_UB_FUNCTION_IV"
-    PR_UB_PACKING = "PR_UB_PACKING"
-    PR_COR_EOD = "PR_COR_EOD"
-    PR_COR_ECD = "PR_COR_ECD"
-    PR_GAMMA1_I = "PR_GAMMA1_I"
-    PR_GAMMA1_II = "PR_GAMMA1_II"
-    PR_LB_GENERAL = "PR_LB_GENERAL"
-    PR_EXACT_ECD = "PR_EXACT_ECD"
-    PR_EXACT_EOD = "PR_EXACT_EOD"
-    PR_COR_P2P3 = "PR_COR_P2P3"
-    PR_TRIVIAL_LB = "PR_TRIVIAL_LB"
-    PR_EQ_FACTOR = "PR_EQ_FACTOR"
-    PR_EQ_2GAMMA = "PR_EQ_2GAMMA"
-    PR_ISOLATED_LAYERS = "PR_ISOLATED_LAYERS"
-    PR_PERFECTROMAN_CHAR = "PR_PERFECTROMAN_CHAR"
-    PR_EQ_ROMAN_CHAR = "PR_EQ_ROMAN_CHAR"
 
 
 class Prediction(CheckedRecord, namedtuple("Prediction", "lo hi provenance")):
@@ -112,13 +85,6 @@ class Prediction(CheckedRecord, namedtuple("Prediction", "lo hi provenance")):
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
 
-
-PREDICT_KINDS = (
-    ParameterKind.gamma,
-    ParameterKind.gamma_p,
-    ParameterKind.gamma_R,
-    ParameterKind.gamma_Rp,
-)
 
 PASS = "pass"
 FAIL = "fail"

@@ -11,6 +11,9 @@ from typing import NamedTuple
 from .errors import CapExceededError
 from .graph import MAX_VERTICES, Graph
 
+#: Default ceiling on the product order per verified pair (``verify``).
+DEFAULT_PRODUCT_CAP = 24
+
 
 class ProductIndexMap(NamedTuple):
     """Bijection between factor coordinates and product indices."""

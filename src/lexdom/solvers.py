@@ -105,6 +105,43 @@ SET_KINDS = (
     ParameterKind.rho_o,
 )
 TOTAL_KINDS = (ParameterKind.gamma_t, ParameterKind.gamma_tR)
+#: The product parameters that ``formula.predict`` answers.
+PREDICT_KINDS = (
+    ParameterKind.gamma,
+    ParameterKind.gamma_p,
+    ParameterKind.gamma_R,
+    ParameterKind.gamma_Rp,
+)
+
+
+class TheoremId(str, Enum):
+    """The statements about G o H; ``formula.STATEMENTS`` holds each one."""
+
+    GAMMA_LEX = "GAMMA_LEX"
+    GAMMAP_LEX = "GAMMAP_LEX"
+    ROMAN_LEX = "ROMAN_LEX"
+    ROMAN_GRAPH_COR = "ROMAN_GRAPH_COR"
+    ZETA_BOUNDS = "ZETA_BOUNDS"
+    PR_UB_CORONA = "PR_UB_CORONA"
+    PR_UB_FUNCTION_I = "PR_UB_FUNCTION_I"
+    PR_UB_FUNCTION_II = "PR_UB_FUNCTION_II"
+    PR_UB_FUNCTION_III = "PR_UB_FUNCTION_III"
+    PR_UB_FUNCTION_IV = "PR_UB_FUNCTION_IV"
+    PR_UB_PACKING = "PR_UB_PACKING"
+    PR_COR_EOD = "PR_COR_EOD"
+    PR_COR_ECD = "PR_COR_ECD"
+    PR_GAMMA1_I = "PR_GAMMA1_I"
+    PR_GAMMA1_II = "PR_GAMMA1_II"
+    PR_LB_GENERAL = "PR_LB_GENERAL"
+    PR_EXACT_ECD = "PR_EXACT_ECD"
+    PR_EXACT_EOD = "PR_EXACT_EOD"
+    PR_COR_P2P3 = "PR_COR_P2P3"
+    PR_TRIVIAL_LB = "PR_TRIVIAL_LB"
+    PR_EQ_FACTOR = "PR_EQ_FACTOR"
+    PR_EQ_2GAMMA = "PR_EQ_2GAMMA"
+    PR_ISOLATED_LAYERS = "PR_ISOLATED_LAYERS"
+    PR_PERFECTROMAN_CHAR = "PR_PERFECTROMAN_CHAR"
+    PR_EQ_ROMAN_CHAR = "PR_EQ_ROMAN_CHAR"
 
 
 class SolveResult(NamedTuple):
@@ -178,6 +215,10 @@ def check_cap(g: Graph, name: str, max_n: int | None = None) -> None:
         raise CapExceededError(f"order {g.n} exceeds {label} {cap}")
 
 
+#: Every memo ``capped_memo`` has made, for ``capped_memo.cache_clear``.
+_MEMOS: list = []
+
+
 def capped_memo(check):
     """Memoize ``fn(g, *args)`` and run ``check(g, *args)`` before every
     lookup, hit or miss.
@@ -186,10 +227,12 @@ def capped_memo(check):
     refuses what a cold call refuses, with the same error, so a memoized
     answer does not outlive a lower LEXDOM_MAX_N.  ``cache_info`` and
     ``cache_clear`` are the memo's, and ``__wrapped__`` is ``fn`` itself,
-    unchecked and unmemoized.
+    unchecked and unmemoized.  ``capped_memo.cache_clear()`` clears every
+    memo made so far, in whichever module.
     """
     def decorate(fn):
         memo = lru_cache(maxsize=None)(fn)
+        _MEMOS.append(memo)
 
         @wraps(fn)
         def capped(g: Graph, *args):
@@ -200,6 +243,14 @@ def capped_memo(check):
         capped.cache_clear = memo.cache_clear
         return capped
     return decorate
+
+
+def _clear_memos() -> None:
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+capped_memo.cache_clear = _clear_memos
 
 
 def _check_no_isolated(g: Graph, name: str) -> None:

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import CapExceededError
 from .graph import Graph
 from .graphio import write_graph6
-from .product import lex_product
+from .product import DEFAULT_PRODUCT_CAP, lex_product
 from .solvers import ParameterKind, _complete_roman, enumerate_optimal_v2, solve
 from .formula import (  # noqa: F401  (the outcomes are part of this module's interface)
     FAIL,
@@ -33,8 +33,6 @@ from .formula import (  # noqa: F401  (the outcomes are part of this module's in
     TheoremId,
 )
 
-#: Default ceiling on the product order per verified pair.
-DEFAULT_PRODUCT_CAP = 24
 #: Product cap for the structural-lemma suite (full optimal-function
 #: enumeration on the product).
 LEMMA_PRODUCT_CAP = 14

@@ -1,14 +1,11 @@
 """Command-line surface: JSON/TSV output, exit codes, and subcommands."""
 
+import argparse
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import lexdom
 from lexdom import (
     CapExceededError,
     DomainError,
@@ -19,6 +16,8 @@ from lexdom import (
     cli,
 )
 from lexdom.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_FAILURES, EXIT_OK, EXIT_PARSE, main
+
+from fresh import run_fresh
 
 #: The exit codes the README documents for each class of error.
 DOCUMENTED_EXIT = {
@@ -294,12 +293,18 @@ class TestExitCodes:
 
 
 def _modules_loaded(prelude: str) -> set[str]:
-    paths = (str(Path(lexdom.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH"))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    code = f"{prelude}import sys; print(' '.join(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    return set(out.split())
+    return set(run_fresh(f"{prelude}import sys; print(' '.join(sys.modules))").split())
+
+
+ANALYSIS_LAYERS = {"lexdom.structure", "lexdom.formula", "lexdom.verify"}
+
+
+def _layers_after_main(*argv: str) -> set[str]:
+    """The analysis layers a fresh process has loaded after ``cli.main(argv)``."""
+    prelude = ("import contextlib, io\nfrom lexdom import cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    assert cli.main({list(argv)!r}) == 0\n")
+    return _modules_loaded(prelude) & ANALYSIS_LAYERS
 
 
 def test_cold_start_loads_no_dataclasses():
@@ -308,3 +313,36 @@ def test_cold_start_loads_no_dataclasses():
     # Compared with a bare start, so that a site hook's preloads do not count.
     added = _modules_loaded("import lexdom.cli; ") - _modules_loaded("")
     assert "lexdom.cli" in added and "dataclasses" not in added
+    assert not added & ANALYSIS_LAYERS
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (("solve", "--param", "gamma_R", "--g6", "FCZbg"), set()),
+    (("product", "--familyG", "path:3", "--familyH", "cycle:4"), set()),
+    (("gen", "--family", "corona(cycle:3,2)"), set()),
+    (("predict", "--param", "gamma_Rp", "--familyG", "path:3", "--familyH", "cycle:4"),
+     {"lexdom.structure", "lexdom.formula"}),
+    (("witness", "--theorem", "GAMMA_LEX", "--familyG", "path:3", "--familyH", "cycle:4"),
+     {"lexdom.structure", "lexdom.formula"}),
+    (("verify", "--gs", "{data}/trees_2_9.g6", "--hs", "{data}/all_h_2_4.g6",
+      "--claims", "GAMMA_LEX", "--max-product", "6"), ANALYSIS_LAYERS),
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_cold_start_loads_only_the_layers_a_command_runs(data_dir, argv, layers):
+    assert _layers_after_main(*(a.format(data=data_dir) for a in argv)) == layers
+
+
+def test_parser_reads_the_moved_names():
+    # build_parser takes its choices and defaults from solvers and product,
+    # which formula and verify re-export as the same objects
+    from lexdom.formula import PREDICT_KINDS, TheoremId
+    from lexdom.verify import DEFAULT_PRODUCT_CAP
+
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices
+
+    def option(command, dest):
+        return next(a for a in sub[command]._actions if a.dest == dest)
+
+    assert option("witness", "theorem").choices == [t.value for t in TheoremId]
+    assert option("predict", "param").choices == [k.value for k in PREDICT_KINDS]
+    assert option("verify", "max_product").default == DEFAULT_PRODUCT_CAP

@@ -54,6 +54,7 @@ from brute import (
     zeta_prime_oracle,
     zeta_prime_set_oracle,
 )
+from fresh import run_fresh
 
 P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
 C5 = generate(parse_family("cycle:5"))
@@ -487,6 +488,35 @@ class TestDomainAndCaps:
             monkeypatch.setenv("LEXDOM_MAX_N", value)
             with pytest.raises(DomainError, match="LEXDOM_MAX_N"):
                 solve(g, ParameterKind.gamma)
+
+
+#: Fills every memo of the package, the ones of modules imported after
+#: solvers included, then clears them all with one call.
+CLEAR_EVERY_MEMO = """
+from lexdom import solvers
+import lexdom.formula as formula
+import lexdom.structure as structure
+from lexdom.graphio import generate, parse_family
+
+g = generate(parse_family("cycle:6"))
+structure.factor_value(g, solvers.ParameterKind.gamma)
+memos = [structure.is_efficient_open_domination, structure.is_efficient_closed_domination,
+         solvers.zeta_couples, solvers.zeta_prime, formula._optimal_prdfs]
+for memo in memos:
+    memo(g)
+memos.append(structure.factor_value)
+print(*(memo.cache_info().currsize for memo in memos))
+solvers.capped_memo.cache_clear()
+print(*(memo.cache_info().currsize for memo in memos))
+"""
+
+
+def test_capped_memo_cache_clear_reaches_every_module():
+    # a fresh process, so that solvers is imported before the modules
+    # whose memos it must clear
+    filled, cleared = run_fresh(CLEAR_EVERY_MEMO).splitlines()
+    assert len(filled.split()) == 6 and "0" not in filled.split()
+    assert cleared.split() == ["0"] * 6
 
 
 class TestFeasibilityPredicates:
