@@ -38,6 +38,19 @@ sets: the smallest gives ``solve`` its witness, and all of them are what
 enumerate_optimal_v2 returns.  The Roman and gamma_p searches read their
 per-position data from one row table each, built once per search.
 
+Value-only solves: ``solve(g, kind, witness=False)`` returns the optimum
+with None for the witness, for callers that read only the value.  The
+gamma_R / gamma_Rp search then keeps no ties: every gate compares a
+lower bound with best - 1 in place of best, so a child that can at best
+tie is neither weighed nor recursed into.  The value is still exact,
+since ``best`` only falls: were the result above the optimum, an
+optimal V2 would weigh at most best - 1 at every moment of the search,
+every gate on the path down to it would pass, and it would be found
+(proof in ``_roman_scan``).  Its ``explored`` counts the children of
+every node the strict search expands, at most the tie-keeping count.
+The set kinds skip the canonical-set DFS and gamma_tR drops its
+witness; their searches and ``explored`` are unchanged.
+
 Canonical witnesses: the returned witness is the one whose V2 (or set)
 bitmask is numerically smallest among all optima.  For set kinds the
 value search finds only the optimum k; a second, bounded DFS with k fixed
@@ -145,8 +158,11 @@ class TheoremId(str, Enum):
 
 
 class SolveResult(NamedTuple):
+    """The optimum, its canonical witness (None from a value-only solve,
+    ``solve(..., witness=False)``) and the search nodes explored."""
+
     value: int
-    witness: "int | RomanAssignment"
+    witness: "int | RomanAssignment | None"
     explored: int
 
 
@@ -295,20 +311,22 @@ def _search_order(g: Graph) -> list[int]:
 # -- set-kind solvers ---------------------------------------------------
 
 
-def _min_cover_value(g: Graph, closed: bool, preset: int = 0):
+def _min_cover_value(g: Graph, key, preset: int = 0):
     """Exact minimum size of a set S (disjoint from ``preset``) such that
-    the (closed/open) neighborhoods of ``preset`` and S cover every
-    vertex.  Classic branch-on-uncovered-vertex search.
+    the rows ``key[v]`` of ``preset`` and S cover every vertex.  Classic
+    branch-on-uncovered-vertex search.
 
-    With closed=True, preset=0 this is the domination number; with
-    closed=False it is the total domination number.  Returns
-    (size, explored).
+    With the closed neighborhoods as ``key`` and preset=0 this is the
+    domination number; with the open ones (``g.adj``) it is the total
+    domination number.  Returns (size, explored).
     """
     full = g.full_mask
-    key = [g.closed_neighborhood(v) if closed else g.adj[v] for v in range(g.n)]
     cover0 = 0
-    for v in bits(preset):
-        cover0 |= key[v]
+    rest = preset
+    while rest:
+        low = rest & -rest
+        cover0 |= key[low.bit_length() - 1]
+        rest ^= low
     best = g.n + 1
     explored = 0
 
@@ -323,22 +341,25 @@ def _min_cover_value(g: Graph, closed: bool, preset: int = 0):
             return
         uncovered = full & ~cover
         u = (uncovered & -uncovered).bit_length() - 1
-        # any feasible extension must pick a vertex whose key covers u
+        # any feasible extension must pick a vertex whose key covers u;
+        # the candidates are tried in increasing index, each forbidden to
+        # the later ones
         candidates = key[u] & ~forbidden & ~preset
-        taken = 0
-        for w in bits(candidates):
-            rec(cover | key[w], forbidden | taken, size + 1)
-            taken |= 1 << w
+        while candidates:
+            low = candidates & -candidates
+            rec(cover | key[low.bit_length() - 1], forbidden, size + 1)
+            forbidden |= low
+            candidates ^= low
     rec(cover0, 0, 0)
     return best, explored
 
 
 def _gamma_value(g: Graph):
-    return _min_cover_value(g, closed=True)
+    return _min_cover_value(g, [row | 1 << v for v, row in enumerate(g.adj)])
 
 
 def _gamma_t_value(g: Graph):
-    return _min_cover_value(g, closed=False)
+    return _min_cover_value(g, g.adj)
 
 
 def _gamma_p_value(g: Graph):
@@ -513,7 +534,7 @@ def _greedy_dominating(g: Graph) -> int:
     return smask
 
 
-def _roman_scan(g: Graph, kind: ParameterKind):
+def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     """Branch-and-bound over V2 sets for gamma_R / gamma_Rp.
 
     One loop serves both kinds: c1 holds the vertices with a V2-neighbor
@@ -554,22 +575,45 @@ def _roman_scan(g: Graph, kind: ParameterKind):
     both tests.  For gamma_R c2 is 0 and the same tests hold.  The tree
     and the order in which ``best`` changes are those of the full loop.
 
-    Optimal masks.  ``masks`` holds every V2 weighed so far at weight
-    ``best``: it is emptied when a lighter child lowers ``best`` and
-    grows when a child ties it.  It starts as [0], since V2 = {} (the
-    root, never weighed as a child) weighs n, and is emptied when the
-    greedy seed weighs less than n, as the tree weighs the seed again.
-    Every optimal V2 is weighed, because ``best`` never falls below the
-    optimum and each bound above is a lower bound on the weight of a
-    child or of every node below it, tested with ``<= best``: no bound
-    can pass over a node of optimal weight, nor the path down to it.
-    Each V2 is weighed at most once, so on return ``masks`` holds each
-    optimal V2 once, and sorted, masks[0] is the canonical V2.
+    Value only.  With ``ties`` false every gate (weigh, recurse, stop)
+    reads ``lim = best - 1`` in place of ``best``, so a child that can
+    at best tie ``best`` is neither weighed nor recursed into, and no
+    optimal-mask list is kept.  The value is still the optimum.  Suppose
+    it were not, and let V2* weigh opt < best at the end.  ``best`` only
+    falls, so opt <= lim held throughout.  Each bound above is a lower
+    bound on the weight of a child or of every node below it, so on the
+    path down to V2* each weigh and recursion gate reads at most
+    opt <= lim and passes, and the stop, which by the argument above
+    with lim for best fires only when no later child can weigh at most
+    lim or recurse, cannot cut that path: V2* is weighed and ``best``
+    falls to opt, a contradiction.  (V2 = {} is never weighed, but
+    ``best`` starts at its weight n.)  The strict tree is part of the
+    tie-keeping one.  Run both side by side: whatever the strict gates
+    pass over has every weight above lim, that is at least ``best``, so
+    ``best`` falls nowhere inside it in the tie-keeping search either;
+    the two searches hold the same ``best`` at every node the strict
+    one expands, and a gate that passes at best - 1 passes at ``best``.
+    So ``explored`` is at most the tie-keeping count.
+
+    Optimal masks.  With ``ties`` true ``masks`` holds every V2 weighed
+    so far at weight ``best``: it is emptied when a lighter child lowers
+    ``best`` and grows when a child ties it.  It starts as [0], since
+    V2 = {} (the root, never weighed as a child) weighs n, and is
+    emptied when the greedy seed weighs less than n, as the tree weighs
+    the seed again.  Every optimal V2 is weighed, because ``best`` never
+    falls below the optimum and each bound above is a lower bound on the
+    weight of a child or of every node below it, tested with
+    ``<= best``: no bound can pass over a node of optimal weight, nor
+    the path down to it.  Each V2 is weighed at most once, so on return
+    ``masks`` holds each optimal V2 once, and sorted, masks[0] is the
+    canonical V2.
 
     ``explored`` counts the children of every expanded node, whether
     weighed, passed over by the gate or cut off together by the stop:
-    n - start is added as a node starts, so it too is that of the full
-    loop.  Returns (value, sorted optimal V2 masks, explored).
+    n - start is added as a node starts, so with ``ties`` true it is
+    that of the full loop, and with ``ties`` false that of the strict
+    tree.  Returns (value, sorted optimal V2 masks, explored), with None
+    for the masks when ``ties`` is false.
     """
     n = g.n
     full = g.full_mask
@@ -589,14 +633,19 @@ def _roman_scan(g: Graph, kind: ParameterKind):
 
     # V2 = {} weighs n: every vertex takes 1
     best = n
-    masks = [0]
+    masks = [0] if ties else None
     seed = _greedy_dominating(g)
     w = n + seed.bit_count() - (_zero_candidates(g, seed, twice) & ~seed).bit_count()
     if w < best:
-        best, masks = w, []
+        best = w
+        if ties:
+            masks = []
+    # the gates' limit: best when ties are kept, best - 1 when not
+    slack = 0 if ties else 1
+    lim = best - slack
 
     def rec(start: int, smask: int, out: int, k: int, c1: int, c2: int) -> None:
-        nonlocal best, masks, explored
+        nonlocal best, lim, masks, explored
         explored += n - start
         k += 1  # |V2| of every child
         base = n + k
@@ -614,23 +663,26 @@ def _roman_scan(g: Graph, kind: ParameterKind):
             nc1 = c1 | a
             # decided-out vertices at weight 1 in the child and all below
             r = (nout & (nc2 | ~nc1 & u)).bit_count()
-            if least + r <= best:  # the child weighs at least least + r
+            if least + r <= lim:  # the child weighs at least least + r
                 ns = smask | b
                 w = base - (nc1 & ~(nc2 | ns)).bit_count()
                 if w < best:
-                    best, masks = w, [ns]
-                elif w == best:
+                    best, lim = w, w - slack
+                    if ties:
+                        masks = [ns]
+                elif w == best and ties:
                     masks.append(ns)
-                if floor + r <= best:
+                if floor + r <= lim:
                     rec(j, ns, nout, k, nc1, nc2)
             nout |= b
-            # no later child weighs at most best or recurses (docstring)
+            # no later child weighs at most lim or recurses (docstring)
             x = held2 | held0 & u
             t = (nout & x).bit_count()
-            if floor + t > best and least + x.bit_count() - ((x & ~nout) != 0) > best:
+            if floor + t > lim and least + x.bit_count() - ((x & ~nout) != 0) > lim:
                 break
     rec(0, 0, 0, 0, 0, 0)
-    masks.sort()
+    if ties:
+        masks.sort()
     return best, masks, explored
 
 
@@ -701,7 +753,7 @@ def _solve_gamma_tR(g: Graph):
         explored += 1
         forced = out & ~ct
         preset = t | forced
-        extra, sub = _min_cover_value(g, closed=False, preset=preset)
+        extra, sub = _min_cover_value(g, adj, preset)
         explored += sub
         if bound + extra < best:
             # canonical minimal extra set at the optimal size; no such set
@@ -720,8 +772,16 @@ def _solve_gamma_tR(g: Graph):
 # -- public API ---------------------------------------------------------
 
 
-def solve(g: Graph, kind: ParameterKind, max_n: int | None = None) -> SolveResult:
-    """Exact optimum with a canonical witness for any parameter kind."""
+def solve(g: Graph, kind: ParameterKind, max_n: int | None = None, *,
+          witness: bool = True) -> SolveResult:
+    """Exact optimum with a canonical witness for any parameter kind.
+
+    With ``witness`` false only the optimum is computed and the witness
+    is None: the Roman kinds gamma_R and gamma_Rp search with strict
+    gates and keep no ties (``_roman_scan``), so their ``explored`` is
+    at most the default's; the set kinds skip the canonical-set DFS, and
+    gamma_tR drops its witness, with ``explored`` unchanged.
+    """
     kind = ParameterKind(kind)
     check_cap(g, kind, max_n)
     if kind in TOTAL_KINDS:
@@ -738,13 +798,15 @@ def solve(g: Graph, kind: ParameterKind, max_n: int | None = None) -> SolveResul
     elif kind is ParameterKind.rho_o:
         value, explored = _packing_value(g, open_=True)
     elif kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
-        value, masks, explored = _roman_scan(g, kind)
-        return SolveResult(value, _complete_roman(g, kind, masks[0]), explored)
+        value, masks, explored = _roman_scan(g, kind, ties=witness)
+        return SolveResult(value, _complete_roman(g, kind, masks[0]) if witness else None,
+                           explored)
     else:
-        value, witness, explored = _solve_gamma_tR(g)
-        return SolveResult(value, witness, explored)
+        value, assignment, explored = _solve_gamma_tR(g)
+        return SolveResult(value, assignment if witness else None, explored)
 
-    return SolveResult(value, _first_feasible_set(g, kind, value), explored)
+    return SolveResult(value, _first_feasible_set(g, kind, value) if witness else None,
+                       explored)
 
 
 def enumerate_optimal_v2(g: Graph, kind: ParameterKind, max_n: int | None = None) -> list[int]:

@@ -32,9 +32,10 @@ class HypothesisKind(str, Enum):
 
 @capped_memo(check_cap)
 def factor_value(g: Graph, kind: ParameterKind) -> int:
-    """Memoized parameter value of a factor graph, refused over the cap
-    ``solve`` applies to ``kind`` (``capped_memo``)."""
-    return solve(g, kind).value
+    """Memoized parameter value of a factor graph, from a value-only
+    ``solve``; refused over the cap ``solve`` applies to ``kind``
+    (``capped_memo``)."""
+    return solve(g, kind, witness=False).value
 
 
 @capped_memo(lambda g: g.has_isolated_vertex() or check_cap(g, ParameterKind.gamma_t))

@@ -64,7 +64,7 @@ class _PairContext(PairFacts):
     def measured(self, kind: ParameterKind) -> int:
         if kind not in self._measured:
             self._measured[kind] = solve(
-                self.product, kind, max_n=self.max_product_order
+                self.product, kind, max_n=self.max_product_order, witness=False
             ).value
         return self._measured[kind]
 

@@ -97,7 +97,7 @@ def canonical_roman_oracle(g: Graph, kind: str) -> tuple[int, int]:
     return best
 
 
-def roman_tree_reference(g: Graph, kind: str):
+def roman_tree_reference(g: Graph, kind: str, ties: bool = True):
     """The gamma_R / gamma_Rp branch-and-bound of ``solvers._roman_scan``
     as it stood before its child loop learned to stop early: every child
     of every expanded node is weighed and tested for recursion.  Same
@@ -106,6 +106,10 @@ def roman_tree_reference(g: Graph, kind: str):
     grown on a tie) and the same ``explored`` (n - start per expanded
     node), so the production scan must return exactly what this returns:
     (value, sorted optimal V2 masks, explored).
+
+    With ``ties`` false a child is recursed into only when its bound is
+    below the best found, not equal to it, and no masks are kept: the
+    value-only scan, which returns (value, None, explored).
     """
     if kind not in ("gamma_R", "gamma_Rp"):
         raise ValueError(kind)
@@ -138,6 +142,7 @@ def roman_tree_reference(g: Graph, kind: str):
     best, masks = n, [0]
     if weight(seed) < best:
         best, masks = weight(seed), []
+    slack = 0 if ties else 1
     explored = 0
 
     def rec(start: int, smask: int, out: int, k: int, c1: int, c2: int) -> None:
@@ -154,12 +159,12 @@ def roman_tree_reference(g: Graph, kind: str):
                 best, masks = w, [ns]
             elif w == best:
                 masks.append(ns)
-            if 2 * (k + 2) + (nout & (nc2 | ~nc1 & unreach[i + 1])).bit_count() <= best:
+            if 2 * (k + 2) + (nout & (nc2 | ~nc1 & unreach[i + 1])).bit_count() <= best - slack:
                 rec(i + 1, ns, nout, k + 1, nc1, nc2)
             nout |= 1 << v
 
     rec(0, 0, 0, 0, 0, 0)
-    return best, sorted(masks), explored
+    return best, sorted(masks) if ties else None, explored
 
 
 def gamma_tR_loop_reference(g: Graph):

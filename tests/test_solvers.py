@@ -300,6 +300,74 @@ def assert_same_roman_tree(g):
         assert solvers._roman_scan(g, kind) == roman_tree_reference(g, kind.value), kind
 
 
+class TestValueOnly:
+    """``solve(..., witness=False)``: the optimum alone, with no witness.
+
+    The gamma_R / gamma_Rp scan runs with strict gates, so its tree is
+    part of the tie-keeping one; every other kind searches the same tree.
+    """
+
+    #: (value, explored) of the value-only gamma_R and gamma_Rp scans of
+    #: graphs whose tie-keeping counts TestRomanSearchTree.PINS holds
+    PINS = {
+        "fig2": [(6, 75), (9, 316)],
+        "fig2 o complete:3": [(6, 507), (20, 278298)],
+        "fig2 o path:3": [(6, 570), (18, 190161)],
+        "cycle:12 o path:3": [(8, 4662), (8, 3808)],
+    }
+
+    @pytest.fixture(scope="class")
+    def graphs(self, fig2):
+        return {"fig2": fig2,
+                "fig2 o complete:3": _lex(fig2, "complete:3"),
+                "fig2 o path:3": _lex(fig2, "path:3"),
+                "cycle:12 o path:3": _lex(generate(parse_family("cycle:12")), "path:3")}
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_pinned(self, graphs, name):
+        row = []
+        for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
+            g = graphs[name]
+            result = solve(g, kind, max_n=g.n, witness=False)
+            assert result.witness is None
+            row.append((result.value, result.explored))
+        assert row == self.PINS[name]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(random_graph_strategy(max_n=9))
+    def test_same_value_as_solve_and_oracle(self, g):
+        for kind in SET_KINDS + ROMAN_KINDS:
+            if kind in solvers.TOTAL_KINDS and g.has_isolated_vertex():
+                continue
+            full = solve(g, kind)
+            bare = solve(g, kind, witness=False)
+            oracle = (set_oracle if kind in SET_KINDS else roman_oracle)(g, kind.value)
+            assert bare.value == full.value == oracle, kind
+            assert bare.witness is None, kind
+            if kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
+                assert bare.explored <= full.explored, kind
+            else:
+                assert bare.explored == full.explored, kind
+
+    def test_same_value_on_oracle_corpus(self, oracle_corpus):
+        # every graph on 2-7 vertices, dense ones included, where a gate
+        # one too strict loses the optimum
+        for g in oracle_corpus:
+            for kind in SET_KINDS + ROMAN_KINDS:
+                if kind in solvers.TOTAL_KINDS and g.has_isolated_vertex():
+                    continue
+                assert solve(g, kind, witness=False).value == solve(g, kind).value, (kind, g)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(random_graph_strategy(max_n=6), random_graph_strategy(max_n=4))
+    def test_same_tree_as_reference_on_products(self, g, h):
+        # node for node the uncut loop that recurses only below the best
+        product = lex_product(g, h)[0]
+        for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
+            assert (solvers._roman_scan(product, kind, ties=False)
+                    == roman_tree_reference(product, kind.value, ties=False)), kind
+
+
 class TestGammaTRSearchTree:
     """The gamma_tR search, node for node.
 

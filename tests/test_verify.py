@@ -2,18 +2,28 @@
 corpus aggregation determinism, and the structural lemma suite."""
 
 import pytest
+from hypothesis import given, settings
 
 from lexdom import (
     CapExceededError,
+    ParameterKind,
     TheoremId,
     build_graph,
     check_structural_lemmas,
+    construct_witness,
     generate,
+    is_feasible,
+    is_prdf,
+    is_rdf,
+    lex_product,
     parse_family,
     verify_corpus,
     verify_pair,
 )
+from lexdom.formula import STATEMENTS, PairFacts
 from lexdom.verify import ALL_CLAIMS, FAIL, INDETERMINATE, PASS, SKIP
+
+from test_graph import random_graph_strategy
 
 P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
 C5 = generate(parse_family("cycle:5"))
@@ -73,6 +83,29 @@ class TestVerifyPair:
         first = verify_pair(C5, N2)
         second = verify_pair(C5, N2)
         assert first == second
+
+
+class TestRandomPairs:
+    """Past the frozen corpora: G on 1-7 vertices, H on 1-4, products up
+    to 28 vertices, the same 200 pairs on every run."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(random_graph_strategy(max_n=7), random_graph_strategy(max_n=4))
+    def test_no_failure_and_every_witness_valid(self, g, h):
+        # an internal fault raises InconsistencyError, which fails the test
+        report = verify_pair(g, h, max_product_order=28)
+        assert not report.failures
+        product = lex_product(g, h)[0]
+        facts = PairFacts(g, h)
+        for st in STATEMENTS.values():
+            if st.witness is None or st.refusal(facts) is not None:
+                continue
+            built = construct_witness(st.id, g, h)
+            if st.kind in (ParameterKind.gamma, ParameterKind.gamma_p):
+                assert is_feasible(product, built, st.kind), st.id
+            else:
+                valid = is_rdf if st.kind is ParameterKind.gamma_R else is_prdf
+                assert valid(product, built), st.id
 
 
 class TestVerifyCorpus:
