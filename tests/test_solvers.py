@@ -325,9 +325,9 @@ class TestValueOnly:
 
     @pytest.mark.parametrize("name", list(PINS))
     def test_pinned(self, graphs, name):
+        g = graphs[name]
         row = []
         for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
-            g = graphs[name]
             result = solve(g, kind, max_n=g.n, witness=False)
             assert result.witness is None
             row.append((result.value, result.explored))
