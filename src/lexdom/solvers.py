@@ -42,14 +42,21 @@ Value-only solves: ``solve(g, kind, witness=False)`` returns the optimum
 with None for the witness, for callers that read only the value.  The
 gamma_R / gamma_Rp search then keeps no ties: every gate compares a
 lower bound with best - 1 in place of best, so a child that can at best
-tie is neither weighed nor recursed into.  The value is still exact,
-since ``best`` only falls: were the result above the optimum, an
-optimal V2 would weigh at most best - 1 at every moment of the search,
-every gate on the path down to it would pass, and it would be found
-(proof in ``_roman_scan``).  Its ``explored`` counts the children of
-every node the strict search expands, at most the tie-keeping count.
-The set kinds skip the canonical-set DFS and gamma_tR drops its
-witness; their searches and ``explored`` are unchanged.
+tie is neither weighed nor recursed into.  It also breaks the symmetry
+of twins (N(u) - {v} = N(v) - {u}), which in G o H include the twins
+of H in every layer: a child is weighed only when every twin of it at
+an earlier position is in V2, so of the V2 sets that twin swaps map
+onto each other only the one that fills each twin class earliest first
+is searched.  The value is still exact, since ``best`` only falls: were
+the result above the optimum, the optimal V2 that fills its twin
+classes earliest first would weigh at most best - 1 at every moment of
+the search, every gate and the twin rule on the path down to it would
+pass, and it would be found (proof in ``_roman_scan``).  Its
+``explored`` counts the children of every node the strict search
+expands.  The tie-keeping search, ``solve`` by default and
+enumerate_optimal_v2, has no twin rule.  The set kinds skip the
+canonical-set DFS and gamma_tR drops its witness; their searches and
+``explored`` are unchanged.
 
 Canonical witnesses: the returned witness is the one whose V2 (or set)
 bitmask is numerically smallest among all optima.  For set kinds the
@@ -544,10 +551,11 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     that must take weight 1 whatever is added: those seeing two members
     (gamma_Rp), and those seeing none with no neighbor left to decide.
 
-    The search reads one row table, (i + 1, N(v), {v}, unreach[i + 1])
-    for the vertex v at position i of the order (degree descending, then
-    index), where unreach[i] holds the vertices with no neighbor among
-    order[i:].  Let k be the children's |V2| and nout the decided-out
+    The search reads one row table, (i + 1, N(v), {v}, unreach[i + 1],
+    tw) for the vertex v at position i of the order (degree descending,
+    then index), where unreach[i] holds the vertices with no neighbor
+    among order[i:] and tw the twins of v at earlier positions in the
+    value-only search, 0 in the tie-keeping one (twin rule below).  Let k be the children's |V2| and nout the decided-out
     set before child i: the node's own and its earlier children's, so
     that V2 and nout hold exactly the positions before i.
 
@@ -578,22 +586,46 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     Value only.  With ``ties`` false every gate (weigh, recurse, stop)
     reads ``lim = best - 1`` in place of ``best``, so a child that can
     at best tie ``best`` is neither weighed nor recursed into, and no
-    optimal-mask list is kept.  The value is still the optimum.  Suppose
-    it were not, and let V2* weigh opt < best at the end.  ``best`` only
-    falls, so opt <= lim held throughout.  Each bound above is a lower
-    bound on the weight of a child or of every node below it, so on the
-    path down to V2* each weigh and recursion gate reads at most
-    opt <= lim and passes, and the stop, which by the argument above
-    with lim for best fires only when no later child can weigh at most
-    lim or recurse, cannot cut that path: V2* is weighed and ``best``
+    optimal-mask list is kept.  The search also breaks the symmetry of
+    twins.  Vertices u and v are twins when N(u) - {v} = N(v) - {u}:
+    false twins share their open neighbourhood, true twins their closed
+    one.  Swapping two twins is an automorphism of G, so it keeps |V2|
+    and the weight of every V2 set.  Twins share a degree, so among
+    them the order is by index.  Twin rule: child i, with v at position
+    i, is weighed (and so recursed into) only when ``nout & tw`` is
+    empty, that is, when every earlier twin of v is in V2.  Weighed or
+    not, v joins nout and the stop runs as before.
+
+    The value is still the optimum.  Let V2* be an optimal V2 whose
+    members' earlier twins are all members too.  One exists: swapping a
+    member of an optimal V2 with an earlier twin outside it keeps the
+    weight and lowers the sum of the members' positions, so repeated
+    swaps end at such a set, the lex-leader of its orbit under twin
+    swaps (Crawford et al., "Symmetry-breaking predicates for search
+    problems", KR 1996).  The path down to V2* adds its members in
+    position order, and every node on it holds a prefix of V2*, which
+    also fills each twin class earliest first; so when a member v is
+    added, its earlier twins are in V2, not in nout, and the twin rule
+    passes.  Suppose the value were above the optimum opt.  ``best``
+    only falls, so opt <= lim held throughout.  Each bound above is a
+    lower bound on the weight of a child or of every node below it, so
+    on the path down to V2* each weigh and recursion gate reads at most
+    opt <= lim and passes.  The stop, which by the argument above with
+    lim for best fires only when no later child can weigh at most lim
+    or recurse, cannot cut that path either: the children the twin rule
+    skips still join nout, so V2 and nout hold the positions before
+    each child as that argument needs.  So V2* is weighed and ``best``
     falls to opt, a contradiction.  (V2 = {} is never weighed, but
-    ``best`` starts at its weight n.)  The strict tree is part of the
-    tie-keeping one.  Run both side by side: whatever the strict gates
-    pass over has every weight above lim, that is at least ``best``, so
-    ``best`` falls nowhere inside it in the tie-keeping search either;
-    the two searches hold the same ``best`` at every node the strict
-    one expands, and a gate that passes at best - 1 passes at ``best``.
-    So ``explored`` is at most the tie-keeping count.
+    ``best`` starts at its weight n.)
+
+    Without the twin rule the strict tree would be part of the
+    tie-keeping one: whatever the strict gates pass over weighs above
+    lim, so ``best`` would fall nowhere inside it in the tie-keeping
+    search either, and a gate that passes at best - 1 passes at
+    ``best``.  The twin rule breaks that argument, since a child it
+    skips may be the one that lowers ``best`` first in the tie-keeping
+    search, so ``explored`` is no longer bounded by the tie-keeping
+    count; the tests compare the two on random graphs.
 
     Optimal masks.  With ``ties`` true ``masks`` holds every V2 weighed
     so far at weight ``best``: it is emptied when a lighter child lowers
@@ -609,7 +641,8 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     canonical V2.
 
     ``explored`` counts the children of every expanded node, whether
-    weighed, passed over by the gate or cut off together by the stop:
+    weighed, passed over by a gate or the twin rule or cut off together
+    by the stop:
     n - start is added as a node starts, so with ``ties`` true it is
     that of the full loop, and with ``ties`` false that of the strict
     tree.  Returns (value, sorted optimal V2 masks, explored), with None
@@ -621,13 +654,25 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     adj = g.adj
     # degree descending; sorted() is stable, so ties keep increasing index
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    # rows[i] = (i + 1, adj, bit, unreach[i + 1]) for the vertex at
-    # position i; unreach[i]: the vertices with no neighbor among order[i:]
+    # earlier[v]: the twins of v of lower index, which among twins (of
+    # one degree) are those at earlier positions; value only
+    earlier = [0] * n
+    if not ties:
+        # the vertices so far by open and by closed neighbourhood
+        opens: dict[int, int] = {}
+        closeds: dict[int, int] = {}
+        for v in range(n):
+            closed = adj[v] | 1 << v
+            earlier[v] = opens.get(adj[v], 0) | closeds.get(closed, 0)
+            opens[adj[v]] = opens.get(adj[v], 0) | 1 << v
+            closeds[closed] = closeds.get(closed, 0) | 1 << v
+    # rows[i] = (i + 1, adj, bit, unreach[i + 1], earlier) for the vertex
+    # at position i; unreach[i]: the vertices with no neighbor among order[i:]
     rows = [None] * n
     unreach = full
     for i in range(n - 1, -1, -1):
         v = order[i]
-        rows[i] = (i + 1, adj[v], 1 << v, unreach)
+        rows[i] = (i + 1, adj[v], 1 << v, unreach, earlier[v])
         unreach &= ~adj[v]
     explored = 0
 
@@ -658,22 +703,24 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
         # vertices outside V2 that see two members, or none so far
         held2 = c2 & ~smask
         held0 = ~(c1 | smask)
-        for j, a, b, u in rows[start:]:
-            nc2 = (c2 | c1 & a) & twice
-            nc1 = c1 | a
-            # decided-out vertices at weight 1 in the child and all below
-            r = (nout & (nc2 | ~nc1 & u)).bit_count()
-            if least + r <= lim:  # the child weighs at least least + r
-                ns = smask | b
-                w = base - (nc1 & ~(nc2 | ns)).bit_count()
-                if w < best:
-                    best, lim = w, w - slack
-                    if ties:
-                        masks = [ns]
-                elif w == best and ties:
-                    masks.append(ns)
-                if floor + r <= lim:
-                    rec(j, ns, nout, k, nc1, nc2)
+        for j, a, b, u, tw in rows[start:]:
+            # the twin rule: no child while an earlier twin is decided out
+            if not nout & tw:
+                nc2 = (c2 | c1 & a) & twice
+                nc1 = c1 | a
+                # decided-out vertices at weight 1 in the child and all below
+                r = (nout & (nc2 | ~nc1 & u)).bit_count()
+                if least + r <= lim:  # the child weighs at least least + r
+                    ns = smask | b
+                    w = base - (nc1 & ~(nc2 | ns)).bit_count()
+                    if w < best:
+                        best, lim = w, w - slack
+                        if ties:
+                            masks = [ns]
+                    elif w == best and ties:
+                        masks.append(ns)
+                    if floor + r <= lim:
+                        rec(j, ns, nout, k, nc1, nc2)
             nout |= b
             # no later child weighs at most lim or recurses (docstring)
             x = held2 | held0 & u
@@ -778,9 +825,10 @@ def solve(g: Graph, kind: ParameterKind, max_n: int | None = None, *,
 
     With ``witness`` false only the optimum is computed and the witness
     is None: the Roman kinds gamma_R and gamma_Rp search with strict
-    gates and keep no ties (``_roman_scan``), so their ``explored`` is
-    at most the default's; the set kinds skip the canonical-set DFS, and
-    gamma_tR drops its witness, with ``explored`` unchanged.
+    gates, keep no ties and search one V2 set of each orbit under twin
+    swaps (``_roman_scan``), so their ``explored`` counts a smaller
+    tree; the set kinds skip the canonical-set DFS, and gamma_tR drops
+    its witness, with ``explored`` unchanged.
     """
     kind = ParameterKind(kind)
     check_cap(g, kind, max_n)

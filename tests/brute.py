@@ -109,7 +109,10 @@ def roman_tree_reference(g: Graph, kind: str, ties: bool = True):
 
     With ``ties`` false a child is recursed into only when its bound is
     below the best found, not equal to it, and no masks are kept: the
-    value-only scan, which returns (value, None, explored).
+    value-only scan, which returns (value, None, explored).  It also
+    keeps the twin rule: a child is neither weighed nor recursed into
+    while a twin of it (N(u) - {v} = N(v) - {u}, checked pair by pair)
+    at an earlier position is decided out.
     """
     if kind not in ("gamma_R", "gamma_Rp"):
         raise ValueError(kind)
@@ -120,6 +123,14 @@ def roman_tree_reference(g: Graph, kind: str, ties: bool = True):
     unreach = [full] * (n + 1)
     for i in range(n - 1, -1, -1):
         unreach[i] = unreach[i + 1] & ~g.adj[order[i]]
+    # twins_before[i]: the twins of order[i] at earlier positions
+    twins_before = [0] * n
+    if not ties:
+        for i in range(n):
+            for h in range(i):
+                u, v = order[h], order[i]
+                if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
+                    twins_before[i] |= 1 << u
 
     def weight(v2: int) -> int:
         c1 = c2 = 0
@@ -151,6 +162,9 @@ def roman_tree_reference(g: Graph, kind: str, ties: bool = True):
         nout = out
         for i in range(start, n):
             v = order[i]
+            if nout & twins_before[i]:
+                nout |= 1 << v
+                continue
             nc2 = (c2 | c1 & g.adj[v]) & twice
             nc1 = c1 | g.adj[v]
             ns = smask | 1 << v
