@@ -310,10 +310,10 @@ class TestValueOnly:
     #: (value, explored) of the value-only gamma_R and gamma_Rp scans of
     #: graphs whose tie-keeping counts TestRomanSearchTree.PINS holds
     PINS = {
-        "fig2": [(6, 75), (9, 316)],
-        "fig2 o complete:3": [(6, 507), (20, 278298)],
-        "fig2 o path:3": [(6, 570), (18, 190161)],
-        "cycle:12 o path:3": [(8, 4662), (8, 3808)],
+        "fig2": [(6, 75), (9, 296)],
+        "fig2 o complete:3": [(6, 203), (20, 15437)],
+        "fig2 o path:3": [(6, 425), (18, 89224)],
+        "cycle:12 o path:3": [(8, 3337), (8, 2977)],
     }
 
     @pytest.fixture(scope="class")
