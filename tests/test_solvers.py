@@ -6,7 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from lexdom import (
     CapExceededError,
@@ -300,6 +300,19 @@ def assert_same_roman_tree(g):
         assert solvers._roman_scan(g, kind) == roman_tree_reference(g, kind.value), kind
 
 
+#: second factors rich in twins: every layer of G o H is a module, so the
+#: twins of H are twins in every layer (path:2 is complete:2)
+TWIN_HEAVY_H = ("empty:2", "empty:3", "complete:2", "complete:3", "path:3")
+
+
+def twin_heavy_products(max_order):
+    """G o H with H in TWIN_HEAVY_H and G on at most max_order // n(H)
+    vertices."""
+    return st.sampled_from(TWIN_HEAVY_H).flatmap(
+        lambda h: random_graph_strategy(max_n=max_order // generate(parse_family(h)).n)
+        .map(lambda g: _lex(g, h)))
+
+
 class TestValueOnly:
     """``solve(..., witness=False)``: the optimum alone, with no witness.
 
@@ -357,6 +370,20 @@ class TestValueOnly:
                 if kind in solvers.TOTAL_KINDS and g.has_isolated_vertex():
                     continue
                 assert solve(g, kind, witness=False).value == solve(g, kind).value, (kind, g)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(twin_heavy_products(9))
+    def test_twin_heavy_products_against_oracle(self, product):
+        # the twin rule searches one V2 of each orbit under twin swaps
+        for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
+            assert (solve(product, kind, witness=False).value
+                    == roman_oracle(product, kind.value)), kind
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(twin_heavy_products(24))
+    def test_twin_heavy_products_against_solve(self, product):
+        for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
+            assert solve(product, kind, witness=False).value == solve(product, kind).value, kind
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(random_graph_strategy(max_n=6), random_graph_strategy(max_n=4))
