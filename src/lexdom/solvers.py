@@ -555,9 +555,10 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     tw) for the vertex v at position i of the order (degree descending,
     then index), where unreach[i] holds the vertices with no neighbor
     among order[i:] and tw the twins of v at earlier positions in the
-    value-only search, 0 in the tie-keeping one (twin rule below).  Let k be the children's |V2| and nout the decided-out
-    set before child i: the node's own and its earlier children's, so
-    that V2 and nout hold exactly the positions before i.
+    value-only search, 0 in the tie-keeping one (twin rule below).  Let
+    k be the children's |V2| and nout the decided-out set before child
+    i: the node's own and its earlier children's, so that V2 and nout
+    hold exactly the positions before i.
 
     Weigh gate.  r = |nout & (nc2 | ~nc1 & unreach[i + 1])| counts the
     decided-out vertices that see two members (gamma_Rp) or none with no
