@@ -32,13 +32,13 @@ from .solvers import (
     PREDICT_KINDS,
     ParameterKind,
     TheoremId,
-    _complete_roman,
     _feasible_sets,
     _isolated_in,
-    _roman_scan,
+    _roman_v1,
     capped_memo,
     check_cap,
     dominating_open_packings,
+    enumerate_optimal_v2,
     is_feasible,
     is_prdf,
     is_rdf,
@@ -138,8 +138,8 @@ def _universal_vertex(h: Graph) -> int | None:
 @capped_memo(lambda g: check_cap(g, ParameterKind.gamma_Rp))
 def _optimal_prdfs(g: Graph) -> tuple[tuple[int, int], ...]:
     """PairFacts.optimal_prdfs, memoized per G like factor_value."""
-    return tuple((v2, _complete_roman(g, ParameterKind.gamma_Rp, v2).v1)
-                 for v2 in _roman_scan(g, ParameterKind.gamma_Rp)[1])
+    return tuple((v2, _roman_v1(g, ParameterKind.gamma_Rp, v2))
+                 for v2 in enumerate_optimal_v2(g, ParameterKind.gamma_Rp))
 
 
 class PairFacts:

@@ -14,7 +14,8 @@ candidate V2 sets and completing each candidate optimally:
   passes over whole blocks of masks whose forced weight alone reaches
   the best found; ``explored`` still counts every mask once, so it is
   the count of a plain scan of all 2^n - 1 nonempty masks (proof in
-  ``_solve_gamma_tR``).
+  ``_solve_gamma_tR``), which returns the first optimal V2 in numeric
+  order.  ``_roman_v1`` completes a V2 set for all three kinds.
 
 The completion is exact because each forced weight is individually optimal
 and independent of the others.  It also yields a one-to-one correspondence
@@ -55,8 +56,8 @@ pass, and it would be found (proof in ``_roman_scan``).  Its
 ``explored`` counts the children of every node the strict search
 expands.  The tie-keeping search, ``solve`` by default and
 enumerate_optimal_v2, has no twin rule.  The set kinds skip the
-canonical-set DFS and gamma_tR drops its witness; their searches and
-``explored`` are unchanged.
+canonical-set DFS and no kind builds a witness; the set and gamma_tR
+searches and their ``explored`` are unchanged.
 
 Canonical witnesses: the returned witness is the one whose V2 (or set)
 bitmask is numerically smallest among all optima.  For set kinds the
@@ -189,15 +190,13 @@ def is_feasible(g: Graph, smask: int, kind: ParameterKind) -> bool:
         return all(g.adj[v] & smask for v in range(g.n))
     if kind is ParameterKind.gamma_p:
         return all((g.adj[v] & smask).bit_count() == 1 for v in bits(full & ~smask))
-    members = list(bits(smask))
-    if kind is ParameterKind.rho:
-        rows = [g.closed_neighborhood(v) for v in members]
-    else:
-        rows = [g.adj[v] for v in members]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if rows[i] & rows[j]:
-                return False
+    # a packing: no vertex sees two members in its (closed/open) neighborhood
+    seen = 0
+    for v in bits(smask):
+        row = g.closed_neighborhood(v) if kind is ParameterKind.rho else g.adj[v]
+        if seen & row:
+            return False
+        seen |= row
     return True
 
 
@@ -512,15 +511,27 @@ def _first_feasible_set(g: Graph, kind: ParameterKind, k: int, initial_cover: in
 # -- Roman-kind solvers -------------------------------------------------
 
 
-def _zero_candidates(g: Graph, v2mask: int, twice: int) -> int:
-    """Z: the vertices with a V2-neighbor, less those with two or more
-    when ``twice`` is the full mask (gamma_Rp) rather than 0 (gamma_R).
-    A vertex outside V2 may take weight 0 exactly when it lies in Z."""
+def _roman_v1(g: Graph, kind: ParameterKind, v2: int) -> int:
+    """V1 of the canonical optimal function of a Roman kind with this V2:
+    the vertices outside V2 with no V2-neighbor (gamma_Rp: not exactly
+    one), plus for gamma_tR the numerically smallest of the fewest extra
+    vertices that make the positive set total dominating."""
+    adj = g.adj
     c1 = c2 = 0
-    for v in bits(v2mask):
-        c2 |= c1 & g.adj[v]
-        c1 |= g.adj[v]
-    return c1 & ~(c2 & twice)
+    for v in bits(v2):
+        c2 |= c1 & adj[v]
+        c1 |= adj[v]
+    if kind is ParameterKind.gamma_Rp:
+        c1 &= ~c2
+    v1 = g.full_mask & ~(v2 | c1)
+    if kind is ParameterKind.gamma_tR:
+        # no minimum extra set meets the preset: dropping a preset vertex
+        # from it (its neighbors are already covered) would beat the minimum
+        preset = v2 | v1
+        extra = _min_cover_value(g, adj, preset)[0]
+        v1 |= _first_feasible_set(g, ParameterKind.gamma_t, extra,
+                                  initial_cover=g.open_cover(preset))
+    return v1
 
 
 def _greedy_dominating(g: Graph) -> int:
@@ -681,7 +692,7 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     best = n
     masks = [0] if ties else None
     seed = _greedy_dominating(g)
-    w = n + seed.bit_count() - (_zero_candidates(g, seed, twice) & ~seed).bit_count()
+    w = 2 * seed.bit_count() + _roman_v1(g, kind, seed).bit_count()
     if w < best:
         best = w
         if ties:
@@ -734,14 +745,6 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     return best, masks, explored
 
 
-def _complete_roman(g: Graph, kind: ParameterKind, v2mask: int) -> RomanAssignment:
-    """Forced optimal completion of a V2 set into a full assignment: the
-    vertices outside V2 and Z take 1, the rest of V - V2 takes 0."""
-    twice = g.full_mask if kind is ParameterKind.gamma_Rp else 0
-    v1 = g.full_mask & ~v2mask & ~_zero_candidates(g, v2mask, twice)
-    return assignment_from_masks(g.n, v1, v2mask)
-
-
 def _solve_gamma_tR(g: Graph):
     """Total Roman domination: the smallest 2|V2| + |V1| over V2 sets,
     each completed by an exact inner search.
@@ -752,8 +755,8 @@ def _solve_gamma_tR(g: Graph):
     the positive set total dominating come from ``_min_cover_value`` with
     preset = V2 | forced.  The result is the V2 = {} completion (V1 = V,
     weight n) unless some V2 mask weighs less; the first mask, in
-    increasing numeric order, to reach the minimum gives the witness,
-    with V1 = forced plus the numerically smallest extra set.
+    increasing numeric order, to reach the minimum is returned, and
+    ``_roman_v1`` completes it into the witness.
 
     The masks are visited by a branch-and-bound over V2 that decides
     vertex n-1 down to 0, "exclude" before "include", so they come in
@@ -772,6 +775,7 @@ def _solve_gamma_tR(g: Graph):
     mask, passed over or not, plus the nodes of the inner search of
     every mask with base below the best.  A passed-over block adds its
     2^j masks (2^j - 1 when T is empty, as mask 0 is not scanned).
+    Returns (value, optimal V2, explored).
     """
     n = g.n
     full = g.full_mask
@@ -782,12 +786,11 @@ def _solve_gamma_tR(g: Graph):
         free[j + 1] = free[j] & ~adj[j]
     best = n  # V2 = empty, V1 = V is a TRDF when G has no isolated vertex
     best_v2 = 0
-    best_v1 = full
     explored = 0
 
     def rec(j: int, t: int, ct: int, out: int, k: int) -> None:
         # t: V2 within positions j..n-1; ct = N(t); out: the decided-out positions
-        nonlocal best, best_v2, best_v1, explored
+        nonlocal best, best_v2, explored
         bound = 2 * k + (out & ~ct & free[j]).bit_count()
         if bound >= best:
             explored += (1 << j) - (not t)
@@ -799,22 +802,14 @@ def _solve_gamma_tR(g: Graph):
             return
         # a leaf: bound = base < best, and t != 0 (mask 0 weighs n >= best)
         explored += 1
-        forced = out & ~ct
-        preset = t | forced
-        extra, sub = _min_cover_value(g, adj, preset)
+        extra, sub = _min_cover_value(g, adj, t | out & ~ct)
         explored += sub
         if bound + extra < best:
-            # canonical minimal extra set at the optimal size; no such set
-            # meets the preset, as dropping a preset vertex (its neighbors
-            # are already covered) would beat the minimum ``extra``
-            e_mask = _first_feasible_set(g, ParameterKind.gamma_t, extra,
-                                         initial_cover=g.open_cover(preset))
             best = bound + extra
             best_v2 = t
-            best_v1 = forced | e_mask
 
     rec(n, 0, 0, 0, 0)
-    return best, assignment_from_masks(n, best_v1, best_v2), explored
+    return best, best_v2, explored
 
 
 # -- public API ---------------------------------------------------------
@@ -828,8 +823,8 @@ def solve(g: Graph, kind: ParameterKind, max_n: int | None = None, *,
     is None: the Roman kinds gamma_R and gamma_Rp search with strict
     gates, keep no ties and search one V2 set of each orbit under twin
     swaps (``_roman_scan``), so their ``explored`` counts a smaller
-    tree; the set kinds skip the canonical-set DFS, and gamma_tR drops
-    its witness, with ``explored`` unchanged.
+    tree; the set kinds and gamma_tR run their default search, with
+    ``explored`` unchanged, and no kind builds a witness.
     """
     kind = ParameterKind(kind)
     check_cap(g, kind, max_n)
@@ -846,16 +841,17 @@ def solve(g: Graph, kind: ParameterKind, max_n: int | None = None, *,
         value, explored = _packing_value(g, open_=False)
     elif kind is ParameterKind.rho_o:
         value, explored = _packing_value(g, open_=True)
-    elif kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
-        value, masks, explored = _roman_scan(g, kind, ties=witness)
-        return SolveResult(value, _complete_roman(g, kind, masks[0]) if witness else None,
-                           explored)
+    elif kind is ParameterKind.gamma_tR:
+        value, v2, explored = _solve_gamma_tR(g)
     else:
-        value, assignment, explored = _solve_gamma_tR(g)
-        return SolveResult(value, assignment if witness else None, explored)
+        value, masks, explored = _roman_scan(g, kind, ties=witness)
+        v2 = masks[0] if witness else None
 
-    return SolveResult(value, _first_feasible_set(g, kind, value) if witness else None,
-                       explored)
+    if not witness:
+        return SolveResult(value, None, explored)
+    if kind in SET_KINDS:
+        return SolveResult(value, _first_feasible_set(g, kind, value), explored)
+    return SolveResult(value, assignment_from_masks(g.n, _roman_v1(g, kind, v2), v2), explored)
 
 
 def enumerate_optimal_v2(g: Graph, kind: ParameterKind, max_n: int | None = None) -> list[int]:

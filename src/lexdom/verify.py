@@ -21,7 +21,7 @@ from .errors import CapExceededError
 from .graph import Graph
 from .graphio import write_graph6
 from .product import DEFAULT_PRODUCT_CAP, lex_product
-from .solvers import ParameterKind, _complete_roman, enumerate_optimal_v2, solve
+from .solvers import ParameterKind, _roman_v1, enumerate_optimal_v2, solve
 from .formula import (  # noqa: F401  (the outcomes are part of this module's interface)
     FAIL,
     INDETERMINATE,
@@ -153,11 +153,12 @@ def check_structural_lemmas(g: Graph, h: Graph) -> LemmaReport:
                                       max_n=LEMMA_PRODUCT_CAP)
     details = []
     for v2 in prdf_masks:
-        f = _complete_roman(product, ParameterKind.gamma_Rp, v2)
+        v1 = _roman_v1(product, ParameterKind.gamma_Rp, v2)
+        v0 = product.full_mask & ~(v1 | v2)
         for u, layer in enumerate(layer_masks):
             if layer & v2:
                 continue
-            if not (layer & f.v0 == layer or layer & f.v1 == layer):
+            if not (layer & v0 == layer or layer & v1 == layer):
                 dichotomy_ok = False
                 details.append(f"layer {u} mixed for V2 mask {v2:#x}")
 
@@ -171,13 +172,13 @@ def check_structural_lemmas(g: Graph, h: Graph) -> LemmaReport:
             if v2.bit_count() != max_v2:
                 continue
             rdf_checked += 1
-            f = _complete_roman(product, ParameterKind.gamma_R, v2)
+            v1 = _roman_v1(product, ParameterKind.gamma_R, v2)
             a_f = 0
             b_f = 0
             for u, layer in enumerate(layer_masks):
                 if layer & v2:
                     a_f |= 1 << u
-                elif layer & f.v1:
+                elif layer & v1:
                     b_f |= 1 << u
             dominating = g.closed_cover(a_f) == g.full_mask
             if not dominating or b_f:

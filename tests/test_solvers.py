@@ -118,6 +118,22 @@ class TestOracleAgreement:
                 imported.add("." * node.level + (node.module or ""))
         assert {m for m in imported if m.split(".")[0] == "lexdom"} <= {"lexdom.graph"}
 
+    def test_only_solvers_reaches_the_roman_searches(self):
+        # the other layers read optimal V2 sets from enumerate_optimal_v2
+        # and values from solve, never from the searches themselves
+        private = {"_roman_scan", "_solve_gamma_tR"}
+        for path in Path(solvers.__file__).parent.glob("*.py"):
+            if path.name == "solvers.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                else:
+                    continue
+                assert not names & private, (path.name, node.lineno)
+
     def test_set_kinds(self):
         for g in random_graphs(40):
             for kind in SET_KINDS:
@@ -371,6 +387,31 @@ class TestValueOnly:
                     continue
                 assert solve(g, kind, witness=False).value == solve(g, kind).value, (kind, g)
 
+    def test_witness_built_once_and_only_by_default(self, monkeypatch, fig1, fig2,
+                                                     oracle_corpus):
+        calls = []
+        for name in ("_first_feasible_set", "assignment_from_masks"):
+            def spy(*args, _name=name, _real=getattr(solvers, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(solvers, name, spy)
+        graphs = [fig1, fig2, generate(parse_family("star:13")),
+                  generate(parse_family("path:14")), *oracle_corpus[::50]]
+        for g in graphs:
+            for kind in SET_KINDS + ROMAN_KINDS:
+                if kind in solvers.TOTAL_KINDS and g.has_isolated_vertex():
+                    continue
+                calls.clear()
+                solve(g, kind, max_n=g.n, witness=False)
+                assert calls == [], (kind, g)
+                solve(g, kind, max_n=g.n)
+                # the canonical set, or one Roman function (gamma_tR
+                # completes its V1 with the smallest extra set)
+                built = (["_first_feasible_set"] if kind in SET_KINDS
+                         else ["_first_feasible_set", "assignment_from_masks"]
+                         if kind is ParameterKind.gamma_tR else ["assignment_from_masks"])
+                assert calls == built, (kind, g)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(twin_heavy_products(9))
     def test_twin_heavy_products_against_oracle(self, product):
@@ -399,8 +440,8 @@ class TestGammaTRSearchTree:
     """The gamma_tR search, node for node.
 
     Each row holds the value, the V1 and V2 masks of the witness and
-    ``explored`` of ``_solve_gamma_tR`` on one of the 14-vertex graphs of
-    the factor-solve benchmark.  ``explored`` is part of every
+    ``explored`` of ``solve(g, gamma_tR)`` on one of the 14-vertex graphs
+    of the factor-solve benchmark.  ``explored`` is part of every
     ``lexdom solve`` body, so the perfbench cli pins hash it too: a
     change that moves a count here has to re-pin both.
     """
@@ -415,16 +456,20 @@ class TestGammaTRSearchTree:
 
     @pytest.mark.parametrize("name", list(PINS))
     def test_pinned(self, name):
-        value, witness, explored = solvers._solve_gamma_tR(generate(parse_family(name)))
+        value, witness, explored = solve(generate(parse_family(name)), ParameterKind.gamma_tR)
         assert (value, witness.v1, witness.v2, explored) == self.PINS[name]
 
     @settings(max_examples=150, deadline=None)
     @given(random_graph_strategy(max_n=11))
     def test_same_as_loop_reference(self, g):
         # the block skip changes no output of the scan over every V2
-        # mask, ``explored`` included
-        value, witness, explored = solvers._solve_gamma_tR(g)
-        assert (value, witness.v1, witness.v2, explored) == gamma_tR_loop_reference(g)
+        # mask, ``explored`` included; graphs with an isolated vertex,
+        # which ``solve`` refuses, have no V1 to complete
+        value, v2, explored = solvers._solve_gamma_tR(g)
+        ref_value, ref_v1, ref_v2, ref_explored = gamma_tR_loop_reference(g)
+        assert (value, v2, explored) == (ref_value, ref_v2, ref_explored)
+        if not g.has_isolated_vertex():
+            assert solvers._roman_v1(g, ParameterKind.gamma_tR, v2) == ref_v1
 
 
 class TestSetSearchTree:
