@@ -8,7 +8,13 @@ with a branch tag (Exact), a lower or an upper bound (Lower, Upper), the
 right-hand side of an if-and-only-if (Iff), or a check of its own
 (Custom); and, optionally, the witness its proof builds on the product.
 The parts read factor data from one PairFacts per pair, which computes
-each quantity on first use.
+each quantity on first use.  The facts that read G alone, with H only
+through n(H), mindeg(H) and maxdeg(H), are computed once per G: the
+optimal PRDFs and the three picks among them behind functions I, II and
+IV, the epn split of function III, and, for the open-packing bound,
+the open-packing profiles that some H can make minimal.  Each is a
+``solvers.capped_memo`` that refuses with the cap a cold computation
+meets first, and PairFacts reads it.
 
 predict() folds the applicable statements about one parameter into an
 interval and collapses it to an exact value whenever an exact case fires
@@ -135,11 +141,82 @@ def _universal_vertex(h: Graph) -> int | None:
     return None
 
 
-@capped_memo(lambda g: check_cap(g, ParameterKind.gamma_Rp))
+# -- the facts about G alone, memoized per G --------------------------------
+#
+# Each memo's check is the first cap its computation meets: gamma_Rp for
+# the optimal PRDFs and the picks among them, gamma_p (of gamma_p(G)) for
+# the epn split, and the open-packing cap for the walk.
+
+
+def _check_gamma_Rp_cap(g: Graph) -> None:
+    check_cap(g, ParameterKind.gamma_Rp)
+
+
+@capped_memo(_check_gamma_Rp_cap)
 def _optimal_prdfs(g: Graph) -> tuple[tuple[int, int], ...]:
     """PairFacts.optimal_prdfs, memoized per G like factor_value."""
     return tuple((v2, _roman_v1(g, ParameterKind.gamma_Rp, v2))
                  for v2 in enumerate_optimal_v2(g, ParameterKind.gamma_Rp))
+
+
+@capped_memo(_check_gamma_Rp_cap)
+def _prdf_fewest_positive(g: Graph) -> tuple[int, int]:
+    """PairFacts.prdf_fewest_positive, memoized per G."""
+    return min(_optimal_prdfs(g), key=lambda f: ((f[0] | f[1]).bit_count(), f[0]))
+
+
+@capped_memo(_check_gamma_Rp_cap)
+def _prdf_v2_gamma_set(g: Graph) -> tuple[int, int] | None:
+    """PairFacts.prdf_v2_gamma_set, memoized per G."""
+    gamma = factor_value(g, ParameterKind.gamma)
+    return next(((v2, v1) for v2, v1 in _optimal_prdfs(g)
+                 if v2.bit_count() == gamma
+                 and is_feasible(g, v2, ParameterKind.gamma)), None)
+
+
+@capped_memo(_check_gamma_Rp_cap)
+def _prdf_support_gamma_p_set(g: Graph) -> tuple[int, int] | None:
+    """PairFacts.prdf_support_gamma_p_set, memoized per G."""
+    gamma_p = factor_value(g, ParameterKind.gamma_p)
+    return next(((v2, v1) for v2, v1 in _optimal_prdfs(g)
+                 if (v1 | v2).bit_count() == gamma_p
+                 and is_feasible(g, v1 | v2, ParameterKind.gamma_p)), None)
+
+
+@capped_memo(lambda g: check_cap(g, ParameterKind.gamma_p))
+def _epn_split(g: Graph) -> tuple[int, int]:
+    """PairFacts.epn_split, memoized per G."""
+    splits = []
+    for smask in _feasible_sets(g, ParameterKind.gamma_p, factor_value(g, ParameterKind.gamma_p)):
+        s_prime = mask_from(v for v in bits(smask) if not g.epn(v, smask))
+        splits.append((s_prime.bit_count() + 2 * (smask & ~s_prime).bit_count(),
+                       smask, s_prime))
+    _, smask, s_prime = min(splits)
+    return s_prime, smask & ~s_prime
+
+
+@capped_memo(lambda g: check_cap(g, "open-packing"))
+def _packing_profiles(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
+    """The part of PairFacts.packing that reads G alone: for the open
+    packings S of G, with S0 the members without a neighbor in S, the
+    profiles (|S0|, |S - S0|, n(G) - |N[S]|), each with its smallest S,
+    as (|S0|, |S - S0|, n(G) - |N[S]|, S).
+
+    Only the profiles that no other profile is <= in every coordinate
+    are kept.  PairFacts.packing weighs the three coordinates with
+    n(H) - maxdeg(H) + 1 >= 2, 2 + mindeg(H) >= 2 and n(H) >= 1, all
+    positive, so a dominated profile weighs more than the one below it
+    for every H, and the minimum (value, S) is among those kept.
+    """
+    first: dict[tuple[int, int, int], int] = {}
+    # the walk yields the open packings in increasing numeric order, so
+    # the first S of each profile is its smallest
+    for smask in open_packings(g):
+        s0 = _isolated_in(g, smask).bit_count()
+        first.setdefault((s0, smask.bit_count() - s0,
+                          g.n - g.closed_cover(smask).bit_count()), smask)
+    return tuple((*p, s) for p, s in first.items()
+                 if not any(q != p and all(x <= y for x, y in zip(q, p)) for q in first))
 
 
 class PairFacts:
@@ -222,51 +299,36 @@ class PairFacts:
     def prdf_fewest_positive(self) -> tuple[int, int]:
         """The optimal PRDF on G with the fewest positive vertices (ties:
         smallest V2)."""
-        return min(self.optimal_prdfs, key=lambda f: ((f[0] | f[1]).bit_count(), f[0]))
+        return _prdf_fewest_positive(self.g)
 
     @cached_property
     def prdf_v2_gamma_set(self) -> tuple[int, int] | None:
         """The first optimal PRDF on G whose V2 is a gamma(G)-set, or None."""
-        return next(((v2, v1) for v2, v1 in self.optimal_prdfs
-                     if v2.bit_count() == self.gamma
-                     and is_feasible(self.g, v2, ParameterKind.gamma)), None)
+        return _prdf_v2_gamma_set(self.g)
 
     @cached_property
     def prdf_support_gamma_p_set(self) -> tuple[int, int] | None:
         """The first optimal PRDF on G whose V1 u V2 is a gamma_p(G)-set, or
         None."""
-        return next(((v2, v1) for v2, v1 in self.optimal_prdfs
-                     if (v1 | v2).bit_count() == self.gamma_p
-                     and is_feasible(self.g, v1 | v2, ParameterKind.gamma_p)), None)
+        return _prdf_support_gamma_p_set(self.g)
 
     @cached_property
     def epn_split(self) -> tuple[int, int]:
         """(S', S - S') for the gamma_p(G)-set S minimizing |S'| + 2|S - S'|,
         where S' holds the members without an external private neighbor
         (ties: smallest S)."""
-        splits = []
-        for smask in _feasible_sets(self.g, ParameterKind.gamma_p, self.gamma_p):
-            s_prime = mask_from(v for v in bits(smask) if not self.g.epn(v, smask))
-            splits.append((s_prime.bit_count() + 2 * (smask & ~s_prime).bit_count(),
-                           smask, s_prime))
-        _, smask, s_prime = min(splits)
-        return s_prime, smask & ~s_prime
+        return _epn_split(self.g)
 
     @cached_property
     def packing(self) -> tuple[int, int]:
         """(value, S) of the open packing S of G minimizing
         |S0|(n(H)-maxdeg(H)+1) + |S - S0|(2+mindeg(H)) + n(H)(n(G) - |N[S]|),
         where S0 holds the members without a neighbor in S (ties: smallest
-        S).  Refuses G over the subset cap before the walk."""
-        g, n_h = self.g, self.h.n
-        check_cap(g, "open-packing")
-        terms = []
-        for smask in open_packings(g):
-            s0 = _isolated_in(g, smask).bit_count()
-            terms.append((s0 * (n_h - self.dmax + 1)
-                          + (smask.bit_count() - s0) * (2 + self.dmin)
-                          + n_h * (g.n - g.closed_cover(smask).bit_count()), smask))
-        return min(terms)
+        S), over the profiles of ``_packing_profiles``.  Refuses G over the
+        subset cap before the walk."""
+        n_h, a, b = self.h.n, self.h.n - self.dmax + 1, 2 + self.dmin
+        return min((s0 * a + s1 * b + n_h * outside, s)
+                   for s0, s1, outside, s in _packing_profiles(self.g))
 
     def lift(self, gmask: int, hmask: int) -> int:
         """The product mask of gmask x hmask."""

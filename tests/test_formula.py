@@ -2,6 +2,7 @@
 soundness, witness construction, and hypothesis refusals."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lexdom import (
     CapExceededError,
@@ -22,8 +23,12 @@ from lexdom import (
     predict,
     solve,
 )
+from lexdom import formula
 from lexdom.formula import PREDICT_KINDS, STATEMENTS, Exact, Lower, PairFacts, open_packings
-from lexdom.graph import RomanAssignment
+from lexdom.graph import RomanAssignment, bits, mask_from
+from lexdom.solvers import _feasible_sets, _isolated_in
+
+from test_graph import random_graph_strategy
 
 P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
 C4 = generate(parse_family("cycle:4"))
@@ -152,6 +157,48 @@ class TestOpenPackings:
                     assert C5.adj[u] & C5.adj[v] == 0
 
 
+def facts_by_definition(g, h):
+    """The G-only facts of PairFacts, recomputed for the one pair (g, h)
+    from their definitions: minima over every open packing, over every
+    gamma_p(G)-set and over the optimal PRDFs, as (name, value) pairs."""
+    gamma = solve(g, ParameterKind.gamma).value
+    gamma_p = solve(g, ParameterKind.gamma_p).value
+    dmin, dmax = h.degree_extremes()
+    prdfs = PairFacts(g, h).optimal_prdfs
+    splits = []
+    for s in _feasible_sets(g, ParameterKind.gamma_p, gamma_p):
+        s_prime = mask_from(v for v in bits(s) if not g.epn(v, s))
+        splits.append((s_prime.bit_count() + 2 * (s & ~s_prime).bit_count(), s, s_prime))
+    _, s, s_prime = min(splits)
+    packings = []
+    for p in open_packings(g):
+        s0 = _isolated_in(g, p).bit_count()
+        packings.append((s0 * (h.n - dmax + 1) + (p.bit_count() - s0) * (2 + dmin)
+                         + h.n * (g.n - g.closed_cover(p).bit_count()), p))
+    return [
+        ("prdf_fewest_positive",
+         min(prdfs, key=lambda f: ((f[0] | f[1]).bit_count(), f[0]))),
+        ("prdf_v2_gamma_set",
+         next(((v2, v1) for v2, v1 in prdfs if v2.bit_count() == gamma
+               and is_feasible(g, v2, ParameterKind.gamma)), None)),
+        ("prdf_support_gamma_p_set",
+         next(((v2, v1) for v2, v1 in prdfs if (v1 | v2).bit_count() == gamma_p
+               and is_feasible(g, v1 | v2, ParameterKind.gamma_p)), None)),
+        ("epn_split", (s_prime, s & ~s_prime)),
+        ("packing", min(packings)),
+    ]
+
+
+#: (PairFacts fact, its memo per G, the cap that refuses it first)
+FACT_MEMOS = [
+    ("prdf_fewest_positive", "_prdf_fewest_positive", "gamma_Rp"),
+    ("prdf_v2_gamma_set", "_prdf_v2_gamma_set", "gamma_Rp"),
+    ("prdf_support_gamma_p_set", "_prdf_support_gamma_p_set", "gamma_Rp"),
+    ("epn_split", "_epn_split", "gamma_p"),
+    ("packing", "_packing_profiles", "open-packing"),
+]
+
+
 class TestPairFacts:
     def test_optimal_prdfs_cap_after_cache(self, monkeypatch):
         # the memo per G must not outlive a lower LEXDOM_MAX_N
@@ -162,6 +209,31 @@ class TestPairFacts:
         monkeypatch.setenv("LEXDOM_MAX_N", "9")
         with pytest.raises(CapExceededError, match="^order 10 exceeds the gamma_Rp cap 9$"):
             PairFacts(g, K2).optimal_prdfs
+
+    @pytest.mark.parametrize("fact, memo, cap", FACT_MEMOS)
+    def test_cap_after_cache(self, monkeypatch, fact, memo, cap):
+        # as for the optimal PRDFs, with the message of the first cap
+        # that the fact's computation meets
+        g = generate(parse_family("path:10"))
+        monkeypatch.setenv("LEXDOM_MAX_N", "10")
+        answer = getattr(PairFacts(g, K2), fact)
+        hits = getattr(formula, memo).cache_info().hits
+        assert getattr(PairFacts(g, K2), fact) == answer
+        assert getattr(formula, memo).cache_info().hits == hits + 1
+        monkeypatch.setenv("LEXDOM_MAX_N", "9")
+        with pytest.raises(CapExceededError, match=f"^order 10 exceeds the {cap} cap 9$"):
+            getattr(PairFacts(g, K2), fact)
+
+    # derandomized: the same pairs on every run; each G meets three H,
+    # so the later ones read the memos warm
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(random_graph_strategy(max_n=7),
+           st.lists(random_graph_strategy(max_n=4), min_size=3, max_size=3))
+    def test_memos_match_per_pair_definitions(self, g, hs):
+        for h in hs:
+            facts = PairFacts(g, h)
+            for name, expected in facts_by_definition(g, h):
+                assert getattr(facts, name) == expected, name
 
 
 class TestWitnessConstruction:

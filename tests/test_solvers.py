@@ -641,7 +641,9 @@ from lexdom.graphio import generate, parse_family
 g = generate(parse_family("cycle:6"))
 structure.factor_value(g, solvers.ParameterKind.gamma)
 memos = [structure.is_efficient_open_domination, structure.is_efficient_closed_domination,
-         solvers.zeta_couples, solvers.zeta_prime, formula._optimal_prdfs]
+         solvers.zeta_couples, solvers.zeta_prime, formula._optimal_prdfs,
+         formula._prdf_fewest_positive, formula._prdf_v2_gamma_set,
+         formula._prdf_support_gamma_p_set, formula._epn_split, formula._packing_profiles]
 for memo in memos:
     memo(g)
 memos.append(structure.factor_value)
@@ -655,8 +657,8 @@ def test_capped_memo_cache_clear_reaches_every_module():
     # a fresh process, so that solvers is imported before the modules
     # whose memos it must clear
     filled, cleared = run_fresh(CLEAR_EVERY_MEMO).splitlines()
-    assert len(filled.split()) == 6 and "0" not in filled.split()
-    assert cleared.split() == ["0"] * 6
+    assert len(filled.split()) == 11 and "0" not in filled.split()
+    assert cleared.split() == ["0"] * 11
 
 
 class TestFeasibilityPredicates:
