@@ -71,10 +71,15 @@ class Graph(CheckedRecord, namedtuple("Graph", "n adj")):
                 raise DomainError(f"row {v} has bits set at positions >= n")
             if row >> v & 1:
                 raise DomainError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for u in bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
-                    raise DomainError(f"asymmetric adjacency between {u} and {v}")
+        adj = self.adj
+        for v, row in enumerate(adj):
+            # the neighbours u of v in increasing order, as ``bits`` yields them
+            while row:
+                low = row & -row
+                if not adj[low.bit_length() - 1] >> v & 1:
+                    raise DomainError(
+                        f"asymmetric adjacency between {low.bit_length() - 1} and {v}")
+                row ^= low
 
     # -- basic accessors ------------------------------------------------
 

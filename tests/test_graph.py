@@ -64,8 +64,11 @@ class TestConstruction:
 
     def test_adjacency_rows_validated(self):
         # asymmetric rows must be rejected by the Graph invariant
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^asymmetric adjacency between 1 and 0$"):
             Graph(2, (0b10, 0b00))
+        # the first asymmetric pair by row, then by neighbour, is named
+        with pytest.raises(DomainError, match="^asymmetric adjacency between 2 and 0$"):
+            Graph(3, (0b110, 0b001, 0b010))
         with pytest.raises(DomainError):
             Graph(1, (0b1,))  # loop bit
         with pytest.raises(DomainError):
