@@ -45,12 +45,13 @@ gamma_R / gamma_Rp search then keeps no ties: every gate compares a
 lower bound with best - 1 in place of best, so a child that can at best
 tie is neither weighed nor recursed into.  It also breaks the symmetry
 of twins (N(u) - {v} = N(v) - {u}), which in G o H include the twins
-of H in every layer: a child is weighed only when every twin of it at
-an earlier position is in V2, so of the V2 sets that twin swaps map
-onto each other only the one that fills each twin class earliest first
-is searched.  The value is still exact, since ``best`` only falls: were
-the result above the optimum, the optimal V2 that fills its twin
-classes earliest first would weigh at most best - 1 at every moment of
+of H in every layer: no optimal V2 holds two twins (one of them could
+take 1 in place of 2), so a child is weighed only when no twin of it
+sits at an earlier position, and of the V2 sets that twin swaps map
+onto each other only the one that takes the earliest vertex of each
+twin class is searched.  The value is still exact, since ``best`` only
+falls: were the result above the optimum, the optimal V2 whose members
+have no earlier twin would weigh at most best - 1 at every moment of
 the search, every gate and the twin rule on the path down to it would
 pass, and it would be found (proof in ``_roman_scan``).  Its
 ``explored`` counts the children of every node the strict search
@@ -565,8 +566,9 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     The search reads one row table, (i + 1, N(v), {v}, unreach[i + 1],
     tw) for the vertex v at position i of the order (degree descending,
     then index), where unreach[i] holds the vertices with no neighbor
-    among order[i:] and tw the twins of v at earlier positions in the
-    value-only search, 0 in the tie-keeping one (twin rule below).  Let
+    among order[i:] and tw tells whether v has a twin at an earlier
+    position, in the value-only search; it is False in the tie-keeping
+    one (twin rule below).  Let
     k be the children's |V2| and nout the decided-out set before child
     i: the node's own and its earlier children's, so that V2 and nout
     hold exactly the positions before i.
@@ -604,21 +606,26 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     one.  Swapping two twins is an automorphism of G, so it keeps |V2|
     and the weight of every V2 set.  Twins share a degree, so among
     them the order is by index.  Twin rule: child i, with v at position
-    i, is weighed (and so recursed into) only when ``nout & tw`` is
-    empty, that is, when every earlier twin of v is in V2.  Weighed or
-    not, v joins nout and the stop runs as before.
+    i, is weighed (and so recursed into) only when v has no twin at an
+    earlier position, that is, when ``tw`` is False.  Weighed or not, v
+    joins nout and the stop runs as before.
 
-    The value is still the optimum.  Let V2* be an optimal V2 whose
-    members' earlier twins are all members too.  One exists: swapping a
-    member of an optimal V2 with an earlier twin outside it keeps the
-    weight and lowers the sum of the members' positions, so repeated
-    swaps end at such a set, the lex-leader of its orbit under twin
-    swaps (Crawford et al., "Symmetry-breaking predicates for search
-    problems", KR 1996).  The path down to V2* adds its members in
-    position order, and every node on it holds a prefix of V2*, which
-    also fills each twin class earliest first; so when a member v is
-    added, its earlier twins are in V2, not in nout, and the twin rule
-    passes.  Suppose the value were above the optimum opt.  ``best``
+    The value is still the optimum.  First, no optimal RDF or PRDF has
+    two twins u and v in V2: giving v weight 1 in place of 2 keeps the
+    function valid and makes it lighter.  A vertex w of weight 0 next
+    to v is not u, so it lies in N(v) - {u} = N(u) - {v} and sees u as
+    well.  For gamma_R, u still covers w.  For gamma_Rp, w would see the
+    two members u and v, which a PRDF forbids, so no such w exists and
+    no vertex of weight 0 loses a member.  Next, let V2* be an optimal
+    V2 whose members have no twin at an earlier position.  One exists:
+    if a member x of an optimal V2 has an earlier twin y, then y is not
+    a member, by the first step, and swapping x with y keeps the weight
+    and lowers the sum of the members' positions, so repeated swaps end
+    at such a set (the lex-leader idea of Crawford et al.,
+    "Symmetry-breaking predicates for search problems", KR 1996).  The
+    path down to V2* adds its members in position order, and as no
+    member has an earlier twin, the twin rule passes for each of them.
+    Suppose the value were above the optimum opt.  ``best``
     only falls, so opt <= lim held throughout.  Each bound above is a
     lower bound on the weight of a child or of every node below it, so
     on the path down to V2* each weigh and recursion gate reads at most
@@ -666,25 +673,25 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     adj = g.adj
     # degree descending; sorted() is stable, so ties keep increasing index
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    # earlier[v]: the twins of v of lower index, which among twins (of
-    # one degree) are those at earlier positions; value only
-    earlier = [0] * n
+    # twin[v]: v has a twin of lower index, which among twins (of one
+    # degree) is one at an earlier position; value only
+    twin = [False] * n
     if not ties:
-        # the vertices so far by open and by closed neighbourhood
-        opens: dict[int, int] = {}
-        closeds: dict[int, int] = {}
+        # the open and the closed neighbourhoods of the vertices so far
+        opens: set[int] = set()
+        closeds: set[int] = set()
         for v in range(n):
             closed = adj[v] | 1 << v
-            earlier[v] = opens.get(adj[v], 0) | closeds.get(closed, 0)
-            opens[adj[v]] = opens.get(adj[v], 0) | 1 << v
-            closeds[closed] = closeds.get(closed, 0) | 1 << v
-    # rows[i] = (i + 1, adj, bit, unreach[i + 1], earlier) for the vertex
-    # at position i; unreach[i]: the vertices with no neighbor among order[i:]
+            twin[v] = adj[v] in opens or closed in closeds
+            opens.add(adj[v])
+            closeds.add(closed)
+    # rows[i] = (i + 1, adj, bit, unreach[i + 1], twin) for the vertex at
+    # position i; unreach[i]: the vertices with no neighbor among order[i:]
     rows = [None] * n
     unreach = full
     for i in range(n - 1, -1, -1):
         v = order[i]
-        rows[i] = (i + 1, adj[v], 1 << v, unreach, earlier[v])
+        rows[i] = (i + 1, adj[v], 1 << v, unreach, twin[v])
         unreach &= ~adj[v]
     explored = 0
 
@@ -716,8 +723,8 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
         held2 = c2 & ~smask
         held0 = ~(c1 | smask)
         for j, a, b, u, tw in rows[start:]:
-            # the twin rule: no child while an earlier twin is decided out
-            if not nout & tw:
+            # the twin rule: no child for a vertex with an earlier twin
+            if not tw:
                 nc2 = (c2 | c1 & a) & twice
                 nc1 = c1 | a
                 # decided-out vertices at weight 1 in the child and all below

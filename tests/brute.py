@@ -111,8 +111,8 @@ def roman_tree_reference(g: Graph, kind: str, ties: bool = True):
     below the best found, not equal to it, and no masks are kept: the
     value-only scan, which returns (value, None, explored).  It also
     keeps the twin rule: a child is neither weighed nor recursed into
-    while a twin of it (N(u) - {v} = N(v) - {u}, checked pair by pair)
-    at an earlier position is decided out.
+    when a twin of it (N(u) - {v} = N(v) - {u}, checked pair by pair)
+    sits at an earlier position.
     """
     if kind not in ("gamma_R", "gamma_Rp"):
         raise ValueError(kind)
@@ -162,7 +162,7 @@ def roman_tree_reference(g: Graph, kind: str, ties: bool = True):
         nout = out
         for i in range(start, n):
             v = order[i]
-            if nout & twins_before[i]:
+            if twins_before[i]:
                 nout |= 1 << v
                 continue
             nc2 = (c2 | c1 & g.adj[v]) & twice
