@@ -340,9 +340,9 @@ class TestValueOnly:
     #: graphs whose tie-keeping counts TestRomanSearchTree.PINS holds
     PINS = {
         "fig2": [(6, 75), (9, 296)],
-        "fig2 o complete:3": [(6, 203), (20, 15437)],
-        "fig2 o path:3": [(6, 425), (18, 89224)],
-        "cycle:12 o path:3": [(8, 3337), (8, 2977)],
+        "fig2 o complete:3": [(6, 203), (20, 3962)],
+        "fig2 o path:3": [(6, 425), (18, 67003)],
+        "cycle:12 o path:3": [(8, 3277), (8, 2977)],
     }
 
     @pytest.fixture(scope="class")
