@@ -393,6 +393,8 @@ class Statement:
                  conclusion: Exact | Lower | Upper | Iff | Custom,
                  witness: Callable[[PairFacts, str | None], object] | None = None):
         self.id = id
+        #: the claim name of the records that ``check`` returns
+        self.claim = id.value
         self.kind = kind
         self.hypotheses = hypotheses
         self.conclusion = conclusion
@@ -416,7 +418,7 @@ class Statement:
 
     def check(self, f: PairFacts) -> ClaimRecord:
         """Compare the statement with the product measured by ``f.measured``."""
-        claim = self.id.value
+        claim = self.claim
         reason = self.skip_reason(f)
         if reason is not None:
             return ClaimRecord(claim, SKIP, detail=reason)
@@ -771,7 +773,7 @@ def predict(g: Graph, h: Graph, kind: ParameterKind) -> Prediction:
     for st in statements:
         if st.refusal(f) is not None:
             continue
-        tag, c = st.id.value, st.conclusion
+        tag, c = st.claim, st.conclusion
         if isinstance(c, Exact):
             branch, value = c.cases(f)
             exacts.append((tag if branch is None else f"{tag}:{branch}", value))
@@ -806,18 +808,18 @@ def construct_witness(theorem: TheoremId, g: Graph, h: Graph):
     st = STATEMENTS[TheoremId(theorem)]
     product, _ = lex_product(g, h)
     if st.witness is None:
-        raise DomainError(f"{st.id.value} has no constructive witness")
+        raise DomainError(f"{st.claim} has no constructive witness")
     f = PairFacts(g, h)
     reason = st.refusal(f)
     if reason is not None:
-        raise HypothesisError(f"{st.id.value} {reason}")
+        raise HypothesisError(f"{st.claim} {reason}")
     c = st.conclusion
     branch, expected = c.cases(f) if isinstance(c, Exact) else (None, c.value(f))
     built = st.witness(f, branch)
     if st.kind in (ParameterKind.gamma, ParameterKind.gamma_p):
         if not is_feasible(product, built, st.kind) or built.bit_count() != expected:
             raise InconsistencyError(
-                f"{st.id.value} construction invalid: size {built.bit_count()}, expected {expected}"
+                f"{st.claim} construction invalid: size {built.bit_count()}, expected {expected}"
             )
         return built
     v2, v1 = built
@@ -825,6 +827,6 @@ def construct_witness(theorem: TheoremId, g: Graph, h: Graph):
     valid = is_rdf if st.kind is ParameterKind.gamma_R else is_prdf
     if not valid(product, assignment) or assignment.weight != expected:
         raise InconsistencyError(
-            f"{st.id.value} construction invalid: weight {assignment.weight}, expected {expected}"
+            f"{st.claim} construction invalid: weight {assignment.weight}, expected {expected}"
         )
     return assignment

@@ -29,7 +29,19 @@ class ProductIndexMap(NamedTuple):
 
 
 def lex_product(g: Graph, h: Graph, max_order: int = MAX_VERTICES) -> tuple[Graph, ProductIndexMap]:
-    """G o H: (u,v) ~ (x,y) iff u~x in G, or u=x and v~y in H."""
+    """G o H: (u,v) ~ (x,y) iff u~x in G, or u=x and v~y in H.
+
+    The product is built without ``Graph``'s adjacency checks, which
+    hold by construction for two factors that passed them.  Row
+    (u, v) is the union of the layers of N_G(u) and, inside layer u,
+    the row of v in H shifted to that layer.  In range: every bit lies
+    in a layer x < n(G), at an offset below n(H).  Loop-free: the layer
+    of u is not among those of N_G(u), since G has no loop, and inside
+    it bit v of h.adj[v] is clear, since H has none.  Symmetric:
+    (x, y) is in row (u, v) iff u ~ x in G, or u = x and v ~ y in H,
+    and both conditions are symmetric because G and H are.  A product
+    over MAX_VERTICES still goes through ``Graph``, which refuses it.
+    """
     n = g.n * h.n
     if n > max_order:
         raise CapExceededError(f"product order {g.n}*{h.n}={n} exceeds the cap {max_order}")
@@ -45,4 +57,7 @@ def lex_product(g: Graph, h: Graph, max_order: int = MAX_VERTICES) -> tuple[Grap
         base = u * h.n
         for v in range(h.n):
             rows.append(cross | (h.adj[v] << base))
-    return Graph(n, tuple(rows)), index
+    adj = tuple(rows)
+    if n > MAX_VERTICES:
+        return Graph(n, adj), index
+    return tuple.__new__(Graph, (n, adj)), index

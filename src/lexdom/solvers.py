@@ -36,8 +36,10 @@ weighed, passed over or cut off together by these bounds, so they change
 no count, value or witness.  The search keeps every V2 that weighs the
 best found so far, so its one optimizing pass returns all optimal V2
 sets: the smallest gives ``solve`` its witness, and all of them are what
-enumerate_optimal_v2 returns.  The Roman and gamma_p searches read their
-per-position data from one row table each, built once per search.
+enumerate_optimal_v2 returns.  The gamma_p search reads its
+per-position data from one row table, built once per search.  The Roman
+search reads its row table and greedy seed from ``_roman_plan``, a
+per-graph set-up that gamma_R and gamma_Rp of one graph share.
 
 Value-only solves: ``solve(g, kind, witness=False)`` returns the optimum
 with None for the witness, for callers that read only the value.  The
@@ -553,6 +555,47 @@ def _greedy_dominating(g: Graph) -> int:
     return smask
 
 
+@lru_cache(maxsize=4)
+def _roman_plan(g: Graph, ties: bool):
+    """The set-up of ``_roman_scan`` on G, shared by gamma_R and gamma_Rp:
+    (row table, greedy dominating seed), as that docstring describes.
+
+    A set-up cache, not an answer memo: it holds the last four graphs
+    and reads no cap, since ``solve`` and ``enumerate_optimal_v2`` check
+    the cap before a search reads it.  ``capped_memo.cache_clear()``
+    clears it too.
+    """
+    n = g.n
+    adj = g.adj
+    # degree descending; sorted() is stable, so ties keep increasing index
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+    # twin[v]: v has a twin of lower index, which among twins (of one
+    # degree) is one at an earlier position; value only
+    twin = [False] * n
+    if not ties:
+        # the open and the closed neighbourhoods of the vertices so far
+        opens: set[int] = set()
+        closeds: set[int] = set()
+        for v in range(n):
+            closed = adj[v] | 1 << v
+            twin[v] = adj[v] in opens or closed in closeds
+            opens.add(adj[v])
+            closeds.add(closed)
+    # rows[i] as in _roman_scan; unreach: the vertices with no neighbor
+    # among order[i + 1:].  A list: a tuple table raised the peak memory
+    # of product solves
+    rows = [None] * n
+    unreach = g.full_mask
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        rows[i] = (i + 1, adj[v], 1 << v, unreach, twin[v])
+        unreach &= ~adj[v]
+    return rows, _greedy_dominating(g)
+
+
+_MEMOS.append(_roman_plan)
+
+
 def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     """Branch-and-bound over V2 sets for gamma_R / gamma_Rp.
 
@@ -563,15 +606,17 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     that must take weight 1 whatever is added: those seeing two members
     (gamma_Rp), and those seeing none with no neighbor left to decide.
 
-    The search reads one row table, (i + 1, N(v), {v}, unreach[i + 1],
+    The search reads its set-up from ``_roman_plan(g, ties)``, built
+    once per graph and shared by both kinds: a greedy dominating set that
+    seeds ``best``, and one row table, (i + 1, N(v), {v}, unreach[i + 1],
     tw) for the vertex v at position i of the order (degree descending,
     then index), where unreach[i] holds the vertices with no neighbor
     among order[i:] and tw tells whether v has a twin at an earlier
     position, in the value-only search; it is False in the tie-keeping
-    one (twin rule below).  Let
-    k be the children's |V2| and nout the decided-out set before child
-    i: the node's own and its earlier children's, so that V2 and nout
-    hold exactly the positions before i.
+    one (twin rule below).  The seed's weight is per kind.  Let k be the
+    children's |V2| and nout the decided-out set before child i: the
+    node's own and its earlier children's, so that V2 and nout hold
+    exactly the positions before i.
 
     Weigh gate.  r = |nout & (nc2 | ~nc1 & unreach[i + 1])| counts the
     decided-out vertices that see two members (gamma_Rp) or none with no
@@ -668,37 +713,13 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     for the masks when ``ties`` is false.
     """
     n = g.n
-    full = g.full_mask
-    twice = full if kind is ParameterKind.gamma_Rp else 0
-    adj = g.adj
-    # degree descending; sorted() is stable, so ties keep increasing index
-    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    # twin[v]: v has a twin of lower index, which among twins (of one
-    # degree) is one at an earlier position; value only
-    twin = [False] * n
-    if not ties:
-        # the open and the closed neighbourhoods of the vertices so far
-        opens: set[int] = set()
-        closeds: set[int] = set()
-        for v in range(n):
-            closed = adj[v] | 1 << v
-            twin[v] = adj[v] in opens or closed in closeds
-            opens.add(adj[v])
-            closeds.add(closed)
-    # rows[i] = (i + 1, adj, bit, unreach[i + 1], twin) for the vertex at
-    # position i; unreach[i]: the vertices with no neighbor among order[i:]
-    rows = [None] * n
-    unreach = full
-    for i in range(n - 1, -1, -1):
-        v = order[i]
-        rows[i] = (i + 1, adj[v], 1 << v, unreach, twin[v])
-        unreach &= ~adj[v]
+    twice = g.full_mask if kind is ParameterKind.gamma_Rp else 0
+    rows, seed = _roman_plan(g, ties)
     explored = 0
 
     # V2 = {} weighs n: every vertex takes 1
     best = n
     masks = [0] if ties else None
-    seed = _greedy_dominating(g)
     w = 2 * seed.bit_count() + _roman_v1(g, kind, seed).bit_count()
     if w < best:
         best = w

@@ -13,7 +13,7 @@ characterization stratum the source material leaves open is reported as
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -108,7 +108,7 @@ def verify_corpus(gs: Sequence[Graph], hs: Sequence[Graph],
     The result is deterministic and independent of execution order:
     totals are commutative sums and failures are sorted by pair id.
     """
-    counters: dict[str, Counter] = {}
+    counters: defaultdict[str, Counter] = defaultdict(Counter)
     failures = []
     pairs = 0
     for g in gs:
@@ -116,7 +116,7 @@ def verify_corpus(gs: Sequence[Graph], hs: Sequence[Graph],
             report = verify_pair(g, h, claims, max_product_order)
             pairs += 1
             for record in report.records:
-                counters.setdefault(record.claim, Counter())[record.outcome] += 1
+                counters[record.claim][record.outcome] += 1
                 if record.outcome == FAIL:
                     failures.append((report.g6_g, report.g6_h, record))
     totals = tuple(

@@ -13,6 +13,7 @@ pinned exactly so any solver regression still fails the test.
 """
 
 from lexdom import (
+    Graph,
     ParameterKind,
     check_structural_lemmas,
     generate,
@@ -59,6 +60,8 @@ def test_criterion_2_product_law_on_example_graph(fig2):
     for family, expected in factors.items():
         h = generate(parse_family(family))
         product, _ = lex_product(fig2, h, max_order=45)
+        # the full adjacency check, which lex_product leaves out
+        assert Graph(product.n, product.adj) == product
         result = solve(product, ParameterKind.gamma_Rp, max_n=45)
         claimed = 6 * h.n + 3
         assert result.value == expected, (family, result.value, expected)
@@ -84,6 +87,7 @@ def test_criterion_3_corona_tightness():
     g = generate(parse_family("corona(cycle:3,2)"))
     h = generate(parse_family("complete:2"))
     product, _ = lex_product(g, h)
+    assert Graph(product.n, product.adj) == product
     assert solve(product, ParameterKind.gamma_Rp).value == 9
     report("CRITERION 3: PASS — corona tightness gamma_Rp((C3 corona N2) o K2) = 9")
 
@@ -106,6 +110,7 @@ def test_criterion_5_perfect_roman_soundness(connected_g, all_h, corpus_report):
     for g in connected_g:
         for h in all_h:
             product, _ = lex_product(g, h)
+            assert Graph(product.n, product.adj) == product
             for kind in PREDICT_KINDS:
                 p = predict(g, h, kind)
                 measured = solve(product, kind).value

@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from lexdom import CapExceededError, ProductIndexMap, bits, build_graph, lex_product
+from lexdom import CapExceededError, DomainError, Graph, ProductIndexMap, bits, build_graph, lex_product
 
 from test_graph import random_graph_strategy
 
@@ -59,6 +59,8 @@ class TestProduct:
     @given(random_graph_strategy(max_n=4), random_graph_strategy(max_n=4))
     def test_degree_formula_and_networkx(self, g, h):
         product, _ = lex_product(g, h)
+        # lex_product leaves out Graph's adjacency checks, which must pass
+        assert Graph(product.n, product.adj) == product
         for u in range(g.n):
             for v in range(h.n):
                 assert product.degree(u * h.n + v) == g.degree(u) * h.n + h.degree(v)
@@ -74,3 +76,10 @@ class TestProduct:
         g = build_graph(12, [(i, i + 1) for i in range(11)])
         with pytest.raises(CapExceededError):
             lex_product(g, g, max_order=100)
+
+    def test_order_over_max_vertices_refused(self):
+        # a cap above MAX_VERTICES: the product goes through Graph's checks
+        g = build_graph(12, [(i, i + 1) for i in range(11)])
+        h = build_graph(11, [])
+        with pytest.raises(DomainError, match="graph order must be in 1..128, got 132"):
+            lex_product(g, h, max_order=200)

@@ -26,6 +26,7 @@ from lexdom import (
     mask_from,
     parse_family,
     solve,
+    verify_corpus,
     zeta,
     zeta_couples,
     zeta_prime,
@@ -434,6 +435,57 @@ class TestValueOnly:
         for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
             assert (solvers._roman_scan(product, kind, ties=False)
                     == roman_tree_reference(product, kind.value, ties=False)), kind
+
+
+class TestRomanPlan:
+    """``_roman_plan``: the per-graph set-up that the gamma_R and gamma_Rp
+    searches of one graph share changes no search."""
+
+    GRAPHS = random_graphs(25, max_n=9, seed=5107) + [
+        _lex(generate(parse_family("cycle:6")), "empty:3"),
+        _lex(generate(parse_family("path:5")), "complete:2"),
+    ]
+
+    @staticmethod
+    def value_only(g, kind):
+        result = solve(g, kind, max_n=g.n, witness=False)
+        return result.value, result.explored
+
+    @pytest.mark.parametrize("g", GRAPHS)
+    def test_same_search_cold_and_shared(self, g):
+        plan = solvers._roman_plan
+        pair = (ParameterKind.gamma_R, ParameterKind.gamma_Rp)
+        for kind, other in (pair, pair[::-1]):
+            plan.cache_clear()
+            cold = self.value_only(g, kind)
+            full = solve(g, kind, max_n=g.n)
+            plan.cache_clear()
+            self.value_only(g, other)
+            hits = plan.cache_info().hits
+            assert self.value_only(g, kind) == cold, kind
+            assert plan.cache_info().hits == hits + 1, kind
+            # after a tie-keeping solve, whose set-up has no twin flags
+            plan.cache_clear()
+            solve(g, other, max_n=g.n)
+            assert self.value_only(g, kind) == cold, kind
+            assert solve(g, kind, max_n=g.n) == full, kind
+
+    def test_bounded_after_verify_corpus(self):
+        solvers._roman_plan.cache_clear()
+        gs = random_graphs(4, max_n=5, seed=7)
+        hs = [generate(parse_family(h)) for h in ("complete:2", "empty:3", "path:3")]
+        verify_corpus(gs, hs)
+        info = solvers._roman_plan.cache_info()
+        # more graphs than it holds passed through it
+        assert info.misses > 4
+        assert info.currsize <= 4
+
+    def test_cleared_with_every_memo(self):
+        solve(C5, ParameterKind.gamma_R, witness=False)
+        solve(C5, ParameterKind.gamma_R)
+        assert solvers._roman_plan.cache_info().currsize > 0
+        solvers.capped_memo.cache_clear()
+        assert solvers._roman_plan.cache_info().currsize == 0
 
 
 class TestGammaTRSearchTree:
