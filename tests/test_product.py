@@ -5,7 +5,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from lexdom import CapExceededError, DomainError, Graph, ProductIndexMap, bits, build_graph, lex_product
+from lexdom import (CapExceededError, DomainError, Graph, ProductIndexMap, bits, build_graph,
+                    lex_product)
 
 from test_graph import random_graph_strategy
 
