@@ -4,7 +4,8 @@
 
 Both commits are exported with ``git archive`` into ``.bench_build/<sha>``
 (the committed files only, as a fresh checkout would have them), and
-``perfbench/run.py`` runs from each export.  Every workload of the
+``perfbench/run.py`` runs from each export; both exports are removed
+when the run ends, interrupted or not.  Every workload of the
 change's BENCHMARK.json runs in PAIRS alternating pairs of its
 ``run_seconds`` each: pair i runs both sides with seed
 ``SEED + 100 * (workload index + 1) + i``, and the side that goes first
@@ -76,6 +77,20 @@ def export(ref: str) -> tuple[str, Path]:
     return sha, target
 
 
+def remove_exports(trees) -> None:
+    """Delete the exported trees, and the directory holding them once it
+    is empty."""
+    parents = set()
+    for tree in trees:
+        shutil.rmtree(tree, ignore_errors=True)
+        parents.add(tree.parent)
+    for parent in parents:
+        try:
+            parent.rmdir()
+        except OSError:  # not empty, or already gone
+            pass
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The last stdout line of one perfbench run: correct, attempted,
     failed and metrics."""
@@ -139,19 +154,14 @@ def counts_differ(parent: dict, change: dict) -> list[str]:
     return sorted(name for name in names if parent.get(name) != change.get(name))
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--parent", default="HEAD~1")
-    ap.add_argument("--change", default="HEAD")
-    args = ap.parse_args(argv)
-
-    sides = dict(zip(("parent", "change"), (export(args.parent), export(args.change))))
+def bench(label: str, sides: dict[str, tuple[str, Path]]) -> Path:
+    """Run every workload in pairs on the two exported ``sides`` and
+    write ``BENCH_<label>.json``; its path."""
     spec = json.loads((sides["change"][1] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    path = ROOT / f"BENCH_{args.label}.json"
+    path = ROOT / f"BENCH_{label}.json"
     report = {
-        "label": args.label,
+        "label": label,
         "parent": sides["parent"][0],
         "change": sides["change"][0],
         "pairs": PAIRS,
@@ -193,6 +203,23 @@ def main(argv=None) -> int:
             if m["worse_than_bound"]:
                 print(f"{w} {name}: {m['parent_median']:.4g} -> {m['change_median']:.4g} "
                       f"is worse than its bound", file=sys.stderr)
+    return path
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--parent", default="HEAD~1")
+    ap.add_argument("--change", default="HEAD")
+    args = ap.parse_args(argv)
+
+    sides: dict[str, tuple[str, Path]] = {}
+    try:
+        sides["parent"] = export(args.parent)
+        sides["change"] = export(args.change)
+        path = bench(args.label, sides)
+    finally:
+        remove_exports(tree for _, tree in sides.values())
     print(path)
     return 0
 

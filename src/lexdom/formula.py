@@ -238,6 +238,10 @@ class PairFacts:
         return not self.g.has_isolated_vertex()
 
     @cached_property
+    def g_connected(self) -> bool:
+        return self.g.is_connected()
+
+    @cached_property
     def delta_g(self) -> int:
         return self.g.degree_extremes()[0]
 
@@ -641,7 +645,7 @@ def _check_eq_roman_char(claim: str, f: PairFacts) -> ClaimRecord:
 _G_NO_ISOLATED = (lambda f: f.g_ok, "needs G without isolated vertices")
 _G_NO_ISOLATED_H_NONTRIVIAL = (lambda f: f.g_ok and f.h.n >= 2,
                                "needs G without isolated vertices and nontrivial H")
-_G_CONNECTED_H_NONTRIVIAL = (lambda f: f.g.n >= 2 and f.g.is_connected() and f.h.n >= 2,
+_G_CONNECTED_H_NONTRIVIAL = (lambda f: f.g.n >= 2 and f.g_connected and f.h.n >= 2,
                              "needs connected nontrivial G and nontrivial H")
 _NONTRIVIAL = (lambda f: f.g.n >= 2 and f.h.n >= 2, "needs nontrivial factors")
 _GAMMA_ONE = (lambda f: f.g.n >= 2 and f.gamma == 1, "needs nontrivial G with gamma(G) = 1")
@@ -737,7 +741,7 @@ _REGISTRY = (
     Statement(TheoremId.PR_PERFECTROMAN_CHAR, _RP, (_G_CONNECTED_H_NONTRIVIAL,),
               Custom(_check_perfect_roman_char)),
     Statement(TheoremId.PR_EQ_ROMAN_CHAR, _RP,
-              ((lambda f: f.g.n >= 2 and f.g.is_connected() and f.h.n >= 3,
+              ((lambda f: f.g.n >= 2 and f.g_connected and f.h.n >= 3,
                 "needs connected nontrivial G and H of order >= 3"),),
               Custom(_check_eq_roman_char)),
 )

@@ -99,11 +99,25 @@ DEFAULT_SUBSET_CAP = 26
 DEFAULT_DEEP_CAP = 14
 
 
+#: LEXDOM_MAX_N as a key of ``os.environ``'s backing mapping.
+_CAP_KEY = os.environ.encodekey("LEXDOM_MAX_N")
+
+
 def subset_cap() -> int:
-    """LEXDOM_MAX_N if set and not empty, else DEFAULT_SUBSET_CAP."""
-    env = os.environ.get("LEXDOM_MAX_N")
+    """LEXDOM_MAX_N if set and not empty, else DEFAULT_SUBSET_CAP.
+
+    The variable is read on every call, so a change between two calls
+    is seen.  Every memo hit checks its cap, so this runs many times per
+    verified pair, and ``os.environ.get`` raises and catches two
+    KeyErrors when the variable is unset.  The read is therefore one
+    ``get`` on the mapping behind ``os.environ`` (``os._Environ._data``,
+    which every write and delete through ``os.environ`` updates), and
+    only a set value is decoded.
+    """
+    env = os.environ._data.get(_CAP_KEY)
     if not env:
         return DEFAULT_SUBSET_CAP
+    env = os.environ.decodevalue(env)
     try:
         return int(env)
     except ValueError:
@@ -232,9 +246,15 @@ def check_cap(g: Graph, name: str, max_n: int | None = None) -> None:
     """The one size cap of the package: refuse G over ``max_n`` if given,
     else over DEFAULT_DEEP_CAP for gamma_tR, else over ``subset_cap()``.
     ``name``, a parameter kind or its name, or the name of a walk, names
-    the cap in the message; the empty name gives "the cap"."""
+    the cap in the message; the empty name gives "the cap".
+
+    Every memo hit runs this, so it reads LEXDOM_MAX_N through
+    ``subset_cap`` on each call and compares ``name`` with the plain
+    string "gamma_tR", which a ``ParameterKind`` (a str enum) equals
+    too: a member read on the enum class is a slow attribute hook.
+    """
     cap = (max_n if max_n is not None
-           else DEFAULT_DEEP_CAP if name == ParameterKind.gamma_tR else subset_cap())
+           else DEFAULT_DEEP_CAP if name == "gamma_tR" else subset_cap())
     if g.n > cap:
         label = " ".join(filter(None, ("the", getattr(name, "value", name), "cap")))
         raise CapExceededError(f"order {g.n} exceeds {label} {cap}")
@@ -854,7 +874,8 @@ def solve(g: Graph, kind: ParameterKind, max_n: int | None = None, *,
     tree; the set kinds and gamma_tR run their default search, with
     ``explored`` unchanged, and no kind builds a witness.
     """
-    kind = ParameterKind(kind)
+    if kind.__class__ is not ParameterKind:
+        kind = ParameterKind(kind)
     check_cap(g, kind, max_n)
     if kind in TOTAL_KINDS:
         _check_no_isolated(g, kind.value)

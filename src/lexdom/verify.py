@@ -14,14 +14,14 @@ characterization stratum the source material leaves open is reported as
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError
 from .graph import Graph
 from .graphio import write_graph6
 from .product import DEFAULT_PRODUCT_CAP, lex_product
-from .solvers import ParameterKind, _roman_v1, enumerate_optimal_v2, solve
+from .solvers import _MEMOS, ParameterKind, _roman_v1, enumerate_optimal_v2, solve
 from .formula import (  # noqa: F401  (the outcomes are part of this module's interface)
     FAIL,
     INDETERMINATE,
@@ -72,12 +72,27 @@ class _PairContext(PairFacts):
 ALL_CLAIMS: tuple[TheoremId, ...] = tuple(TheoremId)
 
 
+@lru_cache(maxsize=128)
+def _g6(g: Graph) -> str:
+    """The graph6 text of a factor, which names it in every report.
+
+    A set-up cache, not an answer memo, like ``solvers._roman_plan``: a
+    corpus sweep meets each factor in many pairs, and this holds the
+    last 128 of them; it reads no cap, since encoding is not capped.
+    ``capped_memo.cache_clear()`` clears it too.
+    """
+    return write_graph6(g).decode()
+
+
+_MEMOS.append(_g6)
+
+
 def verify_pair(g: Graph, h: Graph,
                 claims: Iterable[TheoremId] | None = None,
                 max_product_order: int = DEFAULT_PRODUCT_CAP) -> VerificationReport:
     wanted = tuple(TheoremId(c) for c in claims) if claims is not None else ALL_CLAIMS
-    g6g = write_graph6(g).decode()
-    g6h = write_graph6(h).decode()
+    g6g = _g6(g)
+    g6h = _g6(h)
     if g.n * h.n > max_product_order:
         records = tuple(
             ClaimRecord(c.value, SKIP,

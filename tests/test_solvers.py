@@ -2,6 +2,9 @@
 tie-breaking, caps and domain errors, and the couple parameters."""
 
 import ast
+import importlib
+import os
+import pkgutil
 import random
 from pathlib import Path
 
@@ -671,6 +674,32 @@ class TestDomainAndCaps:
         monkeypatch.setenv("LEXDOM_MAX_N", "30")
         assert solve(g, ParameterKind.gamma).value == 10
 
+    def test_subset_cap_agrees_with_environ_get(self, monkeypatch):
+        # the definition: os.environ.get, an empty value counting as unset
+        def defined():
+            env = os.environ.get("LEXDOM_MAX_N")
+            return int(env) if env else solvers.DEFAULT_SUBSET_CAP
+
+        monkeypatch.delenv("LEXDOM_MAX_N", raising=False)
+        assert solvers.subset_cap() == defined() == solvers.DEFAULT_SUBSET_CAP
+        # a fullwidth "12" is an integer to int() only once decoded
+        for value, cap in (("", solvers.DEFAULT_SUBSET_CAP), ("10", 10), (" 11 ", 11),
+                           ("\uff11\uff12", 12)):
+            monkeypatch.setenv("LEXDOM_MAX_N", value)
+            assert solvers.subset_cap() == defined() == cap
+        # read on every call: a change between two calls is seen
+        monkeypatch.setenv("LEXDOM_MAX_N", "9")
+        assert solvers.subset_cap() == 9
+        monkeypatch.delenv("LEXDOM_MAX_N")
+        assert solvers.subset_cap() == defined() == solvers.DEFAULT_SUBSET_CAP
+        monkeypatch.setenv("LEXDOM_MAX_N", "8")
+        assert solvers.subset_cap() == defined() == 8
+
+    def test_cap_env_malformed_message(self, monkeypatch):
+        monkeypatch.setenv("LEXDOM_MAX_N", "ten")
+        with pytest.raises(DomainError, match="^LEXDOM_MAX_N must be an integer, got 'ten'$"):
+            solvers.subset_cap()
+
     def test_cap_env_empty_or_malformed(self, monkeypatch):
         g = generate(parse_family("path:8"))
         monkeypatch.setenv("LEXDOM_MAX_N", "")
@@ -711,6 +740,28 @@ def test_capped_memo_cache_clear_reaches_every_module():
     filled, cleared = run_fresh(CLEAR_EVERY_MEMO).splitlines()
     assert len(filled.split()) == 11 and "0" not in filled.split()
     assert cleared.split() == ["0"] * 11
+
+
+def test_capped_memo_cache_clear_empties_every_cache_of_every_module():
+    # every lexdom module, the analysis layers included; a memo that
+    # ``capped_memo.cache_clear()`` misses would stay warm across the
+    # benchmark's rounds
+    import lexdom
+    from lexdom.verify import check_structural_lemmas, verify_pair
+
+    modules = [importlib.import_module(f"lexdom.{info.name}")
+               for info in pkgutil.iter_modules(lexdom.__path__)]
+    p3 = generate(parse_family("path:3"))
+    verify_pair(P4, p3)
+    check_structural_lemmas(P4, generate(parse_family("complete:2")))
+    caches = {f"{module.__name__}.{name}": obj for module in modules
+              for name, obj in vars(module).items() if hasattr(obj, "cache_info")}
+    assert "lexdom.verify._g6" in caches and "lexdom.solvers._roman_plan" in caches
+    assert all(caches[name].cache_info().currsize for name in
+               ("lexdom.verify._g6", "lexdom.solvers._roman_plan",
+                "lexdom.structure.factor_value"))
+    solvers.capped_memo.cache_clear()
+    assert [name for name, obj in caches.items() if obj.cache_info().currsize] == []
 
 
 class TestFeasibilityPredicates:

@@ -19,9 +19,11 @@ from lexdom import (
     parse_family,
     verify_corpus,
     verify_pair,
+    write_graph6,
 )
 from lexdom.formula import STATEMENTS, PairFacts
-from lexdom.verify import ALL_CLAIMS, FAIL, INDETERMINATE, PASS, SKIP
+from lexdom.solvers import capped_memo
+from lexdom.verify import ALL_CLAIMS, FAIL, INDETERMINATE, PASS, SKIP, _g6
 
 from test_graph import random_graph_strategy
 
@@ -83,6 +85,33 @@ class TestVerifyPair:
         first = verify_pair(C5, N2)
         second = verify_pair(C5, N2)
         assert first == second
+
+
+class TestFactorSetUp:
+    """What a pair reads of its factors alone, computed once per graph."""
+
+    def test_g6_text(self, connected_g, all_h):
+        # once cold, once from the memo
+        for _ in range(2):
+            for g, h in zip(connected_g, all_h):
+                report = verify_pair(g, h, claims=[TheoremId.GAMMA_LEX])
+                assert report.g6_g == write_graph6(g).decode()
+                assert report.g6_h == write_graph6(h).decode()
+
+    def test_g6_memo_is_bounded_and_cleared(self):
+        bound = _g6.cache_parameters()["maxsize"]
+        gs = [generate(parse_family(f"{family}:{n}")) for family in ("path", "cycle")
+              for n in range(3, 4 + bound // 2)]
+        assert len(set(gs)) > bound
+        report = verify_corpus(gs, [K2], max_product_order=1)
+        assert report.pairs == len(gs)
+        assert _g6.cache_info().currsize == bound
+        capped_memo.cache_clear()
+        assert _g6.cache_info().currsize == 0
+
+    def test_g_connected(self, oracle_corpus, connected_g, all_h, sample_8):
+        for g in (*oracle_corpus, *connected_g, *all_h, *sample_8):
+            assert PairFacts(g, K2).g_connected == g.is_connected()
 
 
 class TestRandomPairs:
