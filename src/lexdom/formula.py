@@ -8,13 +8,15 @@ with a branch tag (Exact), a lower or an upper bound (Lower, Upper), the
 right-hand side of an if-and-only-if (Iff), or a check of its own
 (Custom); and, optionally, the witness its proof builds on the product.
 The parts read factor data from one PairFacts per pair, which computes
-each quantity on first use.  The facts that read G alone, with H only
-through n(H), mindeg(H) and maxdeg(H), are computed once per G: the
-optimal PRDFs and the three picks among them behind functions I, II and
-IV, the epn split of function III, and, for the open-packing bound,
-the open-packing profiles that some H can make minimal.  Each is a
+each quantity on first use.  A fact that reads G alone is one line of
+PairFacts naming the memoized function that defines it.  The facts the
+gamma_Rp bounds read, with H only through n(H), mindeg(H) and
+maxdeg(H), are computed once per G: the three picks among the optimal
+PRDFs behind functions I, II and IV (one enumeration, ``_prdf_picks``),
+the epn split of function III, and, for the open-packing bound, the
+open-packing profiles that some H can make minimal.  Each is a
 ``solvers.capped_memo`` that refuses with the cap a cold computation
-meets first, and PairFacts reads it.
+meets first.
 
 predict() folds the applicable statements about one parameter into an
 interval and collapses it to an exact value whenever an exact case fires
@@ -141,51 +143,47 @@ def _universal_vertex(h: Graph) -> int | None:
     return None
 
 
+_R, _RP = ParameterKind.gamma_R, ParameterKind.gamma_Rp
+
+
 # -- the facts about G alone, memoized per G --------------------------------
 #
 # Each memo's check is the first cap its computation meets: gamma_Rp for
-# the optimal PRDFs and the picks among them, gamma_p (of gamma_p(G)) for
-# the epn split, and the open-packing cap for the walk.
+# the PRDF picks, gamma_p (of gamma_p(G)) for the epn split, and the
+# open-packing cap for the walk.
 
 
-def _check_gamma_Rp_cap(g: Graph) -> None:
-    check_cap(g, ParameterKind.gamma_Rp)
+class PrdfPicks(NamedTuple):
+    """The optimal PRDFs on G behind functions I, II and IV, as (V2, V1)."""
+
+    #: the one with the fewest positive vertices (ties: smallest V2)
+    fewest_positive: tuple[int, int]
+    #: the first whose V2 is a gamma(G)-set, or None
+    v2_gamma_set: tuple[int, int] | None
+    #: the first whose V1 u V2 is a gamma_p(G)-set, or None
+    support_gamma_p_set: tuple[int, int] | None
 
 
-@capped_memo(_check_gamma_Rp_cap)
-def _optimal_prdfs(g: Graph) -> tuple[tuple[int, int], ...]:
-    """PairFacts.optimal_prdfs, memoized per G like factor_value."""
-    return tuple((v2, _roman_v1(g, ParameterKind.gamma_Rp, v2))
-                 for v2 in enumerate_optimal_v2(g, ParameterKind.gamma_Rp))
-
-
-@capped_memo(_check_gamma_Rp_cap)
-def _prdf_fewest_positive(g: Graph) -> tuple[int, int]:
-    """PairFacts.prdf_fewest_positive, memoized per G."""
-    return min(_optimal_prdfs(g), key=lambda f: ((f[0] | f[1]).bit_count(), f[0]))
-
-
-@capped_memo(_check_gamma_Rp_cap)
-def _prdf_v2_gamma_set(g: Graph) -> tuple[int, int] | None:
-    """PairFacts.prdf_v2_gamma_set, memoized per G."""
+@capped_memo(lambda g: check_cap(g, _RP))
+def _prdf_picks(g: Graph) -> PrdfPicks:
+    """The three picks among the optimal PRDFs on G, from one enumeration
+    of them; "first" is enumeration order."""
+    prdfs = [(v2, _roman_v1(g, _RP, v2)) for v2 in enumerate_optimal_v2(g, _RP)]
     gamma = factor_value(g, ParameterKind.gamma)
-    return next(((v2, v1) for v2, v1 in _optimal_prdfs(g)
-                 if v2.bit_count() == gamma
-                 and is_feasible(g, v2, ParameterKind.gamma)), None)
-
-
-@capped_memo(_check_gamma_Rp_cap)
-def _prdf_support_gamma_p_set(g: Graph) -> tuple[int, int] | None:
-    """PairFacts.prdf_support_gamma_p_set, memoized per G."""
     gamma_p = factor_value(g, ParameterKind.gamma_p)
-    return next(((v2, v1) for v2, v1 in _optimal_prdfs(g)
-                 if (v1 | v2).bit_count() == gamma_p
-                 and is_feasible(g, v1 | v2, ParameterKind.gamma_p)), None)
+    return PrdfPicks(
+        min(prdfs, key=lambda f: ((f[0] | f[1]).bit_count(), f[0])),
+        next((f for f in prdfs if f[0].bit_count() == gamma
+              and is_feasible(g, f[0], ParameterKind.gamma)), None),
+        next((f for f in prdfs if (f[0] | f[1]).bit_count() == gamma_p
+              and is_feasible(g, f[0] | f[1], ParameterKind.gamma_p)), None))
 
 
 @capped_memo(lambda g: check_cap(g, ParameterKind.gamma_p))
 def _epn_split(g: Graph) -> tuple[int, int]:
-    """PairFacts.epn_split, memoized per G."""
+    """(S', S - S') for the gamma_p(G)-set S minimizing |S'| + 2|S - S'|,
+    where S' holds the members without an external private neighbor
+    (ties: smallest S)."""
     splits = []
     for smask in _feasible_sets(g, ParameterKind.gamma_p, factor_value(g, ParameterKind.gamma_p)):
         s_prime = mask_from(v for v in bits(smask) if not g.epn(v, smask))
@@ -219,9 +217,18 @@ def _packing_profiles(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
                  if not any(q != p and all(x <= y for x, y in zip(q, p)) for q in first))
 
 
+def _of_g(fn, *args) -> cached_property:
+    """A PairFacts fact that reads G alone: ``fn(G, *args)``, computed on
+    first use and documented by ``fn``."""
+    fact = cached_property(lambda f: fn(f.g, *args))
+    fact.__doc__ = fn.__doc__
+    return fact
+
+
 class PairFacts:
     """What the statements read about one pair (G, H), each quantity
-    computed on first use and at most once.
+    computed on first use and at most once, apart from the degree facts,
+    which __init__ sets.
 
     Checking a statement against the product also needs
     ``measured(kind)``, the parameter measured on G o H, which the pair
@@ -231,51 +238,21 @@ class PairFacts:
     def __init__(self, g: Graph, h: Graph):
         self.g = g
         self.h = h
+        #: mindeg(G), and whether G has no isolated vertex
+        self.delta_g = g.degree_extremes()[0]
+        self.g_ok = self.delta_g > 0
+        self.dmin, self.dmax = h.degree_extremes()
 
-    @cached_property
-    def g_ok(self) -> bool:
-        """G has no isolated vertex."""
-        return not self.g.has_isolated_vertex()
-
-    @cached_property
-    def g_connected(self) -> bool:
-        return self.g.is_connected()
-
-    @cached_property
-    def delta_g(self) -> int:
-        return self.g.degree_extremes()[0]
-
-    @cached_property
-    def dmin(self) -> int:
-        return self.h.degree_extremes()[0]
-
-    @cached_property
-    def dmax(self) -> int:
-        return self.h.degree_extremes()[1]
-
-    @cached_property
-    def gamma(self) -> int:
-        return factor_value(self.g, ParameterKind.gamma)
-
-    @cached_property
-    def gamma_t(self) -> int:
-        return factor_value(self.g, ParameterKind.gamma_t)
-
-    @cached_property
-    def gamma_p(self) -> int:
-        return factor_value(self.g, ParameterKind.gamma_p)
-
-    @cached_property
-    def gamma_Rp(self) -> int:
-        return factor_value(self.g, ParameterKind.gamma_Rp)
-
-    @cached_property
-    def eod(self) -> int | None:
-        return is_efficient_open_domination(self.g)
-
-    @cached_property
-    def ecd(self) -> int | None:
-        return is_efficient_closed_domination(self.g)
+    g_connected = _of_g(Graph.is_connected)
+    gamma = _of_g(factor_value, ParameterKind.gamma)
+    gamma_t = _of_g(factor_value, ParameterKind.gamma_t)
+    gamma_p = _of_g(factor_value, ParameterKind.gamma_p)
+    gamma_Rp = _of_g(factor_value, _RP)
+    eod = _of_g(is_efficient_open_domination)
+    ecd = _of_g(is_efficient_closed_domination)
+    zeta = _of_g(zeta)
+    prdf = _of_g(_prdf_picks)
+    epn_split = _of_g(_epn_split)
 
     @cached_property
     def p1(self) -> bool:
@@ -288,40 +265,6 @@ class PairFacts:
     @cached_property
     def p3(self) -> bool:
         return bool(check_hypothesis(self.g, self.h, HypothesisKind.P3))
-
-    @cached_property
-    def zeta(self) -> tuple[int, tuple[int, int]]:
-        return zeta(self.g)
-
-    @cached_property
-    def optimal_prdfs(self) -> tuple[tuple[int, int], ...]:
-        """(V2, V1) of every optimal PRDF on G, in enumeration order,
-        refused over the gamma_Rp cap (``solvers.capped_memo``)."""
-        return _optimal_prdfs(self.g)
-
-    @cached_property
-    def prdf_fewest_positive(self) -> tuple[int, int]:
-        """The optimal PRDF on G with the fewest positive vertices (ties:
-        smallest V2)."""
-        return _prdf_fewest_positive(self.g)
-
-    @cached_property
-    def prdf_v2_gamma_set(self) -> tuple[int, int] | None:
-        """The first optimal PRDF on G whose V2 is a gamma(G)-set, or None."""
-        return _prdf_v2_gamma_set(self.g)
-
-    @cached_property
-    def prdf_support_gamma_p_set(self) -> tuple[int, int] | None:
-        """The first optimal PRDF on G whose V1 u V2 is a gamma_p(G)-set, or
-        None."""
-        return _prdf_support_gamma_p_set(self.g)
-
-    @cached_property
-    def epn_split(self) -> tuple[int, int]:
-        """(S', S - S') for the gamma_p(G)-set S minimizing |S'| + 2|S - S'|,
-        where S' holds the members without an external private neighbor
-        (ties: smallest S)."""
-        return _epn_split(self.g)
 
     @cached_property
     def packing(self) -> tuple[int, int]:
@@ -537,7 +480,7 @@ def _zeta_bounds_witness(f: PairFacts, branch=None) -> tuple[int, int]:
 
 
 def _function_i_bound(f: PairFacts) -> int:
-    v2, v1 = f.prdf_fewest_positive
+    v2, v1 = f.prdf.fewest_positive
     return f.gamma_Rp + (v1 | v2).bit_count() * (f.h.n - 1)
 
 
@@ -651,7 +594,6 @@ _NONTRIVIAL = (lambda f: f.g.n >= 2 and f.h.n >= 2, "needs nontrivial factors")
 _GAMMA_ONE = (lambda f: f.g.n >= 2 and f.gamma == 1, "needs nontrivial G with gamma(G) = 1")
 _UNMET = "hypotheses unmet"
 
-_R, _RP = ParameterKind.gamma_R, ParameterKind.gamma_Rp
 
 #: Declared in the order predict() lists the exact tags it fires, and in
 #: which the first of equal lower (upper) bounds names the interval end;
@@ -683,18 +625,18 @@ _REGISTRY = (
               Upper(lambda f: f.packing[0]), _packing_witness),
     Statement(TheoremId.PR_UB_FUNCTION_I, _RP, (_G_NO_ISOLATED,),
               Upper(_function_i_bound),
-              lambda f, _: _corona_layers(f, *f.prdf_fewest_positive)),
+              lambda f, _: _corona_layers(f, *f.prdf.fewest_positive)),
     Statement(TheoremId.PR_UB_FUNCTION_II, _RP,
-              (_G_NO_ISOLATED, (lambda f: f.prdf_v2_gamma_set is not None, _UNMET)),
+              (_G_NO_ISOLATED, (lambda f: f.prdf.v2_gamma_set is not None, _UNMET)),
               Upper(lambda f: f.gamma_Rp * f.h.n - f.gamma * (f.h.n - 1)),
-              lambda f, _: _corona_layers(f, *f.prdf_v2_gamma_set)),
+              lambda f, _: _corona_layers(f, *f.prdf.v2_gamma_set)),
     Statement(TheoremId.PR_UB_FUNCTION_III, _RP, (_G_NO_ISOLATED,),
               Upper(_function_iii_bound),
               lambda f, _: _corona_layers(f, f.epn_split[1], f.epn_split[0])),
     Statement(TheoremId.PR_UB_FUNCTION_IV, _RP,
-              (_G_NO_ISOLATED, (lambda f: f.prdf_support_gamma_p_set is not None, _UNMET)),
+              (_G_NO_ISOLATED, (lambda f: f.prdf.support_gamma_p_set is not None, _UNMET)),
               Upper(lambda f: f.gamma_Rp + f.gamma_p * (f.h.n - 1)),
-              lambda f, _: _corona_layers(f, *f.prdf_support_gamma_p_set)),
+              lambda f, _: _corona_layers(f, *f.prdf.support_gamma_p_set)),
     Statement(TheoremId.PR_COR_EOD, _RP,
               (_G_NO_ISOLATED, (lambda f: f.eod is not None, _UNMET)),
               Upper(lambda f: f.gamma_t * (2 + f.dmin)), _eod_prdf),

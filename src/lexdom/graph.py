@@ -32,6 +32,12 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_order(n: int) -> None:
+    """Refuse a graph order outside 1..MAX_VERTICES."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise DomainError(f"graph order must be in 1..{MAX_VERTICES}, got {n}")
+
+
 class CheckedRecord:
     """Base of the namedtuple records that check their fields, listed before
     the namedtuple.  Every construction, ``_make`` and ``_replace`` included,
@@ -61,8 +67,7 @@ class Graph(CheckedRecord, namedtuple("Graph", "n adj")):
     __slots__ = ()
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise DomainError(f"graph order must be in 1..{MAX_VERTICES}, got {self.n}")
+        check_order(self.n)
         if len(self.adj) != self.n:
             raise DomainError(f"adjacency has {len(self.adj)} rows for n={self.n}")
         full = (1 << self.n) - 1
@@ -213,7 +218,10 @@ class RomanAssignment(CheckedRecord, namedtuple("RomanAssignment", "weights")):
 
 
 def assignment_from_masks(n: int, v1: int, v2: int) -> RomanAssignment:
-    """RomanAssignment with the given V1/V2 masks (must be disjoint)."""
+    """RomanAssignment with the given V1/V2 masks (must be disjoint, over
+    the vertices 0..n-1)."""
+    if (v1 | v2) & ~((1 << n) - 1):
+        raise DomainError("V1 or V2 has bits outside the vertex range")
     if v1 & v2:
         raise DomainError("V1 and V2 overlap")
     weights = [0] * n

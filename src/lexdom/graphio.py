@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import GraphFormatError
-from .graph import MAX_VERTICES, Graph, build_graph
+from .graph import MAX_VERTICES, Graph, build_graph, check_order
 
 GRAPH6_HEADER = b">>graph6<<"
 
@@ -191,38 +191,69 @@ class GraphFamilySpec(NamedTuple):
     subspecs: tuple["GraphFamilySpec", ...] = ()
 
 
+#: The leaf families: each one's least parameter, what that parameter
+#: counts, and its edges.  A star on k leaves has k + 1 vertices.
+_LEAVES = {
+    "path": (1, "order", lambda n: [(i, i + 1) for i in range(n - 1)]),
+    "cycle": (3, "order", lambda n: [(i, (i + 1) % n) for i in range(n)]),
+    "complete": (1, "order", lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)]),
+    "empty": (1, "order", lambda n: []),
+    "star": (1, "leaf count", lambda k: [(0, i) for i in range(1, k + 1)]),
+}
+
+
 def generate(spec: GraphFamilySpec) -> Graph:
-    """Materialize a family spec as a graph."""
-    fam = spec.family
-    if fam == "path":
-        (n,) = _require_params(spec, 1)
-        _require(n >= 1, f"path order must be >= 1, got {n}")
-        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-    if fam == "cycle":
-        (n,) = _require_params(spec, 1)
-        _require(n >= 3, f"cycle order must be >= 3, got {n}")
-        return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if fam == "complete":
-        (n,) = _require_params(spec, 1)
-        _require(n >= 1, f"complete order must be >= 1, got {n}")
-        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if fam == "empty":
-        (n,) = _require_params(spec, 1)
-        _require(n >= 1, f"empty order must be >= 1, got {n}")
-        return build_graph(n, [])
-    if fam == "star":
-        (k,) = _require_params(spec, 1)
-        _require(k >= 1, f"star leaf count must be >= 1, got {k}")
-        return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
+    """Materialize a family spec as a graph.  The whole spec is checked,
+    and refused by order, before any edge list is built."""
+    _check_spec(spec)
+    return _build(spec)
+
+
+def _check_spec(spec: GraphFamilySpec) -> None:
+    """Check each node of ``spec`` as it would be built: its shape and own
+    parameters before its operands, and its order, refused over
+    MAX_VERTICES as ``Graph`` refuses it, after them.  A stack of its own
+    takes the place of recursion, since a parsed spec may nest deeper
+    than the interpreter allows; each level of a spec that passes adds a
+    vertex, so ``_build`` recurses less than MAX_VERTICES deep."""
+    orders: list[int] = []
+    todo = [(spec, False)]
+    while todo:
+        node, operands_done = todo.pop()
+        fam, params, subspecs = node
+        if fam in ("union", "corona") and not operands_done:
+            if fam == "union":
+                _require(len(subspecs) == 2 and not params, "union takes exactly two sub-specs")
+            else:
+                _require(len(subspecs) == 1 and len(params) == 1, "corona takes a base spec and k")
+                _require(params[0] >= 1, f"corona pendant count must be >= 1, got {params[0]}")
+            todo.append((node, True))
+            todo.extend((sub, False) for sub in reversed(subspecs))
+            continue
+        if fam == "union":
+            n = orders.pop() + orders.pop()
+        elif fam == "corona":
+            n = orders.pop() * (params[0] + 1)
+        elif fam in _LEAVES:
+            least, counts, _ = _LEAVES[fam]
+            _require(len(params) == 1 and not subspecs,
+                     f"family {fam} takes 1 integer parameter(s)")
+            _require(params[0] >= least, f"{fam} {counts} must be >= {least}, got {params[0]}")
+            n = params[0] + (fam == "star")
+        else:
+            raise GraphFormatError(f"unknown family {fam!r}; expected one of {FAMILIES}")
+        check_order(n)
+        orders.append(n)
+
+
+def _build(spec: GraphFamilySpec) -> Graph:
+    fam, params, subspecs = spec
     if fam == "union":
-        _require(len(spec.subspecs) == 2 and not spec.params, "union takes exactly two sub-specs")
-        return disjoint_union(generate(spec.subspecs[0]), generate(spec.subspecs[1]))
+        return disjoint_union(_build(subspecs[0]), _build(subspecs[1]))
     if fam == "corona":
-        _require(len(spec.subspecs) == 1 and len(spec.params) == 1, "corona takes a base spec and k")
-        k = spec.params[0]
-        _require(k >= 1, f"corona pendant count must be >= 1, got {k}")
-        return corona(generate(spec.subspecs[0]), k)
-    raise GraphFormatError(f"unknown family {fam!r}; expected one of {FAMILIES}")
+        return corona(_build(subspecs[0]), params[0])
+    n = params[0]
+    return build_graph(n + (fam == "star"), _LEAVES[fam][2](n))
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
@@ -243,52 +274,65 @@ def corona(base: Graph, k: int) -> Graph:
 
 def parse_family(text: str) -> GraphFamilySpec:
     """Parse a family spec string, e.g. ``path:4``, ``corona(cycle:3,2)``,
-    ``union(complete:2,empty:1)``."""
-    spec, rest = _parse_family(text.strip())
-    if rest:
-        raise GraphFormatError(f"trailing characters {rest!r} in family spec")
+    ``union(complete:2,empty:1)``.  The unions and coronas still open sit
+    on a stack, so no nesting depth exhausts the interpreter's."""
+    text = text.strip()
+    open_specs: list[tuple[str, list[GraphFamilySpec]]] = []
+    i = 0
+    while True:
+        start = i
+        while i < len(text) and (text[i].isalpha() or text[i] == "_"):
+            i += 1
+        name = text[start:i]
+        if name not in FAMILIES:
+            raise GraphFormatError(f"unknown family {name!r} in spec {text[start:]!r}")
+        if name in ("union", "corona"):
+            _require(text.startswith("(", i),
+                     "union spec needs '(a,b)'" if name == "union" else "corona spec needs '(base,k)'")
+            open_specs.append((name, []))
+            i += 1
+            continue
+        _require(text.startswith(":", i), f"family {name} needs ':order'")
+        n, i = _integer(text, i + 1)
+        _require(n is not None, f"family {name} needs an integer order")
+        spec = GraphFamilySpec(name, (n,))
+        # close every union and corona whose last operand this was
+        while open_specs:
+            name, operands = open_specs[-1]
+            operands.append(spec)
+            if name == "union" and len(operands) == 1:
+                _require(text.startswith(",", i), "union spec needs two operands")
+                i += 1
+                break
+            if name == "union":
+                _require(text.startswith(")", i), "unclosed union spec")
+                spec = GraphFamilySpec("union", (), tuple(operands))
+            else:
+                _require(text.startswith(",", i), "corona spec needs a pendant count")
+                k, i = _integer(text, i + 1)
+                _require(k is not None and text.startswith(")", i), "corona spec needs '(base,k)'")
+                spec = GraphFamilySpec("corona", (k,), tuple(operands))
+            i += 1
+            open_specs.pop()
+        else:
+            break
+    if text[i:]:
+        raise GraphFormatError(f"trailing characters {text[i:]!r} in family spec")
     return spec
 
 
-def _parse_family(text: str) -> tuple[GraphFamilySpec, str]:
-    name = ""
-    i = 0
-    while i < len(text) and (text[i].isalpha() or text[i] == "_"):
-        name += text[i]
-        i += 1
-    if name not in FAMILIES:
-        raise GraphFormatError(f"unknown family {name!r} in spec {text!r}")
-    rest = text[i:]
-    if name == "union":
-        _require(rest.startswith("("), "union spec needs '(a,b)'")
-        a, rest = _parse_family(rest[1:])
-        _require(rest.startswith(","), "union spec needs two operands")
-        b, rest = _parse_family(rest[1:])
-        _require(rest.startswith(")"), "unclosed union spec")
-        return GraphFamilySpec("union", (), (a, b)), rest[1:]
-    if name == "corona":
-        _require(rest.startswith("("), "corona spec needs '(base,k)'")
-        base, rest = _parse_family(rest[1:])
-        _require(rest.startswith(","), "corona spec needs a pendant count")
-        j = 1
-        while j < len(rest) and rest[j].isdigit():
-            j += 1
-        _require(j > 1 and rest[j:j + 1] == ")", "corona spec needs '(base,k)'")
-        return GraphFamilySpec("corona", (int(rest[1:j]),), (base,)), rest[j + 1:]
-    _require(rest.startswith(":"), f"family {name} needs ':order'")
-    j = 1
-    while j < len(rest) and rest[j].isdigit():
+def _integer(text: str, i: int) -> tuple[int | None, int]:
+    """The integer whose ASCII digits start at ``text[i]``, or None, and
+    the index after them."""
+    j = i
+    while j < len(text) and "0" <= text[j] <= "9":
         j += 1
-    _require(j > 1, f"family {name} needs an integer order")
-    return GraphFamilySpec(name, (int(rest[1:j]),)), rest[j:]
+    try:
+        return (int(text[i:j]) if j > i else None), j
+    except ValueError:  # more digits than int() converts
+        raise GraphFormatError(f"integer of {j - i} digits in family spec") from None
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise GraphFormatError(message)
-
-
-def _require_params(spec: GraphFamilySpec, count: int) -> tuple[int, ...]:
-    _require(len(spec.params) == count and not spec.subspecs,
-             f"family {spec.family} takes {count} integer parameter(s)")
-    return spec.params

@@ -122,7 +122,10 @@ def verify_corpus(gs: Sequence[Graph], hs: Sequence[Graph],
 
     The result is deterministic and independent of execution order:
     totals are commutative sums and failures are sorted by pair id.
+    ``claims`` is read once, so a one-shot iterable serves every pair.
     """
+    if claims is not None:
+        claims = tuple(claims)
     counters: defaultdict[str, Counter] = defaultdict(Counter)
     failures = []
     pairs = 0

@@ -18,6 +18,7 @@ from lexdom import (
 from lexdom.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_FAILURES, EXIT_OK, EXIT_PARSE, main
 
 from fresh import run_fresh
+from test_graphio import BIG_FAMILIES
 
 #: The exit codes the README documents for each class of error.
 DOCUMENTED_EXIT = {
@@ -203,6 +204,10 @@ class TestExitCodes:
         code, _, _ = run(capsys, "solve", "--param", "gamma_t",
                          "--family", "union(path:2,empty:1)")
         assert code == EXIT_DOMAIN
+        for big, n in BIG_FAMILIES:
+            code, out, err = run(capsys, "gen", "--family", big)
+            assert (code, out) == (EXIT_DOMAIN, "")
+            assert err == f"error: graph order must be in 1..128, got {n}\n"
 
     def test_cap_error(self, capsys):
         code, _, _ = run(capsys, "solve", "--param", "gamma",

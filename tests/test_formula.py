@@ -26,7 +26,8 @@ from lexdom import (
 from lexdom import formula
 from lexdom.formula import PREDICT_KINDS, STATEMENTS, Exact, Lower, PairFacts, open_packings
 from lexdom.graph import RomanAssignment, bits, mask_from
-from lexdom.solvers import _feasible_sets, _isolated_in
+from lexdom.solvers import _feasible_sets, _isolated_in, _roman_v1, enumerate_optimal_v2
+from lexdom.verify import verify_pair
 
 from test_graph import random_graph_strategy
 
@@ -164,7 +165,8 @@ def facts_by_definition(g, h):
     gamma = solve(g, ParameterKind.gamma).value
     gamma_p = solve(g, ParameterKind.gamma_p).value
     dmin, dmax = h.degree_extremes()
-    prdfs = PairFacts(g, h).optimal_prdfs
+    prdfs = [(v2, _roman_v1(g, ParameterKind.gamma_Rp, v2))
+             for v2 in enumerate_optimal_v2(g, ParameterKind.gamma_Rp)]
     splits = []
     for s in _feasible_sets(g, ParameterKind.gamma_p, gamma_p):
         s_prime = mask_from(v for v in bits(s) if not g.epn(v, s))
@@ -176,14 +178,12 @@ def facts_by_definition(g, h):
         packings.append((s0 * (h.n - dmax + 1) + (p.bit_count() - s0) * (2 + dmin)
                          + h.n * (g.n - g.closed_cover(p).bit_count()), p))
     return [
-        ("prdf_fewest_positive",
-         min(prdfs, key=lambda f: ((f[0] | f[1]).bit_count(), f[0]))),
-        ("prdf_v2_gamma_set",
-         next(((v2, v1) for v2, v1 in prdfs if v2.bit_count() == gamma
-               and is_feasible(g, v2, ParameterKind.gamma)), None)),
-        ("prdf_support_gamma_p_set",
-         next(((v2, v1) for v2, v1 in prdfs if (v1 | v2).bit_count() == gamma_p
-               and is_feasible(g, v1 | v2, ParameterKind.gamma_p)), None)),
+        ("prdf", (
+            min(prdfs, key=lambda f: ((f[0] | f[1]).bit_count(), f[0])),
+            next(((v2, v1) for v2, v1 in prdfs if v2.bit_count() == gamma
+                  and is_feasible(g, v2, ParameterKind.gamma)), None),
+            next(((v2, v1) for v2, v1 in prdfs if (v1 | v2).bit_count() == gamma_p
+                  and is_feasible(g, v1 | v2, ParameterKind.gamma_p)), None))),
         ("epn_split", (s_prime, s & ~s_prime)),
         ("packing", min(packings)),
     ]
@@ -191,29 +191,34 @@ def facts_by_definition(g, h):
 
 #: (PairFacts fact, its memo per G, the cap that refuses it first)
 FACT_MEMOS = [
-    ("prdf_fewest_positive", "_prdf_fewest_positive", "gamma_Rp"),
-    ("prdf_v2_gamma_set", "_prdf_v2_gamma_set", "gamma_Rp"),
-    ("prdf_support_gamma_p_set", "_prdf_support_gamma_p_set", "gamma_Rp"),
+    ("prdf", "_prdf_picks", "gamma_Rp"),
     ("epn_split", "_epn_split", "gamma_p"),
     ("packing", "_packing_profiles", "open-packing"),
 ]
 
 
 class TestPairFacts:
-    def test_optimal_prdfs_cap_after_cache(self, monkeypatch):
-        # the memo per G must not outlive a lower LEXDOM_MAX_N
+    def test_prdf_picks_one_enumeration(self, monkeypatch):
+        # the three picks come from one enumeration of the optimal PRDFs
+        # per G, made only when a statement reads one of them
+        calls = []
+        enumerate_v2 = formula.enumerate_optimal_v2
+        monkeypatch.setattr(formula, "enumerate_optimal_v2",
+                            lambda g, kind: calls.append(g) or enumerate_v2(g, kind))
+        formula._prdf_picks.cache_clear()
+        # G has an isolated vertex, so functions I, II and IV skip
+        assert verify_pair(K2K1, K3).failures == ()
+        info = formula._prdf_picks.cache_info()
+        assert (calls, info.hits, info.misses) == ([], 0, 0)
         g = generate(parse_family("path:10"))
-        monkeypatch.setenv("LEXDOM_MAX_N", "10")
-        answer = PairFacts(g, K2).optimal_prdfs
-        assert answer and PairFacts(g, K3).optimal_prdfs == answer
-        monkeypatch.setenv("LEXDOM_MAX_N", "9")
-        with pytest.raises(CapExceededError, match="^order 10 exceeds the gamma_Rp cap 9$"):
-            PairFacts(g, K2).optimal_prdfs
+        picks = [(f.prdf.fewest_positive, f.prdf.v2_gamma_set, f.prdf.support_gamma_p_set)
+                 for f in (PairFacts(g, K2), PairFacts(g, K3))]
+        assert calls == [g] and picks[0] == picks[1]
 
     @pytest.mark.parametrize("fact, memo, cap", FACT_MEMOS)
     def test_cap_after_cache(self, monkeypatch, fact, memo, cap):
-        # as for the optimal PRDFs, with the message of the first cap
-        # that the fact's computation meets
+        # the memo per G must not outlive a lower LEXDOM_MAX_N: it refuses
+        # with the message of the first cap that the fact's computation meets
         g = generate(parse_family("path:10"))
         monkeypatch.setenv("LEXDOM_MAX_N", "10")
         answer = getattr(PairFacts(g, K2), fact)

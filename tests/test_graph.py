@@ -142,6 +142,11 @@ class TestRomanAssignment:
         with pytest.raises(DomainError):
             assignment_from_masks(2, 0b01, 0b01)
 
+    @pytest.mark.parametrize("v1, v2", [(0, 1 << 5), (-1, 0), (1 << 3, 1)])
+    def test_rejects_bits_outside_range(self, v1, v2):
+        with pytest.raises(DomainError, match="^V1 or V2 has bits outside the vertex range$"):
+            assignment_from_masks(3, v1, v2)
+
     def test_rejects_bad_weight(self):
         with pytest.raises(DomainError):
             RomanAssignment((0, 3))

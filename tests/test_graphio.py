@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from lexdom import (
+    DomainError,
     GraphFormatError,
     build_graph,
     generate,
@@ -171,6 +172,16 @@ class TestCorpus:
         assert [g.n for g in load_corpus(path)] == [2, 3]
 
 
+#: Family specs over 128 vertices, and the order each is refused with:
+#: the first node of the spec, built bottom-up, that exceeds it.
+BIG_FAMILIES = [
+    ("path:200", 200),
+    ("corona(path:4,1000000)", 4000004),
+    ("empty:99999999999999999999", 99999999999999999999),
+    ("union(" * 1500 + "path:1" + ",path:1)" * 1500, 129),
+]
+
+
 class TestFamilies:
     def test_path_cycle_complete_empty_degrees(self):
         assert generate(parse_family("path:5")).degree_extremes() == (1, 2)
@@ -200,9 +211,15 @@ class TestFamilies:
 
     def test_parse_errors(self):
         for bad in ("triangle:3", "path", "path:", "cycle:2", "corona(path:2)",
-                    "path:3x", "union(path:2)"):
+                    "path:3x", "union(path:2)", "path:\u00b2", "corona(path:2,\u0663)",
+                    "empty:" + "9" * 5000):
             with pytest.raises(GraphFormatError):
                 generate(parse_family(bad))
+        # an order over 128 is refused before any edge list is built, at
+        # any nesting depth
+        for big, n in BIG_FAMILIES:
+            with pytest.raises(DomainError, match=f"^graph order must be in 1..128, got {n}$"):
+                generate(parse_family(big))
 
     def test_family_names_frozen(self):
         assert FAMILIES == ("path", "cycle", "complete", "empty", "star", "union", "corona")

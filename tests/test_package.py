@@ -1,7 +1,12 @@
 """The package surface: every exported name resolves, the analysis layers
-load on first use, and a name that moved is one object in both places."""
+load on first use, a name that moved is one object in both places, and
+no module checks with ``assert``."""
 
+import ast
 import json
+from pathlib import Path
+
+import lexdom
 
 from fresh import run_fresh
 
@@ -42,3 +47,13 @@ def test_surface():
         "bound_elsewhere": [],
         "one_object": [True, True, True],
     }
+
+
+def test_no_assert_statement():
+    # ``python -O`` strips asserts, so a runtime cross-check must raise
+    # InconsistencyError instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(lexdom.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

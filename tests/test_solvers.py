@@ -721,9 +721,8 @@ from lexdom.graphio import generate, parse_family
 g = generate(parse_family("cycle:6"))
 structure.factor_value(g, solvers.ParameterKind.gamma)
 memos = [structure.is_efficient_open_domination, structure.is_efficient_closed_domination,
-         solvers.zeta_couples, solvers.zeta_prime, formula._optimal_prdfs,
-         formula._prdf_fewest_positive, formula._prdf_v2_gamma_set,
-         formula._prdf_support_gamma_p_set, formula._epn_split, formula._packing_profiles]
+         solvers.zeta_couples, solvers.zeta_prime, formula._prdf_picks, formula._epn_split,
+         formula._packing_profiles]
 for memo in memos:
     memo(g)
 memos.append(structure.factor_value)
@@ -737,8 +736,8 @@ def test_capped_memo_cache_clear_reaches_every_module():
     # a fresh process, so that solvers is imported before the modules
     # whose memos it must clear
     filled, cleared = run_fresh(CLEAR_EVERY_MEMO).splitlines()
-    assert len(filled.split()) == 11 and "0" not in filled.split()
-    assert cleared.split() == ["0"] * 11
+    assert len(filled.split()) == 8 and "0" not in filled.split()
+    assert cleared.split() == ["0"] * 8
 
 
 def test_capped_memo_cache_clear_empties_every_cache_of_every_module():

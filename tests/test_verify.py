@@ -145,6 +145,11 @@ class TestVerifyCorpus:
         assert forward.totals == reversed_report.totals
         assert forward.failures == reversed_report.failures
         assert forward.pairs == len(gs) * len(hs)
+        # a one-shot iterable of claims serves every pair, as a list does
+        wanted = [TheoremId.GAMMA_LEX, TheoremId.ROMAN_LEX]
+        listed = verify_corpus(gs[:5], hs[:4], wanted)
+        assert verify_corpus(gs[:5], hs[:4], iter(wanted)) == listed
+        assert [sum(n for _, n in counts) for _, counts in listed.totals] == [20, 20]
 
     def test_full_sweep_zero_failures(self, corpus_report):
         assert corpus_report.failed == 0
