@@ -2,10 +2,10 @@
 
     python3 scripts/bench_pairs.py --label NAME [--parent REF] [--change REF]
 
-Both commits are exported with ``git archive`` into ``.bench_build/<sha>``
-(the committed files only, as a fresh checkout would have them), and
-``perfbench/run.py`` runs from each export; both exports are removed
-when the run ends, interrupted or not.  Every workload of the
+Both commits are exported with ``git archive`` into a temporary
+directory (the committed files only, as a fresh checkout would have
+them), and ``perfbench/run.py`` runs from each export; the directory is
+removed when the run ends, interrupted or not.  Every workload of the
 change's BENCHMARK.json runs in PAIRS alternating pairs of its
 ``run_seconds`` each: pair i runs both sides with seed
 ``SEED + 100 * (workload index + 1) + i``, and the side that goes first
@@ -36,15 +36,14 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BUILD = ROOT / ".bench_build"
 #: Pairs per workload: a claimed gain must hold in nine of ten.
 PAIRS = 10
 SEED = 11001
@@ -58,37 +57,17 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def export(ref: str) -> tuple[str, Path]:
-    """(commit, directory) of the committed tree of ``ref``."""
+def export(ref: str, target: Path) -> tuple[str, Path]:
+    """Extract the committed tree of ``ref`` into ``target``; (commit,
+    ``target``)."""
     sha = git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
-    target = BUILD / sha
-    if not target.is_dir():
-        # extracted beside the target and renamed, so a half-written export is never reused
-        partial = BUILD / f"{sha}.partial"
-        shutil.rmtree(partial, ignore_errors=True)
-        partial.mkdir(parents=True)
-        with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
-            # extraction filters exist from Python 3.10.12 and 3.11.4 on
-            if hasattr(tarfile, "data_filter"):
-                tar.extractall(partial, filter="data")
-            else:
-                tar.extractall(partial)
-        partial.rename(target)
+    with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
+        # extraction filters exist from Python 3.10.12 and 3.11.4 on
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(target, filter="data")
+        else:
+            tar.extractall(target)
     return sha, target
-
-
-def remove_exports(trees) -> None:
-    """Delete the exported trees, and the directory holding them once it
-    is empty."""
-    parents = set()
-    for tree in trees:
-        shutil.rmtree(tree, ignore_errors=True)
-        parents.add(tree.parent)
-    for parent in parents:
-        try:
-            parent.rmdir()
-        except OSError:  # not empty, or already gone
-            pass
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -213,13 +192,10 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default="HEAD")
     args = ap.parse_args(argv)
 
-    sides: dict[str, tuple[str, Path]] = {}
-    try:
-        sides["parent"] = export(args.parent)
-        sides["change"] = export(args.change)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {side: export(ref, Path(tmp) / side)
+                 for side, ref in (("parent", args.parent), ("change", args.change))}
         path = bench(args.label, sides)
-    finally:
-        remove_exports(tree for _, tree in sides.values())
     print(path)
     return 0
 

@@ -8,23 +8,24 @@ with a branch tag (Exact), a lower or an upper bound (Lower, Upper), the
 right-hand side of an if-and-only-if (Iff), or a check of its own
 (Custom); and, optionally, the witness its proof builds on the product.
 The parts read factor data from one PairFacts per pair, which computes
-each quantity on first use.  A fact that reads G alone is one line of
-PairFacts naming the memoized function that defines it.  The facts the
-gamma_Rp bounds read, with H only through n(H), mindeg(H) and
-maxdeg(H), are computed once per G: the three picks among the optimal
-PRDFs behind functions I, II and IV (one enumeration, ``_prdf_picks``),
-the epn split of function III, and, for the open-packing bound, the
-open-packing profiles that some H can make minimal.  Each is a
-``solvers.capped_memo`` that refuses with the cap a cold computation
-meets first.
+each quantity on first use.  A fact of G alone, or of whether a
+property P1-P3 holds, is one line of PairFacts naming the function that
+defines it.  The facts the gamma_Rp bounds read, with H only through
+n(H), mindeg(H) and maxdeg(H), are computed once per G: the three picks
+among the optimal PRDFs behind functions I, II and IV (one enumeration,
+``_prdf_picks``), the epn split of function III, and, for the
+open-packing bound, the open-packing profiles that some H can make
+minimal.  Each is a ``solvers.capped_memo`` that refuses with the cap a
+cold computation meets first.
 
 predict() folds the applicable statements about one parameter into an
 interval and collapses it to an exact value whenever an exact case fires
 or an iff's right-hand side holds.  Disagreement between fired exact
 statements (or an exact value escaping the aggregated interval) raises
 InconsistencyError rather than picking a side.  Statement.check()
-compares one statement with the measured product for verify_pair(), and
-construct_witness() builds one statement's object and validates it.
+compares one statement with the product's parameters that verify_pair()
+measures, and construct_witness() builds one statement's object and
+validates it.
 """
 
 from __future__ import annotations
@@ -145,6 +146,9 @@ def _universal_vertex(h: Graph) -> int | None:
 
 _R, _RP = ParameterKind.gamma_R, ParameterKind.gamma_Rp
 
+#: The product's parameter of a kind, as ``verify_pair`` measures it.
+Measure = Callable[[ParameterKind], int]
+
 
 # -- the facts about G alone, memoized per G --------------------------------
 #
@@ -225,15 +229,17 @@ def _of_g(fn, *args) -> cached_property:
     return fact
 
 
-class PairFacts:
-    """What the statements read about one pair (G, H), each quantity
-    computed on first use and at most once, apart from the degree facts,
-    which __init__ sets.
+def _holds(kind: HypothesisKind) -> cached_property:
+    """A PairFacts fact: whether property ``kind`` holds of (G, H)."""
+    return cached_property(lambda f: bool(check_hypothesis(f.g, f.h, kind)))
 
-    Checking a statement against the product also needs
-    ``measured(kind)``, the parameter measured on G o H, which the pair
-    context of ``verify`` adds.
-    """
+
+class PairFacts:
+    """What the statements read about the factors of one pair (G, H),
+    each quantity computed on first use and at most once, apart from the
+    degree facts, which __init__ sets.  Checking a statement against the
+    product also reads the product's parameters, which ``verify_pair``
+    measures (``Statement.check``)."""
 
     def __init__(self, g: Graph, h: Graph):
         self.g = g
@@ -253,18 +259,9 @@ class PairFacts:
     zeta = _of_g(zeta)
     prdf = _of_g(_prdf_picks)
     epn_split = _of_g(_epn_split)
-
-    @cached_property
-    def p1(self) -> bool:
-        return bool(check_hypothesis(self.g, self.h, HypothesisKind.P1))
-
-    @cached_property
-    def p2(self) -> bool:
-        return bool(check_hypothesis(self.g, self.h, HypothesisKind.P2))
-
-    @cached_property
-    def p3(self) -> bool:
-        return bool(check_hypothesis(self.g, self.h, HypothesisKind.P3))
+    p1 = _holds(HypothesisKind.P1)
+    p2 = _holds(HypothesisKind.P2)
+    p3 = _holds(HypothesisKind.P3)
 
     @cached_property
     def packing(self) -> tuple[int, int]:
@@ -320,10 +317,11 @@ class Iff:
 
 
 class Custom:
-    """A check that is no single comparison: ``check(claim, f)`` returns
-    the record.  ``value(f)``, when given, is what the witness attains."""
+    """A check that is no single comparison: ``check(claim, f, measure)``
+    returns the record.  ``value(f)``, when given, is what the witness
+    attains."""
 
-    def __init__(self, check: Callable[[str, PairFacts], ClaimRecord],
+    def __init__(self, check: Callable[[str, PairFacts, Measure], ClaimRecord],
                  value: Callable[[PairFacts], int] | None = None):
         self.check = check
         self.value = value
@@ -363,16 +361,17 @@ class Statement:
             return f"right-hand side fails: {c.detail}"
         return reason
 
-    def check(self, f: PairFacts) -> ClaimRecord:
-        """Compare the statement with the product measured by ``f.measured``."""
+    def check(self, f: PairFacts, measure: Measure) -> ClaimRecord:
+        """Compare the statement with the product, whose parameters
+        ``measure(kind)`` gives, read only once the hypotheses hold."""
         claim = self.claim
         reason = self.skip_reason(f)
         if reason is not None:
             return ClaimRecord(claim, SKIP, detail=reason)
         c = self.conclusion
         if isinstance(c, Custom):
-            return c.check(claim, f)
-        measured = f.measured(self.kind)
+            return c.check(claim, f, measure)
+        measured = measure(self.kind)
         if isinstance(c, Iff):
             return _iff(claim, measured == c.value(f), c.rhs(f), c.detail)
         if isinstance(c, Exact):
@@ -511,17 +510,17 @@ def _gamma1_ii_witness(f: PairFacts, branch=None) -> tuple[int, int]:
 # -- custom checks ----------------------------------------------------------
 
 
-def _check_roman_graph(claim: str, f: PairFacts) -> ClaimRecord:
-    roman = f.measured(ParameterKind.gamma_R)
-    twice_gamma = 2 * f.measured(ParameterKind.gamma)
+def _check_roman_graph(claim: str, f: PairFacts, measure: Measure) -> ClaimRecord:
+    roman = measure(ParameterKind.gamma_R)
+    twice_gamma = 2 * measure(ParameterKind.gamma)
     return _compare(claim, twice_gamma, roman, roman == twice_gamma,
                     "product must be a Roman graph")
 
 
-def _check_zeta_bounds(claim: str, f: PairFacts) -> ClaimRecord:
+def _check_zeta_bounds(claim: str, f: PairFacts, measure: Measure) -> ClaimRecord:
     gam, gam_t = f.gamma, f.gamma_t
     gam_tr = factor_value(f.g, ParameterKind.gamma_tR)
-    measured = f.measured(ParameterKind.gamma_R)
+    measured = measure(ParameterKind.gamma_R)
     lo, hi = max(gam_tr, gam_t + gam), _zeta_upper(f)
     ok = lo <= measured <= hi
     if gam_t == gam:
@@ -532,9 +531,9 @@ def _check_zeta_bounds(claim: str, f: PairFacts) -> ClaimRecord:
                     f"gamma={gam}, gamma_t={gam_t}, gamma_tR={gam_tr}")
 
 
-def _check_perfect_roman_char(claim: str, f: PairFacts) -> ClaimRecord:
+def _check_perfect_roman_char(claim: str, f: PairFacts, measure: Measure) -> ClaimRecord:
     n_h = f.h.n
-    lhs = f.measured(ParameterKind.gamma_Rp) == 2 * f.measured(ParameterKind.gamma_p)
+    lhs = measure(ParameterKind.gamma_Rp) == 2 * measure(ParameterKind.gamma_p)
     if f.dmax == n_h - 1:
         return _iff(claim, lhs, f.p2, "stratum maxdeg(H) = n(H)-1: lhs iff P2")
     if f.dmax <= n_h - 3:
@@ -559,9 +558,9 @@ def _check_perfect_roman_char(claim: str, f: PairFacts) -> ClaimRecord:
                        "and equality does not hold; indeterminate by the source")
 
 
-def _check_eq_roman_char(claim: str, f: PairFacts) -> ClaimRecord:
+def _check_eq_roman_char(claim: str, f: PairFacts, measure: Measure) -> ClaimRecord:
     g, n_h, dmin = f.g, f.h.n, f.dmin
-    lhs = f.measured(ParameterKind.gamma_Rp) == f.measured(ParameterKind.gamma_R)
+    lhs = measure(ParameterKind.gamma_Rp) == measure(ParameterKind.gamma_R)
     if f.dmax == n_h - 1:
         return _iff(claim, lhs, f.p2, "stratum maxdeg(H) = n(H)-1: lhs iff P2")
     if f.dmax == n_h - 2:

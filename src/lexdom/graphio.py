@@ -203,20 +203,13 @@ _LEAVES = {
 
 
 def generate(spec: GraphFamilySpec) -> Graph:
-    """Materialize a family spec as a graph.  The whole spec is checked,
-    and refused by order, before any edge list is built."""
-    _check_spec(spec)
-    return _build(spec)
-
-
-def _check_spec(spec: GraphFamilySpec) -> None:
-    """Check each node of ``spec`` as it would be built: its shape and own
-    parameters before its operands, and its order, refused over
-    MAX_VERTICES as ``Graph`` refuses it, after them.  A stack of its own
-    takes the place of recursion, since a parsed spec may nest deeper
-    than the interpreter allows; each level of a spec that passes adds a
-    vertex, so ``_build`` recurses less than MAX_VERTICES deep."""
-    orders: list[int] = []
+    """Materialize a family spec as a graph.  Each node is checked as it
+    is built: its shape and own parameters before its operands, and its
+    order, refused over MAX_VERTICES as ``Graph`` refuses it, after them
+    and before its own edge list is built.  A stack of its own takes the
+    place of recursion, since a parsed spec may nest deeper than the
+    interpreter allows."""
+    built: list[Graph] = []
     todo = [(spec, False)]
     while todo:
         node, operands_done = todo.pop()
@@ -231,29 +224,25 @@ def _check_spec(spec: GraphFamilySpec) -> None:
             todo.extend((sub, False) for sub in reversed(subspecs))
             continue
         if fam == "union":
-            n = orders.pop() + orders.pop()
+            b = built.pop()
+            a = built.pop()
+            check_order(a.n + b.n)
+            built.append(disjoint_union(a, b))
         elif fam == "corona":
-            n = orders.pop() * (params[0] + 1)
+            base = built.pop()
+            check_order(base.n * (params[0] + 1))
+            built.append(corona(base, params[0]))
         elif fam in _LEAVES:
-            least, counts, _ = _LEAVES[fam]
+            least, counts, edges = _LEAVES[fam]
             _require(len(params) == 1 and not subspecs,
                      f"family {fam} takes 1 integer parameter(s)")
             _require(params[0] >= least, f"{fam} {counts} must be >= {least}, got {params[0]}")
             n = params[0] + (fam == "star")
+            check_order(n)
+            built.append(build_graph(n, edges(params[0])))
         else:
             raise GraphFormatError(f"unknown family {fam!r}; expected one of {FAMILIES}")
-        check_order(n)
-        orders.append(n)
-
-
-def _build(spec: GraphFamilySpec) -> Graph:
-    fam, params, subspecs = spec
-    if fam == "union":
-        return disjoint_union(_build(subspecs[0]), _build(subspecs[1]))
-    if fam == "corona":
-        return corona(_build(subspecs[0]), params[0])
-    n = params[0]
-    return build_graph(n + (fam == "star"), _LEAVES[fam][2](n))
+    return built[0]
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:

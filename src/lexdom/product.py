@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import CapExceededError
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_VERTICES, Graph, check_order
 
 #: Default ceiling on the product order per verified pair (``verify``).
 DEFAULT_PRODUCT_CAP = 24
@@ -39,12 +39,14 @@ def lex_product(g: Graph, h: Graph, max_order: int = MAX_VERTICES) -> tuple[Grap
     of u is not among those of N_G(u), since G has no loop, and inside
     it bit v of h.adj[v] is clear, since H has none.  Symmetric:
     (x, y) is in row (u, v) iff u ~ x in G, or u = x and v ~ y in H,
-    and both conditions are symmetric because G and H are.  A product
-    over MAX_VERTICES still goes through ``Graph``, which refuses it.
+    and both conditions are symmetric because G and H are.  An order
+    over MAX_VERTICES, which a cap above it lets through, is refused as
+    ``Graph`` refuses it, before any row is built.
     """
     n = g.n * h.n
     if n > max_order:
         raise CapExceededError(f"product order {g.n}*{h.n}={n} exceeds the cap {max_order}")
+    check_order(n)
     index = ProductIndexMap(g.n, h.n)
     layer_full = (1 << h.n) - 1
     rows = []
@@ -57,7 +59,4 @@ def lex_product(g: Graph, h: Graph, max_order: int = MAX_VERTICES) -> tuple[Grap
         base = u * h.n
         for v in range(h.n):
             rows.append(cross | (h.adj[v] << base))
-    adj = tuple(rows)
-    if n > MAX_VERTICES:
-        return Graph(n, adj), index
-    return tuple.__new__(Graph, (n, adj)), index
+    return tuple.__new__(Graph, (n, tuple(rows))), index

@@ -1,12 +1,13 @@
 """Brute-force verification of every statement over (G, H) corpora.
 
-verify_pair() runs each statement of the theorem registry
-(``formula.STATEMENTS``) against a pair context, which adds to the
-pair's factor facts the product's parameters, measured with the exact
-solvers on first use; the registry decides applicability, the predicted
-side and the wording of each record.  If-and-only-if statements are
-tested as two implications; a skip (hypotheses unmet or size cap) is a
-first-class outcome distinct from a failure, and the one
+verify_pair() checks each statement of the theorem registry
+(``formula.STATEMENTS``) against the pair's factor facts and the
+product's parameters, which it measures with the exact solvers on first
+use: the product is built once, when a statement first needs it, and
+each kind is solved once.  The registry decides applicability, the
+predicted side and the wording of each record.  If-and-only-if
+statements are tested as two implications; a skip (hypotheses unmet or
+size cap) is a first-class outcome distinct from a failure, and the one
 characterization stratum the source material leaves open is reported as
 "indeterminate" rather than pass/fail.
 """
@@ -14,7 +15,7 @@ characterization stratum the source material leaves open is reported as
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError
@@ -48,27 +49,6 @@ class VerificationReport(NamedTuple):
         return tuple(r for r in self.records if r.outcome == FAIL)
 
 
-class _PairContext(PairFacts):
-    """The factor facts of one pair plus the product's parameters,
-    measured on first use."""
-
-    def __init__(self, g: Graph, h: Graph, max_product_order: int):
-        super().__init__(g, h)
-        self.max_product_order = max_product_order
-        self._measured: dict[ParameterKind, int] = {}
-
-    @cached_property
-    def product(self) -> Graph:
-        return lex_product(self.g, self.h, self.max_product_order)[0]
-
-    def measured(self, kind: ParameterKind) -> int:
-        if kind not in self._measured:
-            self._measured[kind] = solve(
-                self.product, kind, max_n=self.max_product_order, witness=False
-            ).value
-        return self._measured[kind]
-
-
 ALL_CLAIMS: tuple[TheoremId, ...] = tuple(TheoremId)
 
 
@@ -100,8 +80,19 @@ def verify_pair(g: Graph, h: Graph,
             for c in wanted
         )
         return VerificationReport(g6g, g6h, records)
-    ctx = _PairContext(g, h, max_product_order)
-    records = tuple(STATEMENTS[c].check(ctx) for c in wanted)
+    product = None
+    measured: dict[ParameterKind, int] = {}
+
+    def measure(kind: ParameterKind) -> int:
+        nonlocal product
+        if kind not in measured:
+            if product is None:
+                product = lex_product(g, h, max_product_order)[0]
+            measured[kind] = solve(product, kind, max_n=max_product_order, witness=False).value
+        return measured[kind]
+
+    f = PairFacts(g, h)
+    records = tuple(STATEMENTS[c].check(f, measure) for c in wanted)
     return VerificationReport(g6g, g6h, records)
 
 

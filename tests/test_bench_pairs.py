@@ -95,34 +95,22 @@ def test_counts_differ():
         "structure.factor_value.hits"]
 
 
-def test_remove_exports(tmp_path):
-    build = tmp_path / ".bench_build"
-    trees = [build / "parent", build / "change"]
-    for tree in trees:
-        (tree / "src").mkdir(parents=True)
-        (tree / "src" / "module.py").write_text("")
-    # a tree named twice (parent and change at one commit) is removed once
-    bench_pairs.remove_exports([*trees, trees[1]])
-    assert not build.exists()
-    # the directory stays while it holds anything else
-    (build / "other.partial").mkdir(parents=True)
-    (build / "tree").mkdir()
-    bench_pairs.remove_exports([build / "tree"])
-    assert sorted(p.name for p in build.iterdir()) == ["other.partial"]
+def test_main_removes_exports_when_interrupted(monkeypatch):
+    trees = []
 
-
-def test_main_removes_exports_when_interrupted(tmp_path, monkeypatch):
-    def export(ref):
-        tree = tmp_path / ".bench_build" / ref
-        tree.mkdir(parents=True)
-        return ref, tree
+    def export(ref, target):
+        (target / "src").mkdir(parents=True)
+        trees.append(target)
+        return ref, target
 
     def bench(label, sides):
-        assert all(tree.is_dir() for _, tree in sides.values())
+        assert [tree for _, tree in sides.values()] == trees
+        assert all(tree.is_dir() for tree in trees)
         raise KeyboardInterrupt
 
     monkeypatch.setattr(bench_pairs, "export", export)
     monkeypatch.setattr(bench_pairs, "bench", bench)
     with pytest.raises(KeyboardInterrupt):
         bench_pairs.main(["--label", "x", "--parent", "p", "--change", "c"])
-    assert not (tmp_path / ".bench_build").exists()
+    assert len(trees) == 2
+    assert not trees[0].parent.exists()

@@ -79,7 +79,7 @@ class TestProduct:
             lex_product(g, g, max_order=100)
 
     def test_order_over_max_vertices_refused(self):
-        # a cap above MAX_VERTICES: the product goes through Graph's checks
+        # a cap above MAX_VERTICES: the order is refused as Graph refuses it
         g = build_graph(12, [(i, i + 1) for i in range(11)])
         h = build_graph(11, [])
         with pytest.raises(DomainError, match="graph order must be in 1..128, got 132"):
