@@ -179,7 +179,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, int]:
     hs = load_corpus(args.hs)
     claims = None
     if args.claims:
-        claims = [TheoremId(c.strip()) for c in args.claims.split(",") if c.strip()]
+        claims = []
+        for name in filter(None, map(str.strip, args.claims.split(","))):
+            try:
+                claims.append(TheoremId(name))
+            except ValueError:
+                raise DomainError(f"unknown claim id {name!r}") from None
     report = verify_corpus(gs, hs, claims,
                            max_product_order=args.max_product)
     results = {

@@ -80,6 +80,11 @@ dominating_open_packings and the efficient open and closed dominating
 sets of ``structure`` are filters over that walk.  Where only dominating
 sets count, the walk leaves out the isolated vertices, which every
 dominating set holds.
+
+Every search recurses through a nested ``rec``, which refers to itself
+through its closure cell.  Each search deletes ``rec`` once its top
+call returns (a walk, in a ``finally``), so its tables and tie list are
+freed then, not at the garbage collector's next pass.
 """
 
 from __future__ import annotations
@@ -196,6 +201,8 @@ class SolveResult(NamedTuple):
 
 def is_feasible(g: Graph, smask: int, kind: ParameterKind) -> bool:
     """Truth of the defining predicate of a set-valued kind."""
+    if kind.__class__ is not ParameterKind:
+        kind = ParameterKind(kind)
     if kind not in SET_KINDS:
         raise DomainError(f"{kind.value} takes a RomanAssignment, not a vertex set")
     full = g.full_mask
@@ -380,6 +387,7 @@ def _min_cover_value(g: Graph, key, preset: int = 0):
             forbidden |= low
             candidates ^= low
     rec(cover0, 0, 0)
+    del rec
     return best, explored
 
 
@@ -434,6 +442,7 @@ def _gamma_p_value(g: Graph):
         if not nc2 & out and not close & ~(ns | nc1):
             rec(j, ns, out, nc1, nc2, size + 1)
     rec(0, 0, 0, 0, 0, 0)
+    del rec
     return best, explored
 
 
@@ -458,6 +467,7 @@ def _packing_value(g: Graph, open_: bool):
             rec(i + 1, c1 | key[v], size + 1)
         rec(i + 1, c1, size)
     rec(0, 0, 0)
+    del rec
     return best, explored
 
 
@@ -519,7 +529,10 @@ def _feasible_sets(g: Graph, kind: ParameterKind, k: int, initial_cover: int = 0
         if not (perfect and nc2 & out) and not closing[v] & ~(nc1 | (ns & exempt)):
             yield from rec(v - 1, ns, out, cnt + 1, nc1, nc2)
 
-    yield from rec(n - 1, 0, 0, 0, initial_cover, 0)
+    try:
+        yield from rec(n - 1, 0, 0, 0, initial_cover, 0)
+    finally:
+        del rec
 
 
 def _first_feasible_set(g: Graph, kind: ParameterKind, k: int, initial_cover: int = 0) -> int:
@@ -788,6 +801,7 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
             if floor + t > lim and least + x.bit_count() - ((x & ~nout) != 0) > lim:
                 break
     rec(0, 0, 0, 0, 0, 0)
+    del rec
     if ties:
         masks.sort()
     return best, masks, explored
@@ -857,6 +871,7 @@ def _solve_gamma_tR(g: Graph):
             best_v2 = t
 
     rec(n, 0, 0, 0, 0)
+    del rec
     return best, best_v2, explored
 
 
@@ -978,7 +993,10 @@ def open_packings(g: Graph, avoid: int = 0):
             if not seen & key[v]:
                 yield from rec(v, smask | 1 << v, seen | key[v])
 
-    return rec(g.n, 0, stop)
+    try:
+        yield from rec(g.n, 0, stop)
+    finally:
+        del rec
 
 
 def _dominating_open_packings(g: Graph):

@@ -6,8 +6,10 @@ product's parameters, which it measures with the exact solvers on first
 use: the product is built once, when a statement first needs it, and
 each kind is solved once.  The registry decides applicability, the
 predicted side and the wording of each record.  If-and-only-if
-statements are tested as two implications; a skip (hypotheses unmet or
-size cap) is a first-class outcome distinct from a failure, and the one
+statements are tested as two implications.  A skip is a first-class
+outcome distinct from a failure: a claim skips when its hypotheses are
+unmet, when the product is over the budget, or when a fact its check
+reads is over its size cap, with the refusal as its detail.  The one
 characterization stratum the source material leaves open is reported as
 "indeterminate" rather than pass/fail.
 """
@@ -92,8 +94,13 @@ def verify_pair(g: Graph, h: Graph,
         return measured[kind]
 
     f = PairFacts(g, h)
-    records = tuple(STATEMENTS[c].check(f, measure) for c in wanted)
-    return VerificationReport(g6g, g6h, records)
+    records = []
+    for c in wanted:
+        try:
+            records.append(STATEMENTS[c].check(f, measure))
+        except CapExceededError as exc:  # a factor fact over its cap
+            records.append(ClaimRecord(c.value, SKIP, detail=str(exc)))
+    return VerificationReport(g6g, g6h, tuple(records))
 
 
 class CorpusReport(NamedTuple):

@@ -164,6 +164,10 @@ class TestVerify:
         assert code == EXIT_OK
         body = json.loads(out)
         assert set(body["results"]["totals"]) == {"GAMMA_LEX", "ROMAN_LEX"}
+        assert body["inputs"]["claims"] == "GAMMA_LEX,ROMAN_LEX"
+        code, out, err = run(capsys, "verify", "--gs", str(gs), "--hs", str(hs),
+                             "--claims", "GAMMA_LEX,BOGUS")
+        assert (code, out, err) == (EXIT_DOMAIN, "", "error: unknown claim id 'BOGUS'\n")
 
 
 class TestGen:

@@ -2,6 +2,7 @@
 tie-breaking, caps and domain errors, and the couple parameters."""
 
 import ast
+import gc
 import importlib
 import os
 import pkgutil
@@ -759,6 +760,26 @@ def test_capped_memo_cache_clear_empties_every_cache_of_every_module():
     assert [name for name, obj in caches.items() if obj.cache_info().currsize] == []
 
 
+def test_searches_leave_no_cyclic_garbage():
+    # a search's state is freed when it returns, not at the next collection
+    g = generate(parse_family("cycle:7"))
+    product = _lex(g, "empty:2")
+    cases = [(kind, witness) for kind in ParameterKind for witness in (True, False)]
+    for kind, witness in cases:  # warm the memos and set-up caches
+        solve(product, kind, witness=witness)
+    gc.collect()
+    gc.disable()
+    try:
+        for kind, witness in cases:
+            solve(product, kind, witness=witness)
+            assert gc.collect() == 0, (kind, witness)
+        # a walk dropped before its end
+        next(open_packings(g))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestFeasibilityPredicates:
     def test_is_feasible_definitions(self):
         g = P4
@@ -768,6 +789,12 @@ class TestFeasibilityPredicates:
         assert is_feasible(g, mask_from([0, 3]), ParameterKind.rho)
         assert not is_feasible(g, mask_from([0, 2]), ParameterKind.rho)
         assert is_feasible(g, mask_from([0, 1]), ParameterKind.rho_o)
+        # a kind given by its name reads the predicate of that kind
+        p3 = build_graph(3, [(0, 1), (1, 2)])
+        assert [m for m in range(8) if is_feasible(p3, m, "gamma")] == [2, 3, 5, 6, 7]
+        for kind in solvers.SET_KINDS:
+            for m in range(1 << g.n):
+                assert is_feasible(g, m, kind.value) == is_feasible(g, m, kind), (kind, m)
 
     def test_roman_predicates(self):
         g = P4

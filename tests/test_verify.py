@@ -59,6 +59,13 @@ class TestVerifyPair:
         assert record.outcome == SKIP
         assert not record.applicable
 
+    def test_factor_fact_over_its_cap_skips(self):
+        # ZETA_BOUNDS reads gamma_tR(G), whose cap is below the product budget
+        report = verify_pair(generate(parse_family("cycle:15")), N2, max_product_order=30)
+        assert not report.failures
+        (record,) = [r for r in report.records if r.claim == "ZETA_BOUNDS"]
+        assert record == (record.claim, SKIP, None, None, "order 15 exceeds the gamma_tR cap 14")
+
     def test_claim_subset(self):
         report = verify_pair(P4, N2, claims=[TheoremId.GAMMA_LEX, TheoremId.PR_COR_P2P3])
         assert [r.claim for r in report.records] == ["GAMMA_LEX", "PR_COR_P2P3"]
