@@ -30,7 +30,13 @@ The gamma_R / gamma_Rp search adds V2 vertices in one fixed order.  A
 child is weighed only when the vertices already decided out that must
 take 1 in it leave its weight at most the best found, and each node's
 child loop stops at the first child after which no later child can
-weigh at most the best or recurse (proofs in ``_roman_scan``).
+weigh at most the best or recurse (proofs in ``_roman_scan``).  Two
+lower bounds on the weight of every later child serve that stop: the
+vertices at weight 1 that no later position can reach, and a covering
+bound: a later child adds one vertex v, which takes at most deg(v) + 1
+vertices out of those outside V2 that see no member (or, for gamma_Rp,
+two), and deg(v) is at most the degree at the next position, as the
+order is by degree, descending.
 ``explored`` counts the children of every expanded node, whether
 weighed, passed over or cut off together by these bounds, so they change
 no count, value or witness.  The search keeps every V2 that weighs the
@@ -591,7 +597,7 @@ def _greedy_dominating(g: Graph) -> int:
 @lru_cache(maxsize=4)
 def _roman_plan(g: Graph, ties: bool):
     """The set-up of ``_roman_scan`` on G, shared by gamma_R and gamma_Rp:
-    (row table, greedy dominating seed), as that docstring describes.
+    (row suffixes, greedy dominating seed), as that docstring describes.
 
     A set-up cache, not an answer memo: it holds the last four graphs
     and reads no cap, since ``solve`` and ``enumerate_optimal_v2`` check
@@ -615,15 +621,19 @@ def _roman_plan(g: Graph, ties: bool):
             opens.add(adj[v])
             closeds.add(closed)
     # rows[i] as in _roman_scan; unreach: the vertices with no neighbor
-    # among order[i + 1:].  A list: a tuple table raised the peak memory
-    # of product solves
+    # among order[i + 1:]; dn: 1 + the degree at position i + 1, the
+    # largest at any later position.  Lists, not tuples: a tuple table
+    # raised the peak memory of product solves
     rows = [None] * n
     unreach = g.full_mask
+    dn = 0
     for i in range(n - 1, -1, -1):
         v = order[i]
-        rows[i] = (i + 1, adj[v], 1 << v, unreach, twin[v])
+        rows[i] = (i + 1, adj[v], 1 << v, unreach, twin[v], dn)
         unreach &= ~adj[v]
-    return rows, _greedy_dominating(g)
+        dn = 1 + adj[v].bit_count()
+    # the suffix a node starting at each position walks, sliced once here
+    return [rows[i:] for i in range(n + 1)], _greedy_dominating(g)
 
 
 _MEMOS.append(_roman_plan)
@@ -642,14 +652,17 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     The search reads its set-up from ``_roman_plan(g, ties)``, built
     once per graph and shared by both kinds: a greedy dominating set that
     seeds ``best``, and one row table, (i + 1, N(v), {v}, unreach[i + 1],
-    tw) for the vertex v at position i of the order (degree descending,
-    then index), where unreach[i] holds the vertices with no neighbor
-    among order[i:] and tw tells whether v has a twin at an earlier
-    position, in the value-only search; it is False in the tie-keeping
-    one (twin rule below).  The seed's weight is per kind.  Let k be the
-    children's |V2| and nout the decided-out set before child i: the
-    node's own and its earlier children's, so that V2 and nout hold
-    exactly the positions before i.
+    tw, dn) for the vertex v at position i of the order (degree
+    descending, then index), where unreach[i] holds the vertices with no
+    neighbor among order[i:], tw tells whether v has a twin at an earlier
+    position, in the value-only search (it is False in the tie-keeping
+    one; twin rule below), and dn is 1 + the degree of order[i + 1], the
+    largest degree at any later position (0 at the last one).  A node
+    that starts at position s walks the suffix of rows from s, which the
+    set-up slices once per position.  The seed's weight is per kind.
+    Let k be the children's |V2| and nout the decided-out set before
+    child i: the node's own and its earlier children's, so that V2 and
+    nout hold exactly the positions before i.
 
     Weigh gate.  r = |nout & (nc2 | ~nc1 & unreach[i + 1])| counts the
     decided-out vertices that see two members (gamma_Rp) or none with no
@@ -672,8 +685,27 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     X & ~nout is not empty, as V2 and nout hold the positions up to i.
     A vertex of X at a later position is not in nout, so
     T <= |X| - [X meets a later position], and 2k + T > best implies
-    both tests.  For gamma_R c2 is 0 and the same tests hold.  The tree
-    and the order in which ``best`` changes are those of the full loop.
+    both tests.  For gamma_R c2 is 0 and the same tests hold.
+
+    Covering bound.  The stop also fires when 2k + 2 + T > best and
+    2k + |A0| + |A2| - dn > best, where A0 = V - (c1 | V2) holds the
+    vertices outside V2 with no V2-neighbor and A2 = c2 - V2 those that
+    see two members (empty for gamma_R).  Both sets depend on the node
+    alone, so h = 2k + |A0| + |A2| is summed once per node.  A later
+    child j adds one vertex v = order[j] to V2.  A vertex of A2 other
+    than v still sees two members and takes 1.  A vertex of A0 outside
+    N[v] still sees no member and takes 1.  A0 and A2 are disjoint, so
+    the child takes at most |N(v) & A0| + 1 <= deg(v) + 1 vertices out
+    of the ones at weight 1, and deg(v) <= deg(order[i + 1]), since the
+    order is by degree, descending.  So child j weighs at least
+    2k + |A0| + |A2| - dn, and once that exceeds ``best``, with
+    2k + 2 + T > best for the recursion tests, no later child can
+    improve on ``best``, tie it or recurse.  ``best`` only falls, so
+    the bound read with a later ``best`` would hold too.  Either bound
+    stops the loop only where every later child is passed over by the
+    weigh gate or weighs above ``best`` and is not recursed into.  The
+    tree and the order in which ``best`` changes are those of the full
+    loop.
 
     Value only.  With ``ties`` false every gate (weigh, recurse, stop)
     reads ``lim = best - 1`` in place of ``best``, so a child that can
@@ -708,8 +740,8 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     lower bound on the weight of a child or of every node below it, so
     on the path down to V2* each weigh and recursion gate reads at most
     opt <= lim and passes.  The stop, which by the argument above with
-    lim for best fires only when no later child can weigh at most lim
-    or recurse, cannot cut that path either: the children the twin rule
+    lim for best (both bounds) fires only when no later child can weigh
+    at most lim or recurse, cannot cut that path either: the children the twin rule
     skips still join nout, so V2 and nout hold the positions before
     each child as that argument needs.  So V2* is weighed and ``best``
     falls to opt, a contradiction.  (V2 = {} is never weighed, but
@@ -747,7 +779,7 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     """
     n = g.n
     twice = g.full_mask if kind is ParameterKind.gamma_Rp else 0
-    rows, seed = _roman_plan(g, ties)
+    tails, seed = _roman_plan(g, ties)
     explored = 0
 
     # V2 = {} weighs n: every vertex takes 1
@@ -776,7 +808,10 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
         # vertices outside V2 that see two members, or none so far
         held2 = c2 & ~smask
         held0 = ~(c1 | smask)
-        for j, a, b, u, tw in rows[start:]:
+        # the covering bound of the stop (docstring) is h - dn: 2|V2| of a
+        # child plus |A0| + |A2|, less what the later child can take
+        h = least + n - (c1 | smask).bit_count() + held2.bit_count()
+        for j, a, b, u, tw, dn in tails[start]:
             # the twin rule: no child for a vertex with an earlier twin
             if not tw:
                 nc2 = (c2 | c1 & a) & twice
@@ -798,7 +833,8 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
             # no later child weighs at most lim or recurses (docstring)
             x = held2 | held0 & u
             t = (nout & x).bit_count()
-            if floor + t > lim and least + x.bit_count() - ((x & ~nout) != 0) > lim:
+            if floor + t > lim and (h - dn > lim or
+                                    least + x.bit_count() - ((x & ~nout) != 0) > lim):
                 break
     rec(0, 0, 0, 0, 0, 0)
     del rec

@@ -39,6 +39,7 @@ from lexdom import (
     zeta_prime,
 )
 from lexdom.graph import RomanAssignment
+from lexdom.graphio import corona
 from lexdom import solvers
 from lexdom.solvers import dominating_open_packings, open_packings
 from lexdom.structure import is_efficient_closed_domination, is_efficient_open_domination
@@ -253,6 +254,44 @@ def _lex(g, h):
     return lex_product(g, generate(parse_family(h)))[0]
 
 
+#: second factors rich in twins: every layer of G o H is a module, so the
+#: twins of H are twins in every layer (path:2 is complete:2)
+TWIN_HEAVY_H = ("empty:2", "empty:3", "complete:2", "complete:3", "path:3")
+
+
+def products_of(hs, max_order):
+    """G o H with H in ``hs`` and G on at most max_order // n(H)
+    vertices."""
+    return st.sampled_from(hs).flatmap(
+        lambda h: random_graph_strategy(max_n=max_order // generate(parse_family(h)).n)
+        .map(lambda g: _lex(g, h)))
+
+
+def twin_heavy_products(max_order):
+    return products_of(TWIN_HEAVY_H, max_order)
+
+
+@st.composite
+def star_paths(draw, max_n):
+    """A star whose centre or one leaf meets the end of a path."""
+    leaves = draw(st.integers(min_value=1, max_value=max_n // 2))
+    n = draw(st.integers(min_value=leaves + 2, max_value=max_n))
+    edges = [(0, v) for v in range(1, leaves + 1)]
+    edges += [(v, v + 1) for v in range(leaves + 1, n - 1)]
+    edges.append((draw(st.integers(min_value=0, max_value=leaves)), leaves + 1))
+    return build_graph(n, edges)
+
+
+def uneven_graphs(max_order):
+    """Graphs on at most max_order vertices whose degrees are uneven:
+    coronas with one or two pendants per vertex, stars joined to paths,
+    and G o H with a twin-free H (path:4, cycle:5)."""
+    coronas = st.integers(min_value=1, max_value=2).flatmap(
+        lambda k: random_graph_strategy(max_n=max_order // (k + 1))
+        .map(lambda g: corona(g, k)))
+    return st.one_of(coronas, star_paths(max_order), products_of(("path:4", "cycle:5"), max_order))
+
+
 class TestRomanSearchTree:
     """The gamma_R / gamma_Rp branch-and-bound, node for node.
 
@@ -315,6 +354,13 @@ class TestRomanSearchTree:
         # which is where the stronger stop of the child loop fires
         assert_same_roman_tree(lex_product(g, h)[0])
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(uneven_graphs(24))
+    def test_same_tree_as_reference_on_uneven_degrees(self, g):
+        # many vertices see no member and the later degrees are small,
+        # which is where the covering bound stops the child loop
+        assert_same_roman_tree(g)
+
 
 def assert_same_roman_tree(g):
     """The child loop of ``_roman_scan`` skips only children that could
@@ -322,19 +368,6 @@ def assert_same_roman_tree(g):
     included, is the uncut loop's, for both kinds."""
     for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
         assert solvers._roman_scan(g, kind) == roman_tree_reference(g, kind.value), kind
-
-
-#: second factors rich in twins: every layer of G o H is a module, so the
-#: twins of H are twins in every layer (path:2 is complete:2)
-TWIN_HEAVY_H = ("empty:2", "empty:3", "complete:2", "complete:3", "path:3")
-
-
-def twin_heavy_products(max_order):
-    """G o H with H in TWIN_HEAVY_H and G on at most max_order // n(H)
-    vertices."""
-    return st.sampled_from(TWIN_HEAVY_H).flatmap(
-        lambda h: random_graph_strategy(max_n=max_order // generate(parse_family(h)).n)
-        .map(lambda g: _lex(g, h)))
 
 
 class TestValueOnly:
@@ -442,6 +475,14 @@ class TestValueOnly:
         for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
             assert (solvers._roman_scan(product, kind, ties=False)
                     == roman_tree_reference(product, kind.value, ties=False)), kind
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(uneven_graphs(24))
+    def test_same_tree_as_reference_on_uneven_degrees(self, g):
+        # the covering bound serves the strict stop as well
+        for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
+            assert (solvers._roman_scan(g, kind, ties=False)
+                    == roman_tree_reference(g, kind.value, ties=False)), kind
 
 
 class TestRomanPlan:
