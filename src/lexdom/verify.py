@@ -8,8 +8,9 @@ each kind is solved once.  The registry decides applicability, the
 predicted side and the wording of each record.  If-and-only-if
 statements are tested as two implications.  A skip is a first-class
 outcome distinct from a failure: a claim skips when its hypotheses are
-unmet, when the product is over the budget, or when a fact its check
-reads is over its size cap, with the refusal as its detail.  The one
+unmet, when the product is over the budget or over the largest order a
+``Graph`` can have, or when a fact its check reads is over its size cap,
+with the refusal as its detail.  The one
 characterization stratum the source material leaves open is reported as
 "indeterminate" rather than pass/fail.
 """
@@ -21,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceededError
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 from .graphio import write_graph6
 from .product import DEFAULT_PRODUCT_CAP, lex_product
 from .solvers import _MEMOS, ParameterKind, _roman_v1, enumerate_optimal_v2, solve
@@ -75,12 +76,15 @@ def verify_pair(g: Graph, h: Graph,
     wanted = tuple(TheoremId(c) for c in claims) if claims is not None else ALL_CLAIMS
     g6g = _g6(g)
     g6h = _g6(h)
-    if g.n * h.n > max_product_order:
-        records = tuple(
-            ClaimRecord(c.value, SKIP,
-                        detail=f"product order {g.n * h.n} exceeds budget {max_product_order}")
-            for c in wanted
-        )
+    order = g.n * h.n
+    if order > max_product_order:
+        detail = f"product order {order} exceeds budget {max_product_order}"
+    elif order > MAX_VERTICES:  # a budget above the order a Graph can have
+        detail = f"product order {order} exceeds the graph order limit {MAX_VERTICES}"
+    else:
+        detail = None
+    if detail is not None:
+        records = tuple(ClaimRecord(c.value, SKIP, detail=detail) for c in wanted)
         return VerificationReport(g6g, g6h, records)
     product = None
     measured: dict[ParameterKind, int] = {}

@@ -14,6 +14,9 @@ from lexdom import (
     InconsistencyError,
     LexdomError,
     cli,
+    generate,
+    parse_family,
+    write_graph6,
 )
 from lexdom.cli import EXIT_CAP, EXIT_DOMAIN, EXIT_FAILURES, EXIT_OK, EXIT_PARSE, main
 
@@ -168,6 +171,18 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--gs", str(gs), "--hs", str(hs),
                              "--claims", "GAMMA_LEX,BOGUS")
         assert (code, out, err) == (EXIT_DOMAIN, "", "error: unknown claim id 'BOGUS'\n")
+
+    def test_verify_product_over_the_graph_order_limit_skips(self, capsys, tmp_path):
+        gs = tmp_path / "gs.g6"
+        hs = tmp_path / "hs.g6"
+        gs.write_bytes(write_graph6(generate(parse_family("path:12"))) + b"\n")
+        hs.write_bytes(write_graph6(generate(parse_family("empty:11"))) + b"\n")
+        code, out, _ = run(capsys, "verify", "--gs", str(gs), "--hs", str(hs),
+                           "--claims", "GAMMA_LEX,ROMAN_LEX", "--max-product", "200")
+        assert code == EXIT_OK
+        results = json.loads(out)["results"]
+        assert (results["pairs"], results["failed"]) == (1, 0)
+        assert results["totals"] == {"GAMMA_LEX": {"skip": 1}, "ROMAN_LEX": {"skip": 1}}
 
 
 class TestGen:

@@ -52,6 +52,14 @@ class TestVerifyPair:
         assert all(r.outcome == SKIP for r in report.records)
         assert "exceeds budget" in report.records[0].detail
 
+    def test_skip_on_product_over_the_graph_order_limit(self):
+        # a budget above 128 lets through a product no Graph can hold
+        report = verify_pair(generate(parse_family("path:12")), generate(parse_family("empty:11")),
+                             max_product_order=200)
+        assert {(r.outcome, r.detail) for r in report.records} == {
+            (SKIP, "product order 132 exceeds the graph order limit 128")}
+        assert len(report.records) == len(TheoremId)
+
     def test_skips_are_not_failures(self):
         # K2 factor: maxdeg(H) = n(H)-1, so the zeta-bounds stratum skips
         report = verify_pair(P4, K2, claims=[TheoremId.ZETA_BOUNDS])
