@@ -77,14 +77,12 @@ def verify_pair(g: Graph, h: Graph,
     g6g = _g6(g)
     g6h = _g6(h)
     order = g.n * h.n
-    if order > max_product_order:
-        detail = f"product order {order} exceeds budget {max_product_order}"
-    elif order > MAX_VERTICES:  # a budget above the order a Graph can have
-        detail = f"product order {order} exceeds the graph order limit {MAX_VERTICES}"
-    else:
-        detail = None
-    if detail is not None:
-        records = tuple(ClaimRecord(c.value, SKIP, detail=detail) for c in wanted)
+    # a budget above MAX_VERTICES lets through orders no Graph can have
+    if order > min(max_product_order, MAX_VERTICES):
+        limit = (f"budget {max_product_order}" if order > max_product_order
+                 else f"the graph order limit {MAX_VERTICES}")
+        records = tuple(ClaimRecord(c.value, SKIP, detail=f"product order {order} exceeds {limit}")
+                        for c in wanted)
         return VerificationReport(g6g, g6h, records)
     product = None
     measured: dict[ParameterKind, int] = {}

@@ -267,10 +267,6 @@ def products_of(hs, max_order):
         .map(lambda g: _lex(g, h)))
 
 
-def twin_heavy_products(max_order):
-    return products_of(TWIN_HEAVY_H, max_order)
-
-
 @st.composite
 def star_paths(draw, max_n):
     """A star whose centre or one leaf meets the end of a path."""
@@ -454,7 +450,7 @@ class TestValueOnly:
                 assert calls == built, (kind, g)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(twin_heavy_products(9))
+    @given(products_of(TWIN_HEAVY_H, 9))
     def test_twin_heavy_products_against_oracle(self, product):
         # the twin rule searches one V2 of each orbit under twin swaps
         for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
@@ -462,7 +458,7 @@ class TestValueOnly:
                     == roman_oracle(product, kind.value)), kind
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(twin_heavy_products(24))
+    @given(products_of(TWIN_HEAVY_H, 24))
     def test_twin_heavy_products_against_solve(self, product):
         for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
             assert solve(product, kind, witness=False).value == solve(product, kind).value, kind
