@@ -700,12 +700,9 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     order is by degree, descending.  So child j weighs at least
     2k + |A0| + |A2| - dn, and once that exceeds ``best``, with
     2k + 2 + T > best for the recursion tests, no later child can
-    improve on ``best``, tie it or recurse.  ``best`` only falls, so
-    the bound read with a later ``best`` would hold too.  Either bound
-    stops the loop only where every later child is passed over by the
-    weigh gate or weighs above ``best`` and is not recursed into.  The
-    tree and the order in which ``best`` changes are those of the full
-    loop.
+    improve on ``best``, tie it or recurse, as ``best`` only falls.
+    So with either bound the tree and the order in which ``best``
+    changes are those of the full loop.
 
     Value only.  With ``ties`` false every gate (weigh, recurse, stop)
     reads ``lim = best - 1`` in place of ``best``, so a child that can
@@ -739,11 +736,11 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     only falls, so opt <= lim held throughout.  Each bound above is a
     lower bound on the weight of a child or of every node below it, so
     on the path down to V2* each weigh and recursion gate reads at most
-    opt <= lim and passes.  The stop, which by the argument above with
-    lim for best (both bounds) fires only when no later child can weigh
-    at most lim or recurse, cannot cut that path either: the children the twin rule
-    skips still join nout, so V2 and nout hold the positions before
-    each child as that argument needs.  So V2* is weighed and ``best``
+    opt <= lim and passes.  The stop, which by the arguments above (both
+    bounds) with lim for best fires only when no later child can weigh
+    at most lim or recurse, cannot cut that path either: the children
+    the twin rule skips still join nout, so V2 and nout hold the
+    positions before each child as those arguments need.  So V2* is weighed and ``best``
     falls to opt, a contradiction.  (V2 = {} is never weighed, but
     ``best`` starts at its weight n.)
 
