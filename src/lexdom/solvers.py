@@ -740,9 +740,9 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     bounds) with lim for best fires only when no later child can weigh
     at most lim or recurse, cannot cut that path either: the children
     the twin rule skips still join nout, so V2 and nout hold the
-    positions before each child as those arguments need.  So V2* is weighed and ``best``
-    falls to opt, a contradiction.  (V2 = {} is never weighed, but
-    ``best`` starts at its weight n.)
+    positions before each child as those arguments need.  So V2* is
+    weighed and ``best`` falls to opt, a contradiction.  (V2 = {} is
+    never weighed, but ``best`` starts at its weight n.)
 
     Without the twin rule the strict tree would be part of the
     tie-keeping one: whatever the strict gates pass over weighs above
