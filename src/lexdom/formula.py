@@ -7,16 +7,22 @@ reason) pairs tried in order; its conclusion, which is an exact value
 with a branch tag (Exact), a lower or an upper bound (Lower, Upper), the
 right-hand side of an if-and-only-if (Iff), or a check of its own
 (Custom); and, optionally, the witness its proof builds on the product.
+Each kind of conclusion owns its rules, written once on the class: its
+share of a prediction, the value its witness attains, when it tells
+nothing although the hypotheses hold (only an Iff whose right-hand side
+fails), and its record against the product.
+
 The parts read factor data from one PairFacts per pair, which computes
-each quantity on first use.  A fact of G alone, or of whether a
-property P1-P3 holds, is one line of PairFacts naming the function that
-defines it.  The facts the gamma_Rp bounds read, with H only through
-n(H), mindeg(H) and maxdeg(H), are computed once per G: the three picks
-among the optimal PRDFs behind functions I, II and IV (one enumeration,
-``_prdf_picks``), the epn split of function III, and, for the
-open-packing bound, the open-packing profiles that some H can make
-minimal.  Each is a ``solvers.capped_memo`` that refuses with the cap a
-cold computation meets first.
+each quantity on first read and stores it on the instance.  Each such
+fact is one line of ``_FACTS``: a fact of G alone names the function
+that defines it, and p1-p3 whether a property P1-P3 holds.  The facts
+the gamma_Rp bounds read, with H only through n(H), mindeg(H) and
+maxdeg(H), are computed once per G: the three picks among the optimal
+PRDFs behind functions I, II and IV (one enumeration, ``_prdf_picks``),
+the epn split of function III, and, for the open-packing bound, the
+open-packing profiles that some H can make minimal.  Each is a
+``solvers.capped_memo`` that refuses with the cap a cold computation
+meets first.
 
 predict() folds the applicable statements about one parameter into an
 interval and collapses it to an exact value whenever an exact case fires
@@ -24,14 +30,14 @@ or an iff's right-hand side holds.  Disagreement between fired exact
 statements (or an exact value escaping the aggregated interval) raises
 InconsistencyError rather than picking a side.  Statement.check()
 compares one statement with the product's parameters that verify_pair()
-measures, and construct_witness() builds one statement's object and
-validates it.
+measures, and construct_witness() decides whether the statement has a
+witness and tells something about the pair before it builds the product,
+then builds the statement's object and validates it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, HypothesisError, InconsistencyError
@@ -221,25 +227,13 @@ def _packing_profiles(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
                  if not any(q != p and all(x <= y for x, y in zip(q, p)) for q in first))
 
 
-def _of_g(fn, *args) -> cached_property:
-    """A PairFacts fact that reads G alone: ``fn(G, *args)``, computed on
-    first use and documented by ``fn``."""
-    fact = cached_property(lambda f: fn(f.g, *args))
-    fact.__doc__ = fn.__doc__
-    return fact
-
-
-def _holds(kind: HypothesisKind) -> cached_property:
-    """A PairFacts fact: whether property ``kind`` holds of (G, H)."""
-    return cached_property(lambda f: bool(check_hypothesis(f.g, f.h, kind)))
-
-
 class PairFacts:
-    """What the statements read about the factors of one pair (G, H),
-    each quantity computed on first use and at most once, apart from the
-    degree facts, which __init__ sets.  Checking a statement against the
-    product also reads the product's parameters, which ``verify_pair``
-    measures (``Statement.check``)."""
+    """What the statements read about the factors of one pair (G, H).
+    __init__ sets the degree facts; each fact of ``_FACTS`` is computed
+    on its first read and stored on the instance, so a later read finds
+    it there.  Checking a statement against the product also reads the
+    product's parameters, which ``verify_pair`` measures
+    (``Statement.check``)."""
 
     def __init__(self, g: Graph, h: Graph):
         self.g = g
@@ -249,30 +243,12 @@ class PairFacts:
         self.g_ok = self.delta_g > 0
         self.dmin, self.dmax = h.degree_extremes()
 
-    g_connected = _of_g(Graph.is_connected)
-    gamma = _of_g(factor_value, ParameterKind.gamma)
-    gamma_t = _of_g(factor_value, ParameterKind.gamma_t)
-    gamma_p = _of_g(factor_value, ParameterKind.gamma_p)
-    gamma_Rp = _of_g(factor_value, _RP)
-    eod = _of_g(is_efficient_open_domination)
-    ecd = _of_g(is_efficient_closed_domination)
-    zeta = _of_g(zeta)
-    prdf = _of_g(_prdf_picks)
-    epn_split = _of_g(_epn_split)
-    p1 = _holds(HypothesisKind.P1)
-    p2 = _holds(HypothesisKind.P2)
-    p3 = _holds(HypothesisKind.P3)
-
-    @cached_property
-    def packing(self) -> tuple[int, int]:
-        """(value, S) of the open packing S of G minimizing
-        |S0|(n(H)-maxdeg(H)+1) + |S - S0|(2+mindeg(H)) + n(H)(n(G) - |N[S]|),
-        where S0 holds the members without a neighbor in S (ties: smallest
-        S), over the profiles of ``_packing_profiles``.  Refuses G over the
-        subset cap before the walk."""
-        n_h, a, b = self.h.n, self.h.n - self.dmax + 1, 2 + self.dmin
-        return min((s0 * a + s1 * b + n_h * outside, s)
-                   for s0, s1, outside, s in _packing_profiles(self.g))
+    def __getattr__(self, name: str):
+        # reached only while ``name`` is not in the instance dict: the first
+        # read of a fact computes it and stores it there
+        if name not in _FACTS:
+            raise AttributeError(f"PairFacts has no fact {name!r}")
+        return self.__dict__.setdefault(name, _FACTS[name](self))
 
     def lift(self, gmask: int, hmask: int) -> int:
         """The product mask of gmask x hmask."""
@@ -282,32 +258,109 @@ class PairFacts:
         return out
 
 
+def _packing(f: PairFacts) -> tuple[int, int]:
+    """(value, S) of the open packing S of G minimizing
+    |S0|(n(H)-maxdeg(H)+1) + |S - S0|(2+mindeg(H)) + n(H)(n(G) - |N[S]|),
+    where S0 holds the members without a neighbor in S (ties: smallest
+    S), over the profiles of ``_packing_profiles``.  Refuses G over the
+    subset cap before the walk."""
+    n_h, a, b = f.h.n, f.h.n - f.dmax + 1, 2 + f.dmin
+    return min((s0 * a + s1 * b + n_h * outside, s)
+               for s0, s1, outside, s in _packing_profiles(f.g))
+
+
+#: The facts of PairFacts that are computed on first read, each from the
+#: PairFacts.  A fact of G alone names the function that defines it; p1,
+#: p2 and p3 tell whether property P1, P2 or P3 holds of (G, H).
+_FACTS: dict[str, Callable[[PairFacts], object]] = {
+    "g_connected": lambda f: f.g.is_connected(),
+    "gamma": lambda f: factor_value(f.g, ParameterKind.gamma),
+    "gamma_t": lambda f: factor_value(f.g, ParameterKind.gamma_t),
+    "gamma_p": lambda f: factor_value(f.g, ParameterKind.gamma_p),
+    "gamma_Rp": lambda f: factor_value(f.g, _RP),
+    "eod": lambda f: is_efficient_open_domination(f.g),
+    "ecd": lambda f: is_efficient_closed_domination(f.g),
+    "zeta": lambda f: zeta(f.g),
+    "prdf": lambda f: _prdf_picks(f.g),
+    "epn_split": lambda f: _epn_split(f.g),
+    "packing": _packing,
+    "p1": lambda f: bool(check_hypothesis(f.g, f.h, HypothesisKind.P1)),
+    "p2": lambda f: bool(check_hypothesis(f.g, f.h, HypothesisKind.P2)),
+    "p3": lambda f: bool(check_hypothesis(f.g, f.h, HypothesisKind.P3)),
+}
+
+
 # -- the kinds of conclusion ------------------------------------------------
 #
-# Plain classes: the registry is built on every import, and a NamedTuple
-# costs far more to define than the 25 statements do to build.
+# Each kind owns its rules: its share of a prediction (``slot``), the
+# value its witness attains (``target``), when it tells nothing although
+# the hypotheses hold (``refusal``), and its record against the product
+# (``check``).  Plain classes: the registry is built on every import, and
+# a NamedTuple costs far more to define than the 25 statements do to
+# build.
 
 
-class Exact:
+class Conclusion:
+    """The rules the kinds share, for a conclusion about ``value(f)``."""
+
+    #: the share of a prediction: 0 an exact value, 1 a lower bound, 2 an
+    #: upper bound, None no share
+    slot: int | None = None
+
+    def __init__(self, value: Callable[[PairFacts], int] | None):
+        self.value = value
+
+    def target(self, f: PairFacts) -> tuple[str | None, int]:
+        """(branch, value): what the witness attains, and the branch taken,
+        which is None unless the conclusion has cases."""
+        return None, self.value(f)
+
+    def refusal(self, f: PairFacts) -> str | None:
+        """Why the conclusion tells nothing about a pair whose hypotheses
+        hold, or None."""
+        return None
+
+    def check(self, claim: str, f: PairFacts, measure: Measure, kind: ParameterKind) -> ClaimRecord:
+        """The record of ``compare`` against the product's ``kind``."""
+        return self.compare(claim, f, measure(kind))
+
+
+class Upper(Conclusion):
+    slot = 2
+
+    def compare(self, claim: str, f: PairFacts, measured: int) -> ClaimRecord:
+        bound = self.value(f)
+        return _compare(claim, f"<= {bound}", measured, measured <= bound)
+
+
+class Lower(Conclusion):
+    slot = 1
+
+    def compare(self, claim: str, f: PairFacts, measured: int) -> ClaimRecord:
+        bound = self.value(f)
+        return _compare(claim, f">= {bound}", measured, measured >= bound)
+
+
+class Exact(Conclusion):
     """The parameter equals ``cases(f)[1]``; ``cases(f)[0]`` names the
-    branch taken, or is None for a single formula."""
+    branch taken, or is None for a single formula.  ``cases`` is the
+    conclusion's ``target``."""
+
+    slot = 0
 
     def __init__(self, cases: Callable[[PairFacts], tuple[str | None, int]]):
-        self.cases = cases
+        self.target = cases
+
+    def compare(self, claim: str, f: PairFacts, measured: int) -> ClaimRecord:
+        value = self.target(f)[1]
+        return _compare(claim, value, measured, measured == value)
 
 
-class Lower:
-    def __init__(self, value: Callable[[PairFacts], int]):
-        self.value = value
+class Iff(Conclusion):
+    """The parameter equals ``value(f)`` if and only if ``rhs(f)``; the
+    statement tells something only when ``rhs(f)`` holds."""
 
-
-class Upper:
-    def __init__(self, value: Callable[[PairFacts], int]):
-        self.value = value
-
-
-class Iff:
-    """The parameter equals ``value(f)`` if and only if ``rhs(f)``."""
+    slot = 0
 
     def __init__(self, value: Callable[[PairFacts], int],
                  rhs: Callable[[PairFacts], bool], detail: str):
@@ -315,16 +368,25 @@ class Iff:
         self.rhs = rhs
         self.detail = detail
 
+    def refusal(self, f: PairFacts) -> str | None:
+        return None if self.rhs(f) else f"right-hand side fails: {self.detail}"
 
-class Custom:
-    """A check that is no single comparison: ``check(claim, f, measure)``
-    returns the record.  ``value(f)``, when given, is what the witness
-    attains."""
+    def compare(self, claim: str, f: PairFacts, measured: int) -> ClaimRecord:
+        return _iff(claim, measured == self.value(f), self.rhs(f), self.detail)
 
-    def __init__(self, check: Callable[[str, PairFacts, Measure], ClaimRecord],
+
+class Custom(Conclusion):
+    """A check that is no single comparison: ``own_check(claim, f,
+    measure)`` returns the record.  ``value(f)``, when given, is what the
+    witness attains."""
+
+    def __init__(self, own_check: Callable[[str, PairFacts, Measure], ClaimRecord],
                  value: Callable[[PairFacts], int] | None = None):
-        self.check = check
+        self.own_check = own_check
         self.value = value
+
+    def check(self, claim: str, f: PairFacts, measure: Measure, kind: ParameterKind) -> ClaimRecord:
+        return self.own_check(claim, f, measure)
 
 
 class Statement:
@@ -335,7 +397,7 @@ class Statement:
 
     def __init__(self, id: TheoremId, kind: ParameterKind,
                  hypotheses: tuple[tuple[Callable[[PairFacts], bool], str], ...],
-                 conclusion: Exact | Lower | Upper | Iff | Custom,
+                 conclusion: Conclusion,
                  witness: Callable[[PairFacts, str | None], object] | None = None):
         self.id = id
         #: the claim name of the records that ``check`` returns
@@ -353,34 +415,18 @@ class Statement:
         return None
 
     def refusal(self, f: PairFacts) -> str | None:
-        """Why the statement tells nothing about the pair, or None.  An
-        if-and-only-if tells something only when its right-hand side holds."""
+        """Why the statement tells nothing about the pair, or None: an unmet
+        hypothesis, else the conclusion's refusal."""
         reason = self.skip_reason(f)
-        c = self.conclusion
-        if reason is None and isinstance(c, Iff) and not c.rhs(f):
-            return f"right-hand side fails: {c.detail}"
-        return reason
+        return self.conclusion.refusal(f) if reason is None else reason
 
     def check(self, f: PairFacts, measure: Measure) -> ClaimRecord:
         """Compare the statement with the product, whose parameters
         ``measure(kind)`` gives, read only once the hypotheses hold."""
-        claim = self.claim
         reason = self.skip_reason(f)
         if reason is not None:
-            return ClaimRecord(claim, SKIP, detail=reason)
-        c = self.conclusion
-        if isinstance(c, Custom):
-            return c.check(claim, f, measure)
-        measured = measure(self.kind)
-        if isinstance(c, Iff):
-            return _iff(claim, measured == c.value(f), c.rhs(f), c.detail)
-        if isinstance(c, Exact):
-            value = c.cases(f)[1]
-            return _compare(claim, value, measured, measured == value)
-        bound = c.value(f)
-        if isinstance(c, Lower):
-            return _compare(claim, f">= {bound}", measured, measured >= bound)
-        return _compare(claim, f"<= {bound}", measured, measured <= bound)
+            return ClaimRecord(self.claim, SKIP, detail=reason)
+        return self.conclusion.check(self.claim, f, measure, self.kind)
 
 
 # -- exact cases with branches, and the proofs' witnesses ------------------
@@ -690,7 +736,7 @@ _REGISTRY = (
 STATEMENTS: dict[TheoremId, Statement] = {st.id: st for st in _REGISTRY}
 
 _PREDICTORS = {
-    kind: [st for st in _REGISTRY if st.kind is kind and not isinstance(st.conclusion, Custom)]
+    kind: [st for st in _REGISTRY if st.kind is kind and st.conclusion.slot is not None]
     for kind in PREDICT_KINDS
 }
 
@@ -712,20 +758,14 @@ def predict(g: Graph, h: Graph, kind: ParameterKind) -> Prediction:
     reason = statements[0].skip_reason(f)
     if reason is not None:
         raise HypothesisError(f"{kind.value} prediction {reason}")
-    exacts: list[tuple[str, int]] = []
-    lowers: list[tuple[str, int]] = []
-    uppers: list[tuple[str, int]] = []
+    # (tag, value) of the exact values, the lower and the upper bounds
+    exacts, lowers, uppers = shares = ([], [], [])
     for st in statements:
         if st.refusal(f) is not None:
             continue
-        tag, c = st.claim, st.conclusion
-        if isinstance(c, Exact):
-            branch, value = c.cases(f)
-            exacts.append((tag if branch is None else f"{tag}:{branch}", value))
-        elif isinstance(c, Iff):
-            exacts.append((tag, c.value(f)))
-        else:
-            (lowers if isinstance(c, Lower) else uppers).append((tag, c.value(f)))
+        branch, value = st.conclusion.target(f)
+        shares[st.conclusion.slot].append(
+            (st.claim if branch is None else f"{st.claim}:{branch}", value))
 
     lo_tag, lo = max(lowers, key=lambda t: t[1], default=(None, None))
     hi_tag, hi = min(uppers, key=lambda t: t[1], default=(None, None))
@@ -751,27 +791,22 @@ def construct_witness(theorem: TheoremId, g: Graph, h: Graph):
     hypotheses fail or, for an if-and-only-if, its right-hand side does.
     """
     st = STATEMENTS[TheoremId(theorem)]
-    product, _ = lex_product(g, h)
     if st.witness is None:
         raise DomainError(f"{st.claim} has no constructive witness")
     f = PairFacts(g, h)
     reason = st.refusal(f)
     if reason is not None:
         raise HypothesisError(f"{st.claim} {reason}")
-    c = st.conclusion
-    branch, expected = c.cases(f) if isinstance(c, Exact) else (None, c.value(f))
+    product, _ = lex_product(g, h)
+    branch, expected = st.conclusion.target(f)
     built = st.witness(f, branch)
     if st.kind in (ParameterKind.gamma, ParameterKind.gamma_p):
-        if not is_feasible(product, built, st.kind) or built.bit_count() != expected:
-            raise InconsistencyError(
-                f"{st.claim} construction invalid: size {built.bit_count()}, expected {expected}"
-            )
-        return built
-    v2, v1 = built
-    assignment = assignment_from_masks(product.n, v1, v2)
-    valid = is_rdf if st.kind is ParameterKind.gamma_R else is_prdf
-    if not valid(product, assignment) or assignment.weight != expected:
+        valid, size, unit = is_feasible(product, built, st.kind), built.bit_count(), "size"
+    else:
+        built = assignment_from_masks(product.n, built[1], built[0])
+        valid = (is_rdf if st.kind is _R else is_prdf)(product, built)
+        size, unit = built.weight, "weight"
+    if not valid or size != expected:
         raise InconsistencyError(
-            f"{st.claim} construction invalid: weight {assignment.weight}, expected {expected}"
-        )
-    return assignment
+            f"{st.claim} construction invalid: {unit} {size}, expected {expected}")
+    return built

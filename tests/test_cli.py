@@ -144,6 +144,17 @@ class TestWitness:
         assert code == EXIT_DOMAIN
         assert "error" in err
 
+    @pytest.mark.parametrize("theorem, message", [
+        ("PR_LB_GENERAL", "error: PR_LB_GENERAL has no constructive witness\n"),
+        ("GAMMA_LEX", "error: GAMMA_LEX needs G without isolated vertices and nontrivial H\n"),
+    ])
+    def test_refusal_before_the_product(self, capsys, theorem, message):
+        # the product, 12*11 = 132 vertices, is over the cap: a statement
+        # without a builder, or whose hypothesis fails, is refused first
+        code, out, err = run(capsys, "witness", "--theorem", theorem,
+                             "--familyG", "empty:12", "--familyH", "complete:11")
+        assert (code, out, err) == (EXIT_DOMAIN, "", message)
+
 
 class TestVerify:
     def test_verify_ok(self, capsys, tmp_path, data_dir):

@@ -229,6 +229,21 @@ class TestPairFacts:
         with pytest.raises(CapExceededError, match=f"^order 10 exceeds the {cap} cap 9$"):
             getattr(PairFacts(g, K2), fact)
 
+    def test_unknown_fact_is_no_attribute(self):
+        assert not hasattr(PairFacts(P4, K2), "no_such_fact")
+
+    def test_second_read_from_the_instance(self):
+        # the first read stores the fact on the instance, so the second
+        # neither computes it nor looks it up in the memo per G
+        g = generate(parse_family("path:10"))
+        facts = PairFacts(g, K2)
+        assert "prdf" not in vars(facts)
+        picks = facts.prdf
+        assert vars(facts)["prdf"] is picks
+        info = formula._prdf_picks.cache_info()
+        assert facts.prdf is picks
+        assert formula._prdf_picks.cache_info() == info
+
     # derandomized: the same pairs on every run; each G meets three H,
     # so the later ones read the memos warm
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -324,8 +339,7 @@ class TestWitnessConstruction:
                             construct_witness(st.id, g, h)
                         continue
                     w = construct_witness(st.id, g, h)
-                    c = st.conclusion
-                    expected = c.cases(f)[1] if isinstance(c, Exact) else c.value(f)
+                    expected = st.conclusion.target(f)[1]
                     if isinstance(w, RomanAssignment):
                         valid = is_rdf if st.kind is ParameterKind.gamma_R else is_prdf
                         assert valid(product, w) and w.weight == expected, (st.id, g, h)

@@ -1,12 +1,14 @@
 """The package surface: every exported name resolves, the analysis layers
-load on first use, a name that moved is one object in both places, and
-no module checks with ``assert``."""
+load on first use, a name that moved is one object in both places, no
+module checks with ``assert``, no code dispatches on the kind of a
+conclusion and no fact takes ``cached_property``'s lock."""
 
 import ast
 import json
 from pathlib import Path
 
 import lexdom
+from lexdom import formula
 
 from fresh import run_fresh
 
@@ -49,11 +51,44 @@ def test_surface():
     }
 
 
+def _package_nodes():
+    for path in sorted(Path(lexdom.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
 def test_no_assert_statement():
     # ``python -O`` strips asserts, so a runtime cross-check must raise
     # InconsistencyError instead
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(Path(lexdom.__file__).parent.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _names(node) -> set[str]:
+    """The names a class argument of ``isinstance`` reads: ``X``, ``m.X``
+    or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names, node.elts))
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def test_no_dispatch_on_conclusion_kind():
+    # each kind of conclusion owns its rules, so no code tests which kind
+    # it holds; and the facts of PairFacts are stored without the lock
+    # that cached_property takes on every first read
+    kinds = {name for name, cls in vars(formula).items()
+             if isinstance(cls, type) and issubclass(cls, formula.Conclusion)}
+    assert {"Conclusion", "Exact", "Lower", "Upper", "Iff", "Custom"} <= kinds
+    found = []
+    for name, node in _package_nodes():
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2
+                and _names(node.args[1]) & kinds):
+            found.append(f"{name}:{node.lineno} {node.func.id}")
+        if (isinstance(node, ast.alias) and node.name == "cached_property"
+                or isinstance(node, ast.Attribute) and node.attr == "cached_property"):
+            found.append(f"{name}:{node.lineno} cached_property")
     assert found == []
