@@ -301,7 +301,9 @@ _FACTS: dict[str, Callable[[PairFacts], object]] = {
 
 
 class Conclusion:
-    """The rules the kinds share, for a conclusion about ``value(f)``."""
+    """The rules the kinds share, for a conclusion about ``value(f)``.
+    Each kind but Custom gives ``compare(claim, f, measured)``, its record
+    for the measured parameter."""
 
     #: the share of a prediction: 0 an exact value, 1 a lower bound, 2 an
     #: upper bound, None no share
