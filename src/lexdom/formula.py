@@ -47,17 +47,17 @@ from .solvers import (
     PREDICT_KINDS,
     ParameterKind,
     TheoremId,
-    _feasible_sets,
+    _dominating_open_packings,
     _isolated_in,
     _roman_v1,
+    _walk_open_packings,
+    _walk_sets,
     capped_memo,
     check_cap,
-    dominating_open_packings,
     enumerate_optimal_v2,
     is_feasible,
     is_prdf,
     is_rdf,
-    open_packings,
     solve,
     zeta,
     zeta_couples,
@@ -193,13 +193,18 @@ def _prdf_picks(g: Graph) -> PrdfPicks:
 def _epn_split(g: Graph) -> tuple[int, int]:
     """(S', S - S') for the gamma_p(G)-set S minimizing |S'| + 2|S - S'|,
     where S' holds the members without an external private neighbor
-    (ties: smallest S)."""
-    splits = []
-    for smask in _feasible_sets(g, ParameterKind.gamma_p, factor_value(g, ParameterKind.gamma_p)):
+    (ties: smallest S, the first the walk visits)."""
+    best = None
+
+    def visit(smask: int, c2: int) -> None:
+        nonlocal best
         s_prime = mask_from(v for v in bits(smask) if not g.epn(v, smask))
-        splits.append((s_prime.bit_count() + 2 * (smask & ~s_prime).bit_count(),
-                       smask, s_prime))
-    _, smask, s_prime = min(splits)
+        weight = s_prime.bit_count() + 2 * (smask & ~s_prime).bit_count()
+        if best is None or weight < best[0]:
+            best = (weight, smask, s_prime)
+
+    _walk_sets(g, ParameterKind.gamma_p, factor_value(g, ParameterKind.gamma_p), 0, visit)
+    _, smask, s_prime = best
     return s_prime, smask & ~s_prime
 
 
@@ -217,12 +222,16 @@ def _packing_profiles(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     for every H, and the minimum (value, S) is among those kept.
     """
     first: dict[tuple[int, int, int], int] = {}
-    # the walk yields the open packings in increasing numeric order, so
-    # the first S of each profile is its smallest
-    for smask in open_packings(g):
-        s0 = _isolated_in(g, smask).bit_count()
-        first.setdefault((s0, smask.bit_count() - s0,
-                          g.n - g.closed_cover(smask).bit_count()), smask)
+    n = g.n
+
+    # the walk visits the open packings in increasing numeric order, so
+    # the first S of each profile is its smallest; with seen = N(S),
+    # S0 = S - seen and N[S] = seen | S
+    def visit(smask: int, seen: int) -> None:
+        s0 = (smask & ~seen).bit_count()
+        first.setdefault((s0, smask.bit_count() - s0, n - (seen | smask).bit_count()), smask)
+
+    _walk_open_packings(g, 0, visit)
     return tuple((*p, s) for p, s in first.items()
                  if not any(q != p and all(x <= y for x, y in zip(q, p)) for q in first))
 
@@ -592,11 +601,11 @@ def _check_perfect_roman_char(claim: str, f: PairFacts, measure: Measure) -> Cla
                     "stratum maxdeg(H) = n(H)-2 with gamma_Rp(G) = 2 gamma_t(G) or "
                     "gamma_t(G) = gamma(G): lhs iff P1")
     if lhs:
-        # 2|S - S0| + 3|S0| = 2|S| + |S0|, S0 the members without an S-neighbor
-        couple_cond = all(
-            2 * f.gamma_t <= 2 * s.bit_count() + _isolated_in(f.g, s).bit_count()
-            for s in dominating_open_packings(f.g)
-        )
+        # 2|S - S0| + 3|S0| = 2|S| + |S0|, S0 the members without an
+        # S-neighbor; the walk stops at the first S below 2 gamma_t(G)
+        bound = 2 * f.gamma_t
+        couple_cond = _dominating_open_packings(
+            f.g, lambda s, s0: 2 * s.bit_count() + s0.bit_count() < bound) is None
         ok = f.p1 and couple_cond
         return ClaimRecord(claim, PASS if ok else FAIL, True, lhs,
                            "stratum maxdeg(H) = n(H)-2, necessity only: "

@@ -65,32 +65,51 @@ pass, and it would be found (proof in ``_roman_scan``).  Its
 ``explored`` counts the children of every node the strict search
 expands.  The tie-keeping search, ``solve`` by default and
 enumerate_optimal_v2, has no twin rule.  The set kinds skip the
-canonical-set DFS and no kind builds a witness; the set and gamma_tR
+canonical-set walk and no kind builds a witness; the set and gamma_tR
 searches and their ``explored`` are unchanged.
 
 Canonical witnesses: the returned witness is the one whose V2 (or set)
 bitmask is numerically smallest among all optima.  For set kinds the
-value search finds only the optimum k; a second, bounded DFS with k fixed
-then decides vertices from n-1 down to 0, trying "exclude" before
-"include".  Masks of one popcount compare like their bit strings read
-from the top bit, so this DFS reaches its leaves in increasing numeric
-order and its first feasible leaf is the canonical witness, without a
-scan over all C(n, k) masks.  Its nodes are not counted in ``explored``.
+value search finds only the optimum k; a second, bounded walk with k
+fixed, ``_walk_sets``, then decides vertices from n-1 down to 0, trying
+"exclude" before "include".  Two masks of one popcount compare like
+their bit strings read from the top bit: at the highest vertex where
+they differ, the smaller one leaves it out.  The walk leaves each vertex
+out first, from the top down, so it reaches its leaves in increasing
+numeric order, and its first feasible leaf is the canonical witness,
+found without a scan over all C(n, k) masks.
 
-zeta_couples walks the same DFS one set size k at a time over the
-dominating sets from k = gamma(G) up, and stops once 2k exceeds the
-best weight found, since no set of size k weighs less than 2k.  The
-open packings come from one walk of their own, open_packings, which
-yields every open packing once in increasing numeric order; zeta_prime,
+The walks.  Two plain recursive walks serve every caller that needs
+all the sets of a family, or the first that matches: ``_walk_sets``
+over the feasible sets of one size and one set kind, and
+``_walk_open_packings`` over the open packings.  Each calls
+``visit(S, counter)`` for every set in increasing numeric order and
+stops at the first call that returns a truthy value; it returns that
+S, or None.  The counter is one the walk keeps anyway, so a visitor
+need not recompute it.  ``_walk_sets`` hands over c2, the vertices that
+see at least two members in their key neighborhood (closed for gamma
+and rho).  A member sees itself in its closed neighborhood, so for
+gamma S & ~c2 is iso(G[S]), the members with no neighbor in S.
+``_walk_open_packings`` hands over seen = N(S): S dominates when
+seen | S = V, and its members without a neighbor in S are S - seen.
+No walk is a generator, which would pass every set up through one
+frame per level of the walk.  The walks' nodes are in no ``explored``
+count, which is the value searches' alone.
+
+zeta_couples walks the dominating sets one size k at a time from
+k = gamma(G) up, with B = S - c2, and stops once 2k exceeds the best
+weight found, since no set of size k weighs less than 2k.  zeta_prime,
 dominating_open_packings and the efficient open and closed dominating
-sets of ``structure`` are filters over that walk.  Where only dominating
+sets of ``structure`` are visitors of the open-packing walk; the
+efficient sets stop it at their first match.  Where only dominating
 sets count, the walk leaves out the isolated vertices, which every
 dominating set holds.
 
 Every search recurses through a nested ``rec``, which refers to itself
 through its closure cell.  Each search deletes ``rec`` once its top
-call returns (a walk, in a ``finally``), so its tables and tie list are
-freed then, not at the garbage collector's next pass.
+call returns (a walk, in a ``finally``, as a visitor may raise), so its
+tables and tie list are freed then, not at the garbage collector's next
+pass.
 """
 
 from __future__ import annotations
@@ -477,22 +496,28 @@ def _packing_value(g: Graph, open_: bool):
     return best, explored
 
 
-def _feasible_sets(g: Graph, kind: ParameterKind, k: int, initial_cover: int = 0):
-    """Every popcount-``k`` set S that satisfies the predicate of set kind
-    ``kind``, in increasing numeric order.
+def _walk_sets(g: Graph, kind: ParameterKind, k: int, initial_cover: int, visit):
+    """Call ``visit(S, c2)`` for every popcount-``k`` set S that
+    satisfies the predicate of set kind ``kind``, in increasing numeric
+    order, until a call returns a truthy value.  Returns the S of that
+    call, or None once every set has been visited.
 
     Each vertex of ``initial_cover`` counts as already seeing one member
-    (a fixed set outside the search), so with ``kind`` gamma_t the sets
-    yielded are exactly those whose open neighborhoods cover the rest.
+    (a fixed set outside the walk), so with ``kind`` gamma_t the sets
+    visited are exactly those whose open neighborhoods cover the rest.
 
     Vertices are decided from n-1 down to 0, "exclude" before "include".
     Two masks of equal popcount compare like their bit strings read from
     the top, with 0 before 1, so leaves are reached in increasing numeric
     order.  Pruning uses only the definitions: the popcount, the c1/c2
     counters (vertices seeing at least one / two members in their key
-    neighborhood), and each vertex's constraint once every vertex that
-    can change it is decided.  Once k members are chosen, every vertex
-    still undecided is left out, and their checks are made together.
+    neighborhood, closed for gamma and rho, open for the other kinds),
+    and each vertex's constraint once every vertex that can change it is
+    decided.  Once k members are chosen, every vertex still undecided is
+    left out, and their checks are made together.  At a leaf every member
+    is chosen, so the c2 handed to ``visit`` is final.  A member sees
+    itself in its closed key, so for gamma and rho S & ~c2 is iso(G[S]),
+    the members with no neighbor in S.
     """
     n = g.n
     closed = kind in (ParameterKind.gamma, ParameterKind.rho)
@@ -520,31 +545,35 @@ def _feasible_sets(g: Graph, kind: ParameterKind, k: int, initial_cover: int = 0
         if cnt == k or v < 0:
             # every vertex from v down is left out: decide them all at once
             if (not (perfect and c2 & ((1 << (v + 1)) - 1))
-                    and not below[v + 1] & ~(c1 | (smask & exempt))):
-                yield smask
-            return
+                    and not below[v + 1] & ~(c1 | (smask & exempt))
+                    and visit(smask, c2)):
+                return smask
+            return None
         b = 1 << v
         # exclude v: a perfect set cannot leave out a vertex seeing two members
         if cnt + v >= k and not (perfect and c2 & b) and not closing[v] & ~(c1 | (smask & exempt)):
-            yield from rec(v - 1, smask, out | b, cnt, c1, c2)
+            found = rec(v - 1, smask, out | b, cnt, c1, c2)
+            if found is not None:
+                return found
         if packing and c1 & key[v]:
-            return
+            return None
         nc2 = c2 | (c1 & key[v])
         nc1 = c1 | key[v]
         ns = smask | b
         if not (perfect and nc2 & out) and not closing[v] & ~(nc1 | (ns & exempt)):
-            yield from rec(v - 1, ns, out, cnt + 1, nc1, nc2)
+            return rec(v - 1, ns, out, cnt + 1, nc1, nc2)
+        return None
 
     try:
-        yield from rec(n - 1, 0, 0, 0, initial_cover, 0)
+        return rec(n - 1, 0, 0, 0, initial_cover, 0)
     finally:
         del rec
 
 
 def _first_feasible_set(g: Graph, kind: ParameterKind, k: int, initial_cover: int = 0) -> int:
-    """The numerically smallest set yielded by ``_feasible_sets``; a value
+    """The numerically smallest set that ``_walk_sets`` visits; a value
     search that reported size ``k`` guarantees one exists."""
-    smask = next(_feasible_sets(g, kind, k, initial_cover), None)
+    smask = _walk_sets(g, kind, k, initial_cover, lambda s, c2: True)
     if smask is None:
         raise InconsistencyError(f"no feasible {kind.value} set of size {k}")
     return smask
@@ -989,61 +1018,87 @@ def zeta_couples(g: Graph) -> tuple[tuple[int, int], ...]:
     U-neighbor fails the test unless it is in B, and enlarging B only
     costs more), and requires U to be a dominating set.  So the search
     walks the dominating sets U of each size k from gamma(G) upward, with
-    B = iso(G[U]) and weight 2k + |B|, and stops at the first k with 2k
-    above the best weight found, which no larger U can beat.  Refuses G
-    with an isolated vertex, then G over the zeta cap (``capped_memo``).
+    B = iso(G[U]) = U - c2 (``_walk_sets``) and weight 2k + |B|, and
+    stops at the first k with 2k above the best weight found, which no
+    larger U can beat.  Refuses G with an isolated vertex, then G over
+    the zeta cap (``capped_memo``).
     """
     best = 2 * g.n  # U = V, which has no isolated vertex here
     found: list[tuple[int, int]] = []
+
+    def visit(umask: int, c2: int) -> None:
+        nonlocal best, found
+        iso = umask & ~c2
+        value = 2 * k + iso.bit_count()
+        if value < best:
+            best, found = value, []
+        if value == best:
+            found.append((umask & ~iso, iso))
+
     for k in range(_gamma_value(g)[0], g.n + 1):
         if 2 * k > best:
             break
-        for umask in _feasible_sets(g, ParameterKind.gamma, k):
-            iso = _isolated_in(g, umask)
-            value = 2 * k + iso.bit_count()
-            if value < best:
-                best, found = value, []
-            if value == best:
-                found.append((umask & ~iso, iso))
+        _walk_sets(g, ParameterKind.gamma, k, 0, visit)
     found.sort(key=lambda couple: couple[0] | couple[1])
     return tuple(found)
 
 
-def open_packings(g: Graph, avoid: int = 0):
-    """All open packings of G disjoint from ``avoid``, the empty set
-    included, in increasing numeric order: each set comes before its
-    extensions by one vertex below its lowest member, lowest vertex
-    first.  This is the exclude-before-include DFS over vertices n-1 down
-    to 0, with each run of exclusions taken in one step."""
-    # an avoided vertex's key is bit n, which ``seen`` holds from the start
-    stop = 1 << g.n
-    key = [stop if avoid >> v & 1 else row for v, row in enumerate(g.adj)]
+def _walk_open_packings(g: Graph, avoid: int, visit):
+    """Call ``visit(S, seen)`` for every open packing S of G disjoint
+    from ``avoid``, the empty set included, in increasing numeric order,
+    with seen = N(S), the vertices with a neighbor in S, until a call
+    returns a truthy value.  Returns the S of that call, or None once
+    every set has been visited.
+
+    This is the exclude-before-include walk of ``_walk_sets`` over
+    vertices n-1 down to 0, with each run of exclusions taken in one
+    step: each set comes before its extensions by one vertex below its
+    lowest member, lowest vertex first.  A vertex joins when its
+    neighborhood misses ``seen``.
+    """
+    free = [v for v in range(g.n) if not avoid >> v & 1]
+    # heads[top]: (i, {v}, N(v)) for the vertex v at each position i of
+    # ``free`` below top, lowest first
+    rows = [(i, 1 << v, g.adj[v]) for i, v in enumerate(free)]
+    heads = [rows[:top] for top in range(len(rows) + 1)]
 
     def rec(top: int, smask: int, seen: int):
-        # seen: the vertices with a neighbor in smask
-        yield smask
-        for v in range(top):
-            if not seen & key[v]:
-                yield from rec(v, smask | 1 << v, seen | key[v])
+        if visit(smask, seen):
+            return smask
+        for i, b, row in heads[top]:
+            if not seen & row:
+                found = rec(i, smask | b, seen | row)
+                if found is not None:
+                    return found
+        return None
 
     try:
-        yield from rec(g.n, 0, stop)
+        return rec(len(rows), 0, 0)
     finally:
         del rec
 
 
-def _dominating_open_packings(g: Graph):
-    """The dominating open packings in increasing numeric order.  Each
-    holds every isolated vertex, which nothing else dominates, and an
-    isolated vertex shares no neighbor with anything, so the walk leaves
-    the isolated vertices out and adds them to every set: on i isolated
-    vertices it is 2^i times shorter."""
+def _dominating_open_packings(g: Graph, visit):
+    """Call ``visit(S, S0)`` for every dominating open packing S, with S0
+    the members without a neighbor in S, in increasing numeric order,
+    until a call returns a truthy value.  Returns the S of that call, or
+    None once every set has been visited.
+
+    Each holds every isolated vertex, which nothing else dominates, and
+    an isolated vertex shares no neighbor with anything, so the walk
+    leaves the isolated vertices out and adds them to every set: on i
+    isolated vertices it is 2^i times shorter.  With the walk's
+    seen = N(S), S dominates when seen | S holds every other vertex, and
+    S0 is S - seen plus the isolated vertices.
+    """
     iso = mask_from(g.isolated_vertices())
-    full = g.full_mask
-    for s in open_packings(g, avoid=iso):
-        s |= iso
-        if g.closed_cover(s) == full:
-            yield s
+    rest = g.full_mask & ~iso
+
+    def dominating(s: int, seen: int):
+        return seen | s == rest and visit(s | iso, (s & ~seen) | iso)
+
+    found = _walk_open_packings(g, iso, dominating)
+    return None if found is None else found | iso
 
 
 @capped_memo(lambda g: check_cap(g, "zeta'"))
@@ -1052,15 +1107,25 @@ def zeta_prime(g: Graph) -> tuple[int, int] | None:
 
     S0/S1 are the isolated/non-isolated vertices of G[S].  Note the
     minimum is a weight, not a cardinality; a zeta'-set is one attaining
-    this weight (ties: smallest mask).  Refuses G over the zeta' cap
-    (``capped_memo``).
+    this weight (ties: smallest mask, the first the walk visits).
+    Refuses G over the zeta' cap (``capped_memo``).
     """
-    return min(((2 * s.bit_count() + 2 * _isolated_in(g, s).bit_count(), s)
-                for s in _dominating_open_packings(g)), default=None)
+    best = None
+
+    def visit(s: int, s0: int) -> None:
+        nonlocal best
+        weight = 2 * s.bit_count() + 2 * s0.bit_count()
+        if best is None or weight < best[0]:
+            best = (weight, s)
+
+    _dominating_open_packings(g, visit)
+    return best
 
 
 def dominating_open_packings(g: Graph) -> list[int]:
     """All sets that are simultaneously dominating and open packings, in
     increasing numeric order."""
     check_cap(g, "")
-    return list(_dominating_open_packings(g))
+    found: list[int] = []
+    _dominating_open_packings(g, lambda s, s0: found.append(s))
+    return found

@@ -16,10 +16,9 @@ from .graph import Graph
 from .solvers import (
     ParameterKind,
     _dominating_open_packings,
+    _walk_open_packings,
     capped_memo,
     check_cap,
-    is_feasible,
-    open_packings,
     solve,
 )
 
@@ -48,14 +47,15 @@ def is_efficient_open_domination(g: Graph) -> int | None:
     any order, and no walk is made.
 
     These are the open packings whose open neighborhoods cover V, so this
-    is the first such set of the open-packing walk.  The size identity
+    is the first set of the open-packing walk whose ``seen`` = N(S) is V,
+    where the walk stops.  The size identity
     |S| = gamma_t = rho_o is checked below, so the walk must not assume it.
     An isolated vertex has no neighbor at all, so then no such set exists.
     """
     if g.has_isolated_vertex():
         return None
     full = g.full_mask
-    smask = next((s for s in open_packings(g) if g.open_cover(s) == full), None)
+    smask = _walk_open_packings(g, 0, lambda s, seen: seen == full)
     if smask is not None:
         # cross-check the stated size identity
         sizes = (smask.bit_count(), factor_value(g, ParameterKind.gamma_t),
@@ -72,11 +72,12 @@ def is_efficient_closed_domination(g: Graph) -> int | None:
     Canonical: smallest mask.  Every dominating packing has size gamma:
     the closed neighborhoods of its members are disjoint and each holds
     a vertex of any dominating set.  So it is the first packing among the
-    dominating open packings, which all hold every isolated vertex.
+    dominating open packings, which all hold every isolated vertex.  An
+    open packing is a packing when no two members are adjacent, that is
+    when every member is in S0, so the walk stops at the first S = S0.
     """
     value = factor_value(g, ParameterKind.gamma)
-    smask = next((s for s in _dominating_open_packings(g)
-                  if is_feasible(g, s, ParameterKind.rho)), None)
+    smask = _dominating_open_packings(g, lambda s, s0: s == s0)
     if smask is not None:
         sizes = (smask.bit_count(), value, factor_value(g, ParameterKind.rho))
         if len(set(sizes)) != 1:

@@ -7,9 +7,12 @@ open packings, dominating open packings, the zeta' set and efficient
 open domination enumerate all 2^n subsets; and the optimal couples of
 zeta enumerate all pairs of disjoint subsets.  Canonical (numerically
 smallest) optimal sets, the efficient closed dominating set among them,
-come from a Gosper scan over the masks of the optimal size, and the
-canonical Roman witness (smallest optimal V2 mask) from the 3^n
-enumeration of the Roman minima.  Slow on purpose; intended for n <= 9.
+come from a Gosper scan over the masks of the optimal size, as do the
+feasible sets of any one size; and the canonical Roman witness
+(smallest optimal V2 mask) from the 3^n enumeration of the Roman
+minima.  The counters that the set walks hand to their visitors,
+iso(G[S]), N(S) and the vertices that see two members, are read vertex
+by vertex from their definitions.  Slow on purpose; intended for n <= 9.
 
 Two helpers are not oracles: ``roman_tree_reference`` replays the
 gamma_R / gamma_Rp branch-and-bound without the early stop of its child
@@ -300,6 +303,45 @@ def set_oracle(g: Graph, kind: str) -> int:
     return best
 
 
+def feasible_sets_oracle(g: Graph, kind: str, k: int, initial_cover: int = 0) -> list[int]:
+    """Every popcount-``k`` set satisfying the predicate of set kind
+    ``kind``, in increasing numeric order.  ``initial_cover``, for
+    gamma_t only, holds vertices that need no neighbor in the set."""
+    if initial_cover and kind != "gamma_t":
+        raise ValueError(kind)
+    check = _set_predicate(g, kind)
+    if initial_cover:
+        nbrs = [_neighbors(g, v) for v in range(g.n)]
+        return [s for s in _gosper_masks(g.n, k)
+                if all(initial_cover >> v & 1 or any(s >> u & 1 for u in nbrs[v])
+                       for v in range(g.n))]
+    return [s for s in _gosper_masks(g.n, k) if check(s)]
+
+
+def seen_twice_oracle(g: Graph, kind: str, s: int, initial_cover: int = 0) -> int:
+    """The vertices with at least two members of ``s`` in their closed
+    (gamma, rho) or open (the other set kinds) neighborhood, a vertex of
+    ``initial_cover`` counting one member more."""
+    closed = kind in ("gamma", "rho")
+    twice = 0
+    for v in range(g.n):
+        members = sum(1 for u in _neighbors(g, v) if s >> u & 1)
+        if members + (closed and s >> v & 1) + (initial_cover >> v & 1) >= 2:
+            twice |= 1 << v
+    return twice
+
+
+def isolated_members_oracle(g: Graph, s: int) -> int:
+    """The members of ``s`` without a neighbor in ``s``: iso(G[S])."""
+    return sum(1 << v for v in range(g.n)
+               if s >> v & 1 and not any(s >> u & 1 for u in _neighbors(g, v)))
+
+
+def open_neighborhood_oracle(g: Graph, s: int) -> int:
+    """N(S): the vertices with a neighbor in ``s``."""
+    return sum(1 << v for v in range(g.n) if any(s >> u & 1 for u in _neighbors(g, v)))
+
+
 def canonical_set_oracle(g: Graph, kind: str) -> int:
     """The numerically smallest optimal set of a set kind: the first
     feasible mask of the optimal size in Gosper (increasing) order."""
@@ -386,11 +428,11 @@ def eod_oracle(g: Graph) -> int | None:
                  if all((g.adj[v] & s).bit_count() == 1 for v in range(g.n))), None)
 
 
-def open_packings_oracle(g: Graph) -> list[int]:
-    """Every open packing (no two members share a neighbor), the empty
-    set included, in increasing numeric order."""
+def open_packings_oracle(g: Graph, avoid: int = 0) -> list[int]:
+    """Every open packing (no two members share a neighbor) disjoint from
+    ``avoid``, the empty set included, in increasing numeric order."""
     open_packing = _set_predicate(g, "rho_o")
-    return [s for s in range(1 << g.n) if open_packing(s)]
+    return [s for s in range(1 << g.n) if not s & avoid and open_packing(s)]
 
 
 def ecd_oracle(g: Graph) -> int | None:

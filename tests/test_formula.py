@@ -24,11 +24,12 @@ from lexdom import (
     solve,
 )
 from lexdom import formula
-from lexdom.formula import PREDICT_KINDS, STATEMENTS, Exact, Lower, PairFacts, open_packings
+from lexdom.formula import PREDICT_KINDS, STATEMENTS, Exact, Lower, PairFacts
 from lexdom.graph import RomanAssignment, bits, mask_from
-from lexdom.solvers import _feasible_sets, _isolated_in, _roman_v1, enumerate_optimal_v2
+from lexdom.solvers import _isolated_in, _roman_v1, _walk_open_packings, enumerate_optimal_v2
 from lexdom.verify import verify_pair
 
+from brute import open_packings_oracle
 from test_graph import random_graph_strategy
 
 P4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -148,10 +149,13 @@ class TestCrossChecks:
 
 class TestOpenPackings:
     def test_includes_empty_set(self):
-        assert 0 in set(open_packings(P4))
+        # the empty set is the first the walk visits
+        assert _walk_open_packings(P4, 0, lambda s, seen: True) == 0
 
     def test_all_are_open_packings(self):
-        for s in open_packings(C5):
+        packings = []
+        _walk_open_packings(C5, 0, lambda s, seen: packings.append(s))
+        for s in packings:
             members = [v for v in range(5) if s >> v & 1]
             for i, u in enumerate(members):
                 for v in members[i + 1:]:
@@ -168,12 +172,14 @@ def facts_by_definition(g, h):
     prdfs = [(v2, _roman_v1(g, ParameterKind.gamma_Rp, v2))
              for v2 in enumerate_optimal_v2(g, ParameterKind.gamma_Rp)]
     splits = []
-    for s in _feasible_sets(g, ParameterKind.gamma_p, gamma_p):
+    for s in range(1 << g.n):
+        if s.bit_count() != gamma_p or not is_feasible(g, s, ParameterKind.gamma_p):
+            continue
         s_prime = mask_from(v for v in bits(s) if not g.epn(v, s))
         splits.append((s_prime.bit_count() + 2 * (s & ~s_prime).bit_count(), s, s_prime))
     _, s, s_prime = min(splits)
     packings = []
-    for p in open_packings(g):
+    for p in open_packings_oracle(g):
         s0 = _isolated_in(g, p).bit_count()
         packings.append((s0 * (h.n - dmax + 1) + (p.bit_count() - s0) * (2 + dmin)
                          + h.n * (g.n - g.closed_cover(p).bit_count()), p))

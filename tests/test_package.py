@@ -1,7 +1,8 @@
 """The package surface: every exported name resolves, the analysis layers
 load on first use, a name that moved is one object in both places, no
 module checks with ``assert``, no code dispatches on the kind of a
-conclusion and no fact takes ``cached_property``'s lock."""
+conclusion, no fact takes ``cached_property``'s lock and ``solvers``
+defines no generator function."""
 
 import ast
 import json
@@ -91,4 +92,13 @@ def test_no_dispatch_on_conclusion_kind():
         if (isinstance(node, ast.alias) and node.name == "cached_property"
                 or isinstance(node, ast.Attribute) and node.attr == "cached_property"):
             found.append(f"{name}:{node.lineno} cached_property")
+    assert found == []
+
+
+def test_solvers_define_no_generator():
+    # the set walks hand each set and their counters to a visitor: a
+    # generator would pay a frame per level for every set it passes on
+    path = Path(lexdom.__file__).parent / "solvers.py"
+    found = [f"solvers.py:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Yield, ast.YieldFrom))]
     assert found == []

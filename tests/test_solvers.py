@@ -41,7 +41,7 @@ from lexdom import (
 from lexdom.graph import RomanAssignment
 from lexdom.graphio import corona
 from lexdom import solvers
-from lexdom.solvers import dominating_open_packings, open_packings
+from lexdom.solvers import dominating_open_packings
 from lexdom.structure import is_efficient_closed_domination, is_efficient_open_domination
 
 from test_graph import random_graph_strategy
@@ -53,10 +53,14 @@ from brute import (
     dominating_open_packings_oracle,
     ecd_oracle,
     eod_oracle,
+    feasible_sets_oracle,
     gamma_tR_loop_reference,
+    isolated_members_oracle,
+    open_neighborhood_oracle,
     open_packings_oracle,
     roman_oracle,
     roman_tree_reference,
+    seen_twice_oracle,
     set_oracle,
     zeta_couples_oracle,
     zeta_oracle,
@@ -810,9 +814,17 @@ def test_searches_leave_no_cyclic_garbage():
         for kind, witness in cases:
             solve(product, kind, witness=witness)
             assert gc.collect() == 0, (kind, witness)
-        # a walk dropped before its end
-        next(open_packings(g))
+        # a walk stopped by its visitor
+        assert solvers._walk_open_packings(g, 0, lambda s, seen: True) == 0
         assert gc.collect() == 0
+        # the walks behind the memos, past the memos; C12 has efficient
+        # open and closed dominating sets, so both of those walks stop early
+        c12 = generate(parse_family("cycle:12"))
+        for fn in (zeta_couples, zeta_prime, is_efficient_open_domination,
+                   is_efficient_closed_domination):
+            for h in (g, c12):
+                fn.__wrapped__(h)
+                assert gc.collect() == 0, (fn.__name__, h.n)
     finally:
         gc.enable()
 
@@ -925,7 +937,7 @@ def assert_couple_outputs_match_oracles(g):
         assert zeta_couples(g) == tuple(couples)
         assert zeta(g) == (zeta_oracle(g), min(couples))
     assert zeta_prime(g) == zeta_prime_set_oracle(g)
-    assert list(open_packings(g)) == open_packings_oracle(g)
+    assert [s for s, _ in _visited(solvers._walk_open_packings, g, 0)] == open_packings_oracle(g)
     assert dominating_open_packings(g) == dominating_open_packings_oracle(g)
     assert is_efficient_open_domination(g) == eod_oracle(g)
     assert is_efficient_closed_domination(g) == ecd_oracle(g)
@@ -976,6 +988,67 @@ class TestCoupleOutputsDifferential:
         assert zeta_prime(g) == (4 * n, g.full_mask)
         assert is_efficient_open_domination(g) is None
         assert is_efficient_closed_domination(g) == g.full_mask
+
+
+def _visited(walk, *args):
+    """Every (set, counter) pair a walk hands its visitor, which never
+    stops it; the walk must then return None."""
+    calls = []
+    assert walk(*args, lambda s, counter: calls.append((s, counter))) is None
+    return calls
+
+
+def _stopped_at(walk, j, *args):
+    """The sets a walk hands a visitor that stops it at the j-th (from
+    0), and the walk's return value."""
+    sets = []
+
+    def visit(s, counter):
+        sets.append(s)
+        return len(sets) > j
+
+    return sets, walk(*args, visit)
+
+
+class TestSetWalks:
+    """``_walk_sets`` and ``_walk_open_packings`` against the brute force:
+    the sets visited and their order, the counters handed over, and a
+    visitor that stops the walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_strategy(max_n=8), st.data())
+    def test_feasible_sets(self, g, data):
+        cover = data.draw(st.integers(0, g.full_mask), label="initial_cover")
+        cases = [(kind, k, 0) for kind in solvers.SET_KINDS for k in range(g.n + 1)]
+        cases += [(ParameterKind.gamma_t, k, cover) for k in range(g.n + 1)]
+        for kind, k, initial_cover in cases:
+            args = (g, kind, k, initial_cover)
+            calls = _visited(solvers._walk_sets, *args)
+            expected = feasible_sets_oracle(g, kind.value, k, initial_cover)
+            assert [s for s, _ in calls] == expected, args
+            for s, c2 in calls:
+                assert c2 == seen_twice_oracle(g, kind.value, s, initial_cover), (args, s)
+                if kind in (ParameterKind.gamma, ParameterKind.rho):
+                    # a member sees itself in its closed neighborhood
+                    assert s & ~c2 == isolated_members_oracle(g, s), (args, s)
+            if expected:
+                j = data.draw(st.integers(0, len(expected) - 1), label=f"stop {args}")
+                assert _stopped_at(solvers._walk_sets, j, *args) == (expected[:j + 1],
+                                                                     expected[j])
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graph_strategy(max_n=9), st.data())
+    def test_open_packings(self, g, data):
+        for avoid in (0, data.draw(st.integers(0, g.full_mask), label="avoid")):
+            calls = _visited(solvers._walk_open_packings, g, avoid)
+            expected = open_packings_oracle(g, avoid)
+            assert [s for s, _ in calls] == expected, avoid
+            for s, seen in calls:
+                assert seen == open_neighborhood_oracle(g, s), (avoid, s)
+            # the empty set comes first, so there is always one to stop at
+            j = data.draw(st.integers(0, len(expected) - 1), label=f"stop {avoid}")
+            assert _stopped_at(solvers._walk_open_packings, j, g, avoid) == (
+                expected[:j + 1], expected[j])
 
 
 class TestInvariantChains:
