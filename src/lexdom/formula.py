@@ -216,10 +216,18 @@ def _packing_profiles(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     as (|S0|, |S - S0|, n(G) - |N[S]|, S).
 
     Only the profiles that no other profile is <= in every coordinate
-    are kept.  PairFacts.packing weighs the three coordinates with
-    n(H) - maxdeg(H) + 1 >= 2, 2 + mindeg(H) >= 2 and n(H) >= 1, all
-    positive, so a dominated profile weighs more than the one below it
-    for every H, and the minimum (value, S) is among those kept.
+    are kept, in the order the walk first meets them.  PairFacts.packing
+    weighs the three coordinates with n(H) - maxdeg(H) + 1 >= 2,
+    2 + mindeg(H) >= 2 and n(H) >= 1, all positive, so a dominated
+    profile weighs more than the one below it for every H, and the
+    minimum (value, S) is among those kept.
+
+    A profile q <= p in every coordinate, q != p, also comes before p in
+    sorted order, so one sweep of the sorted profiles finds the kept
+    ones: p is dominated when some profile before it is <= p, and then
+    some kept profile is too, as <= is transitive and the chain below p
+    ends at a kept one.  So each profile is tested against the kept ones
+    alone.
     """
     first: dict[tuple[int, int, int], int] = {}
     n = g.n
@@ -232,8 +240,12 @@ def _packing_profiles(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
         first.setdefault((s0, smask.bit_count() - s0, n - (seen | smask).bit_count()), smask)
 
     _walk_open_packings(g, 0, visit)
-    return tuple((*p, s) for p, s in first.items()
-                 if not any(q != p and all(x <= y for x, y in zip(q, p)) for q in first))
+    kept: set[tuple[int, int, int]] = set()
+    for p in sorted(first):
+        a, b, c = p
+        if not any(x <= a and y <= b and z <= c for x, y, z in kept):
+            kept.add(p)
+    return tuple((*p, s) for p, s in first.items() if p in kept)
 
 
 class PairFacts:

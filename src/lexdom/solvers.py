@@ -36,7 +36,10 @@ vertices at weight 1 that no later position can reach, and a covering
 bound: a later child adds one vertex v, which takes at most deg(v) + 1
 vertices out of those outside V2 that see no member (or, for gamma_Rp,
 two), and deg(v) is at most the degree at the next position, as the
-order is by degree, descending.
+order is by degree, descending.  The same two bounds, one level down,
+mark a child that passes the recursion test as dead when no child of
+its own could weigh at most the best or recurse; the parent then adds
+the dead child's count to ``explored`` without entering it.
 ``explored`` counts the children of every expanded node, whether
 weighed, passed over or cut off together by these bounds, so they change
 no count, value or witness.  The search keeps every V2 that weighs the
@@ -267,8 +270,14 @@ def is_prdf(g: Graph, f: RomanAssignment) -> bool:
 
 def is_trdf(g: Graph, f: RomanAssignment) -> bool:
     """RDF whose positive set is total dominating."""
-    pos = f.v1 | f.v2
-    return is_rdf(g, f) and all(g.adj[v] & pos for v in range(g.n))
+    if f.n != g.n:
+        return False
+    # each level mask is rebuilt from the weights on every read; the
+    # positive set V1 | V2 is V - V0
+    v0, v2 = f.v0, f.v2
+    pos = g.full_mask & ~v0
+    return (all(g.adj[v] & v2 for v in bits(v0))
+            and all(g.adj[v] & pos for v in range(g.n)))
 
 
 # -- caps and shared helpers -------------------------------------------
@@ -445,7 +454,9 @@ def _gamma_p_value(g: Graph):
     best = n  # S = V is always perfect dominating
     explored = 0
 
-    def rec(i: int, smask: int, out: int, c1: int, c2: int, size: int) -> None:
+    # d = S | N(S), the vertices in S or seeing a member: the closure
+    # tests read S and c1 only through their union
+    def rec(i: int, d: int, out: int, c1: int, c2: int, size: int) -> None:
         nonlocal best, explored
         explored += 1
         if size >= best:
@@ -458,14 +469,13 @@ def _gamma_p_value(g: Graph):
         # pruned as it happens, so ``out`` never meets c2, and a vertex
         # whose N[v] is decided here must see one
         # exclude v
-        if not c2 & b and not close & ~(smask | c1):
-            rec(j, smask, out | b, c1, c2, size)
+        if not c2 & b and not close & ~d:
+            rec(j, d, out | b, c1, c2, size)
         # include v
         nc2 = c2 | (c1 & a)
-        nc1 = c1 | a
-        ns = smask | b
-        if not nc2 & out and not close & ~(ns | nc1):
-            rec(j, ns, out, nc1, nc2, size + 1)
+        nd = d | b | a
+        if not nc2 & out and not close & ~nd:
+            rec(j, nd, out, c1 | a, nc2, size + 1)
     rec(0, 0, 0, 0, 0, 0)
     del rec
     return best, explored
@@ -733,6 +743,29 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     So with either bound the tree and the order in which ``best``
     changes are those of the full loop.
 
+    Dead child.  A child i that passes the recursion test is entered
+    only when a child of its own, a grandchild, could weigh at most
+    ``lim`` or recurse.  Otherwise the child is dead: the parent adds
+    n - (i + 1), the count that the child's node adds as it starts, and
+    does not enter it.  The test reads only what the loop holds.  The
+    recursion part: a grandchild at position p > i starts from the
+    child's nout and nc2, which only grow, and
+    ~nc1 & unreach[i + 1] lies in ~(nc1 | N(order[p])) & unreach[p + 1],
+    since no vertex of unreach[i + 1] has a neighbor at a position after
+    i; so its r reads at least the child's r, the argument of the stop,
+    and its recursion test at least 2k + 4 + r.  The weight part: the
+    child weighs w = 2k + |A0| + |A2|, with A0 and A2 of the child's V2,
+    and by the covering bound a grandchild that adds v weighs at least
+    w + 2 - (deg(v) + 1), where deg(v) <= dn - 1, as v comes after
+    position i.  So once 2k + 4 + r > lim and w + 2 - dn > lim, no
+    grandchild weighs at most ``lim`` or recurses.  A grandchild
+    weighing above ``lim`` changes nothing: above ``best`` it neither
+    lowers nor ties it, and in the value-only search, where
+    lim = best - 1, it weighs at least ``best`` and does not lower it.
+    Entering the child would change ``explored`` alone, by the count
+    the parent adds, so the tree, the order in which ``best`` changes
+    and ``explored`` are those of the full loop, in both modes.
+
     Value only.  With ``ties`` false every gate (weigh, recurse, stop)
     reads ``lim = best - 1`` in place of ``best``, so a child that can
     at best tie ``best`` is neither weighed nor recursed into, and no
@@ -769,9 +802,12 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     bounds) with lim for best fires only when no later child can weigh
     at most lim or recurse, cannot cut that path either: the children
     the twin rule skips still join nout, so V2 and nout hold the
-    positions before each child as those arguments need.  So V2* is
-    weighed and ``best`` falls to opt, a contradiction.  (V2 = {} is
-    never weighed, but ``best`` starts at its weight n.)
+    positions before each child as those arguments need.  Nor can the
+    dead-child test, which with lim for best fires only when no
+    grandchild weighs at most lim or recurses, while the grandchild on
+    the path is V2* itself, weighing opt, or passes its recursion test.
+    So V2* is weighed and ``best`` falls to opt, a contradiction.
+    (V2 = {} is never weighed, but ``best`` starts at its weight n.)
 
     Without the twin rule the strict tree would be part of the
     tie-keeping one: whatever the strict gates pass over weighs above
@@ -798,10 +834,11 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     ``explored`` counts the children of every expanded node, whether
     weighed, passed over by a gate or the twin rule or cut off together
     by the stop:
-    n - start is added as a node starts, so with ``ties`` true it is
-    that of the full loop, and with ``ties`` false that of the strict
-    tree.  Returns (value, sorted optimal V2 masks, explored), with None
-    for the masks when ``ties`` is false.
+    n - start is added as a node starts, or by its parent for a dead
+    child, so with ``ties`` true it is that of the full loop, and with
+    ``ties`` false that of the strict tree.  Returns (value, sorted
+    optimal V2 masks, explored), with None for the masks when ``ties``
+    is false.
     """
     n = g.n
     twice = g.full_mask if kind is ParameterKind.gamma_Rp else 0
@@ -854,7 +891,11 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
                     elif w == best and ties:
                         masks.append(ns)
                     if floor + r <= lim:
-                        rec(j, ns, nout, k, nc1, nc2)
+                        # a dead child (docstring) adds its count unentered
+                        if floor + 2 + r > lim and w + 2 - dn > lim:
+                            explored += n - j
+                        else:
+                            rec(j, ns, nout, k, nc1, nc2)
             nout |= b
             # no later child weighs at most lim or recurses (docstring)
             x = held2 | held0 & u

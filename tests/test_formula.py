@@ -161,6 +161,18 @@ class TestOpenPackings:
                 for v in members[i + 1:]:
                     assert C5.adj[u] & C5.adj[v] == 0
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(random_graph_strategy(max_n=10))
+    def test_profiles_keep_the_pareto_front_in_walk_order(self, g):
+        # every profile against every other, over the packings in numeric order
+        first = {}
+        for s in open_packings_oracle(g):
+            s0 = _isolated_in(g, s).bit_count()
+            first.setdefault((s0, s.bit_count() - s0, g.n - g.closed_cover(s).bit_count()), s)
+        front = tuple((*p, s) for p, s in first.items()
+                      if not any(q != p and all(x <= y for x, y in zip(q, p)) for q in first))
+        assert formula._packing_profiles.__wrapped__(g) == front
+
 
 def facts_by_definition(g, h):
     """The G-only facts of PairFacts, recomputed for the one pair (g, h)

@@ -7,6 +7,7 @@ import importlib
 import os
 import pkgutil
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -361,6 +362,35 @@ class TestRomanSearchTree:
         # which is where the covering bound stops the child loop
         assert_same_roman_tree(g)
 
+    def test_dead_children_counted_unentered(self, graphs):
+        # the reference enters every child that passes the recursion
+        # test; the scan adds the count of a dead one without a frame
+        g = graphs["fig2 o complete:3"]
+        scan_rec, reference_rec = (rec_code(fn) for fn in (solvers._roman_scan,
+                                                           roman_tree_reference))
+        frames = {scan_rec: 0, reference_rec: 0}
+
+        def trace(frame, event, arg):
+            if frame.f_code in frames:
+                frames[frame.f_code] += 1
+
+        before = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            scan = solvers._roman_scan(g, ParameterKind.gamma_Rp)
+            reference = roman_tree_reference(g, "gamma_Rp")
+        finally:
+            sys.settrace(before)
+        value, masks, explored = scan
+        assert (value, masks[0], explored, len(masks)) == self.PINS["fig2 o complete:3"][1]
+        assert scan == reference
+        assert 0 < frames[scan_rec] < frames[reference_rec]
+
+
+def rec_code(fn):
+    """The code object of the ``rec`` nested in ``fn``."""
+    return next(c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == "rec")
+
 
 def assert_same_roman_tree(g):
     """The child loop of ``_roman_scan`` skips only children that could
@@ -466,6 +496,13 @@ class TestValueOnly:
     def test_twin_heavy_products_against_solve(self, product):
         for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
             assert solve(product, kind, witness=False).value == solve(product, kind).value, kind
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_graph_strategy(max_n=14))
+    def test_same_tree_as_reference(self, g):
+        for kind in (ParameterKind.gamma_R, ParameterKind.gamma_Rp):
+            assert (solvers._roman_scan(g, kind, ties=False)
+                    == roman_tree_reference(g, kind.value, ties=False)), kind
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(random_graph_strategy(max_n=6), random_graph_strategy(max_n=4))
@@ -854,6 +891,21 @@ class TestFeasibilityPredicates:
         assert not is_prdf(g, _assignment(4, 0, mask_from([0, 2])))
         assert is_trdf(g, _assignment(4, 0, mask_from([1, 2])))
         assert not is_trdf(g, _assignment(4, mask_from([3]), mask_from([1])))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(random_graph_strategy(max_n=8), st.data())
+    def test_roman_predicates_by_definition(self, g, data):
+        weights = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=g.n, max_size=g.n))
+        f = RomanAssignment(tuple(weights))
+        twos = [sum(weights[u] == 2 for u in bits(g.adj[v])) for v in range(g.n)]
+        rdf = all(twos[v] for v in range(g.n) if weights[v] == 0)
+        assert is_rdf(g, f) == rdf
+        assert is_prdf(g, f) == all(twos[v] == 1 for v in range(g.n) if weights[v] == 0)
+        assert is_trdf(g, f) == (rdf and all(any(weights[u] for u in bits(g.adj[v]))
+                                             for v in range(g.n)))
+        # an assignment on another vertex count is none of them
+        other = RomanAssignment((*weights, 2))
+        assert not (is_rdf(g, other) or is_prdf(g, other) or is_trdf(g, other))
 
 
 class TestCoupleParameters:
