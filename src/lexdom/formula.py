@@ -1,21 +1,26 @@
 """Theorem registry: each statement about G o H declared once, and the
 prediction and witness construction that read it.
 
-Every TheoremId has one Statement in STATEMENTS with four parts: the
+Every TheoremId has one Statement in STATEMENTS with three parts: the
 product parameter it concerns; its hypotheses, as (predicate, skip
-reason) pairs tried in order; its conclusion, which is an exact value
+reason) pairs tried in order; and its conclusion, which is an exact value
 with a branch tag (Exact), a lower or an upper bound (Lower, Upper), the
 right-hand side of an if-and-only-if (Iff), or a check of its own
-(Custom); and, optionally, the witness its proof builds on the product.
-Each kind of conclusion owns its rules, written once on the class: its
-share of a prediction, the value its witness attains, when it tells
-nothing although the hypotheses hold (only an Iff whose right-hand side
-fails), and its record against the product.
+(Custom).  Each kind of conclusion owns its rules, written once on the
+class: its share of a prediction, the value its witness attains, when it
+tells nothing although the hypotheses hold (only an Iff whose right-hand
+side fails), and its record against the product.  A conclusion also
+carries the builder of the witness its proof constructs on the product,
+where the proof is constructive.  A conclusion with cases decides its
+case once, in one function that returns the branch taken, its value and
+the builder for that case; the builder runs only when a witness is asked
+for.
 
 The parts read factor data from one PairFacts per pair, which computes
 each quantity on first read and stores it on the instance.  Each such
 fact is one line of ``_FACTS``: a fact of G alone names the function
-that defines it, and p1-p3 whether a property P1-P3 holds.  The facts
+that defines it, h_gamma is gamma(H), and p1-p3 tell whether a property
+P1-P3 holds.  The facts
 the gamma_Rp bounds read, with H only through n(H), mindeg(H) and
 maxdeg(H), are computed once per G: the three picks among the optimal
 PRDFs behind functions I, II and IV (one enumeration, ``_prdf_picks``),
@@ -41,7 +46,7 @@ from collections import namedtuple
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, HypothesisError, InconsistencyError
-from .graph import CheckedRecord, Graph, assignment_from_masks, bits, mask_from
+from .graph import CheckedRecord, Graph, assignment_from_masks, bits, check_tuple, mask_from
 from .product import lex_product
 from .solvers import (
     PREDICT_KINDS,
@@ -82,6 +87,7 @@ class Prediction(CheckedRecord, namedtuple("Prediction", "lo hi provenance")):
     __slots__ = ()
 
     def __post_init__(self):
+        check_tuple("provenance", self.provenance)
         if self.lo > self.hi:
             raise InconsistencyError(f"prediction interval [{self.lo}, {self.hi}] is empty")
         if not self.provenance:
@@ -291,14 +297,16 @@ def _packing(f: PairFacts) -> tuple[int, int]:
 
 
 #: The facts of PairFacts that are computed on first read, each from the
-#: PairFacts.  A fact of G alone names the function that defines it; p1,
-#: p2 and p3 tell whether property P1, P2 or P3 holds of (G, H).
+#: PairFacts.  A fact of G alone names the function that defines it;
+#: h_gamma is gamma(H); p1, p2 and p3 tell whether property P1, P2 or P3
+#: holds of (G, H).
 _FACTS: dict[str, Callable[[PairFacts], object]] = {
     "g_connected": lambda f: f.g.is_connected(),
     "gamma": lambda f: factor_value(f.g, ParameterKind.gamma),
     "gamma_t": lambda f: factor_value(f.g, ParameterKind.gamma_t),
     "gamma_p": lambda f: factor_value(f.g, ParameterKind.gamma_p),
     "gamma_Rp": lambda f: factor_value(f.g, _RP),
+    "h_gamma": lambda f: factor_value(f.h, ParameterKind.gamma),
     "eod": lambda f: is_efficient_open_domination(f.g),
     "ecd": lambda f: is_efficient_closed_domination(f.g),
     "zeta": lambda f: zeta(f.g),
@@ -320,6 +328,14 @@ _FACTS: dict[str, Callable[[PairFacts], object]] = {
 # a NamedTuple costs far more to define than the 25 statements do to
 # build.
 
+#: The builder of a witness on the product: a vertex mask for gamma /
+#: gamma_p statements and a (V2, V1) mask pair otherwise.
+Build = Callable[[PairFacts], object]
+#: (branch, value, build): the case of a conclusion that holds of a pair,
+#: with the branch None for a single formula, and the builder of the
+#: witness that attains the value in that case.
+Case = tuple[str | None, int, Build]
+
 
 class Conclusion:
     """The rules the kinds share, for a conclusion about ``value(f)``.
@@ -329,9 +345,22 @@ class Conclusion:
     #: the share of a prediction: 0 an exact value, 1 a lower bound, 2 an
     #: upper bound, None no share
     slot: int | None = None
+    #: the builder of the proof's witness, or None where the proof builds
+    #: none
+    witness: Build | None = None
 
-    def __init__(self, value: Callable[[PairFacts], int] | None):
+    def __init__(self, value: Callable[[PairFacts], int] | None, witness: Build | None = None):
         self.value = value
+        self.witness = witness
+
+    def by_cases(self, cases: Callable[[PairFacts], Case]) -> None:
+        """Take ``target`` and ``witness`` from ``cases(f)``, so the case
+        that holds is decided in one place for both.  ``cases`` reads
+        only facts of the PairFacts, so ``construct_witness``, which
+        reads both, computes no fact twice."""
+        self.cases = cases
+        self.target = lambda f: cases(f)[:2]
+        self.witness = lambda f: cases(f)[2](f)
 
     def target(self, f: PairFacts) -> tuple[str | None, int]:
         """(branch, value): what the witness attains, and the branch taken,
@@ -365,14 +394,13 @@ class Lower(Conclusion):
 
 
 class Exact(Conclusion):
-    """The parameter equals ``cases(f)[1]``; ``cases(f)[0]`` names the
-    branch taken, or is None for a single formula.  ``cases`` is the
-    conclusion's ``target``."""
+    """The parameter equals the value of the case ``cases(f)`` that
+    holds."""
 
     slot = 0
 
-    def __init__(self, cases: Callable[[PairFacts], tuple[str | None, int]]):
-        self.target = cases
+    def __init__(self, cases: Callable[[PairFacts], Case]):
+        self.by_cases(cases)
 
     def compare(self, claim: str, f: PairFacts, measured: int) -> ClaimRecord:
         value = self.target(f)[1]
@@ -386,8 +414,8 @@ class Iff(Conclusion):
     slot = 0
 
     def __init__(self, value: Callable[[PairFacts], int],
-                 rhs: Callable[[PairFacts], bool], detail: str):
-        self.value = value
+                 rhs: Callable[[PairFacts], bool], detail: str, witness: Build):
+        super().__init__(value, witness)
         self.rhs = rhs
         self.detail = detail
 
@@ -400,13 +428,14 @@ class Iff(Conclusion):
 
 class Custom(Conclusion):
     """A check that is no single comparison: ``own_check(claim, f,
-    measure)`` returns the record.  ``value(f)``, when given, is what the
-    witness attains."""
+    measure)`` returns the record.  ``cases(f)``, when given, is the case
+    whose value the witness attains."""
 
     def __init__(self, own_check: Callable[[str, PairFacts, Measure], ClaimRecord],
-                 value: Callable[[PairFacts], int] | None = None):
+                 cases: Callable[[PairFacts], Case] | None = None):
         self.own_check = own_check
-        self.value = value
+        if cases is not None:
+            self.by_cases(cases)
 
     def check(self, claim: str, f: PairFacts, measure: Measure, kind: ParameterKind) -> ClaimRecord:
         return self.own_check(claim, f, measure)
@@ -414,21 +443,20 @@ class Custom(Conclusion):
 
 class Statement:
     """One TheoremId: the parameter it concerns, its hypotheses as
-    (predicate, skip reason) pairs, its conclusion, and the builder of its
-    witness.  ``witness(f, branch)`` returns a vertex mask for gamma /
-    gamma_p statements and a (V2, V1) mask pair otherwise."""
+    (predicate, skip reason) pairs, and its conclusion.  ``witness(f)``
+    builds the witness of the conclusion on the product; ``witness`` is
+    None where the proof builds none."""
 
     def __init__(self, id: TheoremId, kind: ParameterKind,
                  hypotheses: tuple[tuple[Callable[[PairFacts], bool], str], ...],
-                 conclusion: Conclusion,
-                 witness: Callable[[PairFacts, str | None], object] | None = None):
+                 conclusion: Conclusion):
         self.id = id
         #: the claim name of the records that ``check`` returns
         self.claim = id.value
         self.kind = kind
         self.hypotheses = hypotheses
         self.conclusion = conclusion
-        self.witness = witness
+        self.witness = conclusion.witness
 
     def skip_reason(self, f: PairFacts) -> str | None:
         """The first unmet hypothesis, worded as verification reports it."""
@@ -452,52 +480,40 @@ class Statement:
         return self.conclusion.check(self.claim, f, measure, self.kind)
 
 
-# -- exact cases with branches, and the proofs' witnesses ------------------
+# -- the cases of the conclusions, and the proofs' witnesses -----------------
 
 
-def _gamma_lex(f: PairFacts) -> tuple[str, int]:
-    if factor_value(f.h, ParameterKind.gamma) == 1:
-        return "gamma(H)=1", f.gamma
-    return "gamma(H)>=2", f.gamma_t
+def _gamma_set_lift(f: PairFacts) -> int:
+    """A gamma(G)-set x {the first universal vertex of H}."""
+    return f.lift(solve(f.g, ParameterKind.gamma).witness, 1 << _universal_vertex(f.h))
 
 
-def _gamma_lex_witness(f: PairFacts, branch: str) -> int:
-    if branch == "gamma(H)=1":
-        return f.lift(solve(f.g, ParameterKind.gamma).witness, 1 << _universal_vertex(f.h))
+def _gamma_t_set_lift(f: PairFacts) -> int:
+    """A gamma_t(G)-set x {0}."""
     return f.lift(solve(f.g, ParameterKind.gamma_t).witness, 1)
 
 
-def _gammap_lex(f: PairFacts) -> tuple[str, int]:
+def _gamma_lex(f: PairFacts) -> Case:
+    if f.h_gamma == 1:
+        return "gamma(H)=1", f.gamma, _gamma_set_lift
+    return "gamma(H)>=2", f.gamma_t, _gamma_t_set_lift
+
+
+def _gammap_lex(f: PairFacts) -> Case:
     if f.p1:
-        return "P1", f.gamma_t
+        return "P1", f.gamma_t, lambda f: f.lift(f.eod, 1 << min(f.h.isolated_vertices()))
     if f.p2:
-        return "P2", f.gamma
-    return "otherwise", f.g.n * f.h.n
+        return "P2", f.gamma, lambda f: f.lift(f.ecd, 1 << _universal_vertex(f.h))
+    return "otherwise", f.g.n * f.h.n, lambda f: f.lift(f.g.full_mask, f.h.full_mask)
 
 
-def _gammap_lex_witness(f: PairFacts, branch: str) -> int:
-    if branch == "P1":
-        return f.lift(f.eod, 1 << min(f.h.isolated_vertices()))
-    if branch == "P2":
-        return f.lift(f.ecd, 1 << _universal_vertex(f.h))
-    return f.lift(f.g.full_mask, f.h.full_mask)
-
-
-def _roman_lex(f: PairFacts) -> tuple[str, int]:
+def _roman_lex(f: PairFacts) -> Case:
     if f.dmax == f.h.n - 1:
-        return "maxdeg(H)=n(H)-1", 2 * f.gamma
+        return "maxdeg(H)=n(H)-1", 2 * f.gamma, lambda f: (_gamma_set_lift(f), 0)
     if f.dmax == f.h.n - 2:
-        return "maxdeg(H)=n(H)-2", f.zeta[0]
-    return "maxdeg(H)<=n(H)-3", 2 * f.gamma_t
-
-
-def _roman_lex_witness(f: PairFacts, branch: str) -> tuple[int, int]:
-    if branch == "maxdeg(H)=n(H)-1":
-        return f.lift(solve(f.g, ParameterKind.gamma).witness, 1 << _universal_vertex(f.h)), 0
-    if branch == "maxdeg(H)=n(H)-2":
-        a, b = f.zeta[1]
-        return _max_degree_layers(f, a | b, b)
-    return f.lift(solve(f.g, ParameterKind.gamma_t).witness, 1), 0
+        value, (a, b) = f.zeta
+        return "maxdeg(H)=n(H)-2", value, lambda f: _max_degree_layers(f, a | b, b)
+    return "maxdeg(H)<=n(H)-3", 2 * f.gamma_t, lambda f: (_gamma_t_set_lift(f), 0)
 
 
 def _max_degree_layers(f: PairFacts, s2: int, s1: int) -> tuple[int, int]:
@@ -519,32 +535,34 @@ def _corona_layers(f: PairFacts, s2: int, s1: int) -> tuple[int, int]:
     return f.lift(s2, 1), f.lift(s2, f.h.full_mask & ~1) | f.lift(s1, f.h.full_mask)
 
 
-def _ecd_prdf(f: PairFacts, branch=None) -> tuple[int, int]:
+def _ecd_prdf(f: PairFacts) -> tuple[int, int]:
     """The efficient closed dominating set of G spread over a
     maximum-degree layer.  When gamma(G) = 1 that set is the first
     universal vertex."""
     return _max_degree_layers(f, f.ecd, f.ecd)
 
 
-def _eod_prdf(f: PairFacts, branch=None) -> tuple[int, int]:
+def _eod_prdf(f: PairFacts) -> tuple[int, int]:
     """The efficient open dominating set of G spread over a
     minimum-degree layer."""
     return _min_degree_layers(f, f.eod)
 
 
-def _p2_or_p3_prdf(f: PairFacts, branch=None) -> tuple[int, int]:
+def _p2_or_p3_prdf(f: PairFacts) -> tuple[int, int]:
     return _ecd_prdf(f) if f.p2 else _eod_prdf(f)
 
 
-def _zeta_upper(f: PairFacts) -> int:
-    return min(3 * f.gamma, 2 * f.gamma_t)
-
-
-def _zeta_bounds_witness(f: PairFacts, branch=None) -> tuple[int, int]:
+def _zeta_upper(f: PairFacts) -> Case:
+    """min(3 gamma(G), 2 gamma_t(G)), and the function attaining it."""
     if 3 * f.gamma <= 2 * f.gamma_t:
-        d = solve(f.g, ParameterKind.gamma).witness
-        return _max_degree_layers(f, d, d)
-    return f.lift(solve(f.g, ParameterKind.gamma_t).witness, 1), 0
+        return None, 3 * f.gamma, _gamma_set_layers
+    return None, 2 * f.gamma_t, lambda f: (_gamma_t_set_lift(f), 0)
+
+
+def _gamma_set_layers(f: PairFacts) -> tuple[int, int]:
+    """A gamma(G)-set spread over a maximum-degree layer."""
+    d = solve(f.g, ParameterKind.gamma).witness
+    return _max_degree_layers(f, d, d)
 
 
 def _function_i_bound(f: PairFacts) -> int:
@@ -557,7 +575,7 @@ def _function_iii_bound(f: PairFacts) -> int:
     return s_prime.bit_count() + 2 * s_dprime.bit_count() + f.gamma_p * (f.h.n - 1)
 
 
-def _packing_witness(f: PairFacts, branch=None) -> tuple[int, int]:
+def _packing_witness(f: PairFacts) -> tuple[int, int]:
     s = f.packing[1]
     s0 = _isolated_in(f.g, s)
     a2, a1 = _max_degree_layers(f, s0, s0)
@@ -566,9 +584,15 @@ def _packing_witness(f: PairFacts, branch=None) -> tuple[int, int]:
     return a2 | b2, a1 | b1 | f.lift(outside, f.h.full_mask)
 
 
-def _gamma1_ii_witness(f: PairFacts, branch=None) -> tuple[int, int]:
+def _gamma1_ii(f: PairFacts) -> Case:
+    """min(2 mindeg(H) + 4, n(H) - maxdeg(H) + 1), and the function
+    attaining it."""
     if f.h.n - f.dmax + 1 <= 2 * f.dmin + 4:
-        return _ecd_prdf(f)
+        return None, f.h.n - f.dmax + 1, _ecd_prdf
+    return None, 2 * f.dmin + 4, _star_prdf
+
+
+def _star_prdf(f: PairFacts) -> tuple[int, int]:
     # {w, leaf} is an efficient open dominating set; on K2 both vertices
     # are universal leaves, so the leaf must differ from w
     w = _universal_vertex(f.g)
@@ -590,7 +614,7 @@ def _check_zeta_bounds(claim: str, f: PairFacts, measure: Measure) -> ClaimRecor
     gam, gam_t = f.gamma, f.gamma_t
     gam_tr = factor_value(f.g, ParameterKind.gamma_tR)
     measured = measure(ParameterKind.gamma_R)
-    lo, hi = max(gam_tr, gam_t + gam), _zeta_upper(f)
+    lo, hi = max(gam_tr, gam_t + gam), _zeta_upper(f)[1]
     ok = lo <= measured <= hi
     if gam_t == gam:
         ok = ok and measured == 2 * gam_t
@@ -669,11 +693,11 @@ _UNMET = "hypotheses unmet"
 #: about each parameter states the hypotheses predict() requires.
 _REGISTRY = (
     Statement(TheoremId.GAMMA_LEX, ParameterKind.gamma, (_G_NO_ISOLATED_H_NONTRIVIAL,),
-              Exact(_gamma_lex), _gamma_lex_witness),
+              Exact(_gamma_lex)),
     Statement(TheoremId.GAMMAP_LEX, ParameterKind.gamma_p, (_G_CONNECTED_H_NONTRIVIAL,),
-              Exact(_gammap_lex), _gammap_lex_witness),
+              Exact(_gammap_lex)),
     Statement(TheoremId.ROMAN_LEX, _R, (_G_NO_ISOLATED_H_NONTRIVIAL,),
-              Exact(_roman_lex), _roman_lex_witness),
+              Exact(_roman_lex)),
     Statement(TheoremId.ROMAN_GRAPH_COR, _R,
               ((lambda f: f.g_ok and f.h.n >= 2 and f.dmax != f.h.n - 2,
                 "needs G without isolated vertices, nontrivial H, maxdeg(H) != n(H)-2"),),
@@ -681,73 +705,72 @@ _REGISTRY = (
     Statement(TheoremId.ZETA_BOUNDS, _R,
               ((lambda f: f.g_ok and f.dmax == f.h.n - 2,
                 "needs G without isolated vertices and maxdeg(H) = n(H)-2"),),
-              Custom(_check_zeta_bounds, _zeta_upper), _zeta_bounds_witness),
+              Custom(_check_zeta_bounds, _zeta_upper)),
     Statement(TheoremId.PR_LB_GENERAL, _RP, (_G_NO_ISOLATED_H_NONTRIVIAL,),
               Lower(lambda f: f.gamma * min(f.h.n - f.dmax + 1, 2 + f.dmin))),
     Statement(TheoremId.PR_TRIVIAL_LB, _RP, (_NONTRIVIAL,),
               Lower(lambda f: max(f.gamma_Rp, 2 * f.gamma))),
     Statement(TheoremId.PR_UB_CORONA, _RP, (_G_NO_ISOLATED,),
-              Upper(lambda f: f.gamma_p * (f.h.n + 1)),
-              lambda f, _: _corona_layers(f, solve(f.g, ParameterKind.gamma_p).witness, 0)),
+              Upper(lambda f: f.gamma_p * (f.h.n + 1),
+                    lambda f: _corona_layers(f, solve(f.g, ParameterKind.gamma_p).witness, 0))),
     Statement(TheoremId.PR_UB_PACKING, _RP, (_G_NO_ISOLATED,),
-              Upper(lambda f: f.packing[0]), _packing_witness),
+              Upper(lambda f: f.packing[0], _packing_witness)),
     Statement(TheoremId.PR_UB_FUNCTION_I, _RP, (_G_NO_ISOLATED,),
-              Upper(_function_i_bound),
-              lambda f, _: _corona_layers(f, *f.prdf.fewest_positive)),
+              Upper(_function_i_bound, lambda f: _corona_layers(f, *f.prdf.fewest_positive))),
     Statement(TheoremId.PR_UB_FUNCTION_II, _RP,
               (_G_NO_ISOLATED, (lambda f: f.prdf.v2_gamma_set is not None, _UNMET)),
-              Upper(lambda f: f.gamma_Rp * f.h.n - f.gamma * (f.h.n - 1)),
-              lambda f, _: _corona_layers(f, *f.prdf.v2_gamma_set)),
+              Upper(lambda f: f.gamma_Rp * f.h.n - f.gamma * (f.h.n - 1),
+                    lambda f: _corona_layers(f, *f.prdf.v2_gamma_set))),
     Statement(TheoremId.PR_UB_FUNCTION_III, _RP, (_G_NO_ISOLATED,),
-              Upper(_function_iii_bound),
-              lambda f, _: _corona_layers(f, f.epn_split[1], f.epn_split[0])),
+              Upper(_function_iii_bound,
+                    lambda f: _corona_layers(f, f.epn_split[1], f.epn_split[0]))),
     Statement(TheoremId.PR_UB_FUNCTION_IV, _RP,
               (_G_NO_ISOLATED, (lambda f: f.prdf.support_gamma_p_set is not None, _UNMET)),
-              Upper(lambda f: f.gamma_Rp + f.gamma_p * (f.h.n - 1)),
-              lambda f, _: _corona_layers(f, *f.prdf.support_gamma_p_set)),
+              Upper(lambda f: f.gamma_Rp + f.gamma_p * (f.h.n - 1),
+                    lambda f: _corona_layers(f, *f.prdf.support_gamma_p_set))),
     Statement(TheoremId.PR_COR_EOD, _RP,
               (_G_NO_ISOLATED, (lambda f: f.eod is not None, _UNMET)),
-              Upper(lambda f: f.gamma_t * (2 + f.dmin)), _eod_prdf),
+              Upper(lambda f: f.gamma_t * (2 + f.dmin), _eod_prdf)),
     Statement(TheoremId.PR_COR_ECD, _RP,
               (_G_NO_ISOLATED, (lambda f: f.ecd is not None, _UNMET)),
-              Upper(lambda f: f.gamma * (f.h.n - f.dmax + 1)), _ecd_prdf),
+              Upper(lambda f: f.gamma * (f.h.n - f.dmax + 1), _ecd_prdf)),
     Statement(TheoremId.PR_GAMMA1_I, _RP,
               (_GAMMA_ONE, (lambda f: f.delta_g >= 2, "needs mindeg(G) >= 2")),
-              Exact(lambda f: (None, f.h.n - f.dmax + 1)), _ecd_prdf),
+              Exact(lambda f: (None, f.h.n - f.dmax + 1, _ecd_prdf))),
     Statement(TheoremId.PR_GAMMA1_II, _RP,
               (_GAMMA_ONE, (lambda f: f.delta_g == 1, "needs mindeg(G) = 1")),
-              Exact(lambda f: (None, min(2 * f.dmin + 4, f.h.n - f.dmax + 1))),
-              _gamma1_ii_witness),
+              Exact(_gamma1_ii)),
     Statement(TheoremId.PR_EXACT_ECD, _RP,
               ((lambda f: f.g_ok and f.ecd is not None and 2 <= f.h.n <= f.dmax + f.dmin + 1,
                 "needs ECD graph G and 2 <= n(H) <= maxdeg+mindeg+1"),),
-              Exact(lambda f: (None, f.gamma * (f.h.n - f.dmax + 1))), _ecd_prdf),
+              Exact(lambda f: (None, f.gamma * (f.h.n - f.dmax + 1), _ecd_prdf))),
     Statement(TheoremId.PR_EXACT_EOD, _RP,
               ((lambda f: f.g_ok and f.h.n >= 2 and f.eod is not None
                 and f.gamma_p == f.gamma_t == f.gamma and f.h.n >= f.dmax + f.dmin + 1,
                 "needs EOD graph G with gamma_p = gamma_t = gamma and n(H) >= maxdeg+mindeg+1"),),
-              Exact(lambda f: (None, f.gamma * (2 + f.dmin))), _eod_prdf),
+              Exact(lambda f: (None, f.gamma * (2 + f.dmin), _eod_prdf))),
     Statement(TheoremId.PR_ISOLATED_LAYERS, _RP,
               ((lambda f: f.eod is not None and f.h.n >= f.dmax + 2 * f.dmin + 3,
                 "needs EOD graph G and n(H) >= maxdeg+2*mindeg+3"),),
-              Exact(lambda f: (None, f.gamma_t * (2 + f.dmin))), _eod_prdf),
+              Exact(lambda f: (None, f.gamma_t * (2 + f.dmin), _eod_prdf))),
     Statement(TheoremId.PR_COR_P2P3, _RP,
               ((lambda f: f.g.n >= 2 and f.h.n >= 2 and f.g_ok,
                 "needs nontrivial factors and G without isolated vertices"),
                (lambda f: f.p2 or (f.p3 and f.gamma_p == f.gamma),
                 "needs P2, or P3 with gamma_p(G) = gamma(G)")),
-              Exact(lambda f: ("P2" if f.p2 else "P3", 2 * f.gamma)), _p2_or_p3_prdf),
+              Exact(lambda f: ("P2", 2 * f.gamma, _ecd_prdf) if f.p2
+                    else ("P3", 2 * f.gamma, _eod_prdf))),
     Statement(TheoremId.PR_EQ_FACTOR, _RP, (_NONTRIVIAL,),
               Iff(lambda f: f.gamma_Rp,
                   lambda f: f.gamma_Rp == 2 * f.gamma_p and (f.p2 or f.p3),
-                  "gamma_Rp(product) = gamma_Rp(G) iff gamma_Rp(G) = 2 gamma_p(G) and P2 or P3"),
-              _p2_or_p3_prdf),
+                  "gamma_Rp(product) = gamma_Rp(G) iff gamma_Rp(G) = 2 gamma_p(G) and P2 or P3",
+                  _p2_or_p3_prdf)),
     Statement(TheoremId.PR_EQ_2GAMMA, _RP,
               ((lambda f: f.g.n >= 2 and f.h.n >= 3, "needs nontrivial G and n(H) >= 3"),),
               Iff(lambda f: 2 * f.gamma,
                   lambda f: f.gamma_p == f.gamma and (f.p2 or f.p3),
-                  "gamma_Rp(product) = 2 gamma(G) iff gamma_p(G) = gamma(G) and P2 or P3"),
-              _p2_or_p3_prdf),
+                  "gamma_Rp(product) = 2 gamma(G) iff gamma_p(G) = gamma(G) and P2 or P3",
+                  _p2_or_p3_prdf)),
     Statement(TheoremId.PR_PERFECTROMAN_CHAR, _RP, (_G_CONNECTED_H_NONTRIVIAL,),
               Custom(_check_perfect_roman_char)),
     Statement(TheoremId.PR_EQ_ROMAN_CHAR, _RP,
@@ -821,8 +844,8 @@ def construct_witness(theorem: TheoremId, g: Graph, h: Graph):
     if reason is not None:
         raise HypothesisError(f"{st.claim} {reason}")
     product, _ = lex_product(g, h)
-    branch, expected = st.conclusion.target(f)
-    built = st.witness(f, branch)
+    expected = st.conclusion.target(f)[1]
+    built = st.witness(f)
     if st.kind in (ParameterKind.gamma, ParameterKind.gamma_p):
         valid, size, unit = is_feasible(product, built, st.kind), built.bit_count(), "size"
     else:

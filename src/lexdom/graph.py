@@ -38,6 +38,13 @@ def check_order(n: int) -> None:
         raise DomainError(f"graph order must be in 1..{MAX_VERTICES}, got {n}")
 
 
+def check_tuple(name: str, value) -> None:
+    """Refuse a record field that must be a tuple, so that the record
+    hashes: a list, say, would make it unhashable."""
+    if not isinstance(value, tuple):
+        raise DomainError(f"{name} must be a tuple, got {type(value).__name__}")
+
+
 class CheckedRecord:
     """Base of the namedtuple records that check their fields, listed before
     the namedtuple.  Every construction, ``_make`` and ``_replace`` included,
@@ -68,6 +75,7 @@ class Graph(CheckedRecord, namedtuple("Graph", "n adj")):
 
     def __post_init__(self):
         check_order(self.n)
+        check_tuple("adj", self.adj)
         if len(self.adj) != self.n:
             raise DomainError(f"adjacency has {len(self.adj)} rows for n={self.n}")
         full = (1 << self.n) - 1
@@ -190,6 +198,7 @@ class RomanAssignment(CheckedRecord, namedtuple("RomanAssignment", "weights")):
     __slots__ = ()
 
     def __post_init__(self):
+        check_tuple("weights", self.weights)
         if any(w not in (0, 1, 2) for w in self.weights):
             raise DomainError("Roman weights must be in {0,1,2}")
 

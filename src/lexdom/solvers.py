@@ -47,8 +47,9 @@ best found so far, so its one optimizing pass returns all optimal V2
 sets: the smallest gives ``solve`` its witness, and all of them are what
 enumerate_optimal_v2 returns.  The gamma_p search reads its
 per-position data from one row table, built once per search.  The Roman
-search reads its row table and greedy seed from ``_roman_plan``, a
-per-graph set-up that gamma_R and gamma_Rp of one graph share.
+search reads its row table, greedy seed and twin mask from
+``_roman_plan``, a per-graph set-up that gamma_R and gamma_Rp of one
+graph share in both search modes.
 
 Value-only solves: ``solve(g, kind, witness=False)`` returns the optimum
 with None for the witness, for callers that read only the value.  The
@@ -634,9 +635,10 @@ def _greedy_dominating(g: Graph) -> int:
 
 
 @lru_cache(maxsize=4)
-def _roman_plan(g: Graph, ties: bool):
-    """The set-up of ``_roman_scan`` on G, shared by gamma_R and gamma_Rp:
-    (row suffixes, greedy dominating seed), as that docstring describes.
+def _roman_plan(g: Graph):
+    """The set-up of ``_roman_scan`` on G, shared by gamma_R and gamma_Rp
+    and by both search modes: (row suffixes, greedy dominating seed, twin
+    mask), as that docstring describes.
 
     A set-up cache, not an answer memo: it holds the last four graphs
     and reads no cap, since ``solve`` and ``enumerate_optimal_v2`` check
@@ -647,18 +649,18 @@ def _roman_plan(g: Graph, ties: bool):
     adj = g.adj
     # degree descending; sorted() is stable, so ties keep increasing index
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    # twin[v]: v has a twin of lower index, which among twins (of one
-    # degree) is one at an earlier position; value only
-    twin = [False] * n
-    if not ties:
-        # the open and the closed neighbourhoods of the vertices so far
-        opens: set[int] = set()
-        closeds: set[int] = set()
-        for v in range(n):
-            closed = adj[v] | 1 << v
-            twin[v] = adj[v] in opens or closed in closeds
-            opens.add(adj[v])
-            closeds.add(closed)
+    # the vertices with a twin of lower index, which among twins (of one
+    # degree) is one at an earlier position; the open and the closed
+    # neighbourhoods of the vertices so far
+    twins = 0
+    opens: set[int] = set()
+    closeds: set[int] = set()
+    for v in range(n):
+        closed = adj[v] | 1 << v
+        if adj[v] in opens or closed in closeds:
+            twins |= 1 << v
+        opens.add(adj[v])
+        closeds.add(closed)
     # rows[i] as in _roman_scan; unreach: the vertices with no neighbor
     # among order[i + 1:]; dn: 1 + the degree at position i + 1, the
     # largest at any later position.  Lists, not tuples: a tuple table
@@ -668,11 +670,11 @@ def _roman_plan(g: Graph, ties: bool):
     dn = 0
     for i in range(n - 1, -1, -1):
         v = order[i]
-        rows[i] = (i + 1, adj[v], 1 << v, unreach, twin[v], dn)
+        rows[i] = (i + 1, adj[v], 1 << v, unreach, dn)
         unreach &= ~adj[v]
         dn = 1 + adj[v].bit_count()
     # the suffix a node starting at each position walks, sliced once here
-    return [rows[i:] for i in range(n + 1)], _greedy_dominating(g)
+    return [rows[i:] for i in range(n + 1)], _greedy_dominating(g), twins
 
 
 _MEMOS.append(_roman_plan)
@@ -688,17 +690,17 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     that must take weight 1 whatever is added: those seeing two members
     (gamma_Rp), and those seeing none with no neighbor left to decide.
 
-    The search reads its set-up from ``_roman_plan(g, ties)``, built
-    once per graph and shared by both kinds: a greedy dominating set that
-    seeds ``best``, and one row table, (i + 1, N(v), {v}, unreach[i + 1],
-    tw, dn) for the vertex v at position i of the order (degree
-    descending, then index), where unreach[i] holds the vertices with no
-    neighbor among order[i:], tw tells whether v has a twin at an earlier
-    position, in the value-only search (it is False in the tie-keeping
-    one; twin rule below), and dn is 1 + the degree of order[i + 1], the
-    largest degree at any later position (0 at the last one).  A node
-    that starts at position s walks the suffix of rows from s, which the
-    set-up slices once per position.  The seed's weight is per kind.
+    The search reads its set-up from ``_roman_plan(g)``, built once per
+    graph and shared by both kinds and both modes: a greedy dominating
+    set that seeds ``best``, the mask of the vertices that have a twin at
+    an earlier position (twin rule below), and one row table, (i + 1,
+    N(v), {v}, unreach[i + 1], dn) for the vertex v at position i of the
+    order (degree descending, then index), where unreach[i] holds the
+    vertices with no neighbor among order[i:], and dn is 1 + the degree
+    of order[i + 1], the largest degree at any later position (0 at the
+    last one).  A node that starts at position s walks the suffix of
+    rows from s, which the set-up slices once per position.  The seed's
+    weight is per kind.
     Let k be the children's |V2| and nout the decided-out set before
     child i: the node's own and its earlier children's, so that V2 and
     nout hold exactly the positions before i.
@@ -776,8 +778,9 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     and the weight of every V2 set.  Twins share a degree, so among
     them the order is by index.  Twin rule: child i, with v at position
     i, is weighed (and so recursed into) only when v has no twin at an
-    earlier position, that is, when ``tw`` is False.  Weighed or not, v
-    joins nout and the stop runs as before.
+    earlier position, that is, when {v} misses the twin mask; the
+    tie-keeping search reads an empty mask in its place.  Weighed or
+    not, v joins nout and the stop runs as before.
 
     The value is still the optimum.  First, no optimal RDF or PRDF has
     two twins u and v in V2: giving v weight 1 in place of 2 keeps the
@@ -842,7 +845,10 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     """
     n = g.n
     twice = g.full_mask if kind is ParameterKind.gamma_Rp else 0
-    tails, seed = _roman_plan(g, ties)
+    tails, seed, twins = _roman_plan(g)
+    # the twin rule (docstring) skips these children, in the value-only
+    # search alone
+    skip = 0 if ties else twins
     explored = 0
 
     # V2 = {} weighs n: every vertex takes 1
@@ -874,9 +880,9 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
         # the covering bound of the stop (docstring) is h - dn: 2|V2| of a
         # child plus |A0| + |A2|, less what the later child can take
         h = least + n - (c1 | smask).bit_count() + held2.bit_count()
-        for j, a, b, u, tw, dn in tails[start]:
+        for j, a, b, u, dn in tails[start]:
             # the twin rule: no child for a vertex with an earlier twin
-            if not tw:
+            if not b & skip:
                 nc2 = (c2 | c1 & a) & twice
                 nc1 = c1 | a
                 # decided-out vertices at weight 1 in the child and all below

@@ -1,6 +1,8 @@
 """Theorem-indexed formula engine: worked examples, prediction
 soundness, witness construction, and hypothesis refusals."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from lexdom import (
     is_rdf,
     lex_product,
     parse_family,
+    parse_graph6,
     predict,
     solve,
 )
@@ -137,12 +140,12 @@ class TestCrossChecks:
             predict(P4, K3, ParameterKind.gamma_Rp)
 
     def test_invalid_set_construction(self, monkeypatch):
-        monkeypatch.setattr(STATEMENTS[TheoremId.GAMMA_LEX], "witness", lambda f, branch: 1)
+        monkeypatch.setattr(STATEMENTS[TheoremId.GAMMA_LEX], "witness", lambda f: 1)
         with pytest.raises(InconsistencyError, match="GAMMA_LEX construction invalid: size 1"):
             construct_witness(TheoremId.GAMMA_LEX, P4, K2)
 
     def test_invalid_assignment_construction(self, monkeypatch):
-        monkeypatch.setattr(STATEMENTS[TheoremId.ROMAN_LEX], "witness", lambda f, branch: (0, 1))
+        monkeypatch.setattr(STATEMENTS[TheoremId.ROMAN_LEX], "witness", lambda f: (0, 1))
         with pytest.raises(InconsistencyError, match="ROMAN_LEX construction invalid: weight 1"):
             construct_witness(TheoremId.ROMAN_LEX, P4, K2K1)
 
@@ -366,3 +369,62 @@ class TestWitnessConstruction:
                         assert w.bit_count() == expected, (st.id, g, h)
                     built.add(st.id)
         assert built == {t for t, st in STATEMENTS.items() if st.witness is not None}
+
+    #: Pairs on which a case fires that no corpus pair reaches.  EsCO has
+    #: P1 and P3 with empty:2 but not P2, so PR_EQ_FACTOR builds through P3.
+    EXTRA_PAIRS = [("EsCO", "empty:2")]
+
+    #: How many cases each builder has, where it is more than one.
+    CASES = {TheoremId.GAMMA_LEX: 2, TheoremId.GAMMAP_LEX: 3, TheoremId.ROMAN_LEX: 3,
+             TheoremId.ZETA_BOUNDS: 2, TheoremId.PR_GAMMA1_II: 2, TheoremId.PR_COR_P2P3: 2,
+             TheoremId.PR_EQ_FACTOR: 2, TheoremId.PR_EQ_2GAMMA: 2}
+
+    @staticmethod
+    def _case(st, f):
+        """The case of ``st`` that holds of the pair: the code of the
+        builder that its conclusion names for the case, and, for
+        ``_p2_or_p3_prdf``, which picks its construction itself, whether
+        P2 holds."""
+        cases = getattr(st.conclusion, "cases", None)
+        build = cases(f)[2] if cases else st.witness
+        return build.__code__, build is formula._p2_or_p3_prdf and f.p2
+
+    def test_every_case_built(self, connected_g, all_h):
+        # construct_witness validates what it builds and checks its value
+        # or bound, so each case built here is a valid one
+        pairs = [(g, h) for g in connected_g for h in all_h]
+        pairs += [(parse_graph6(g), generate(parse_family(h))) for g, h in self.EXTRA_PAIRS]
+        built = set()
+        for g, h in pairs:
+            f = PairFacts(g, h)
+            for st in STATEMENTS.values():
+                if st.witness is not None and st.refusal(f) is None:
+                    key = st.id, self._case(st, f)
+                    if key not in built:
+                        construct_witness(st.id, g, h)
+                        built.add(key)
+        counts = Counter(theorem for theorem, _ in built)
+        assert counts == {t: self.CASES.get(t, 1) for t, st in STATEMENTS.items()
+                          if st.witness is not None}
+        g, h = pairs[-1]
+        product, _ = lex_product(g, h)
+        w = construct_witness(TheoremId.PR_EQ_FACTOR, g, h)
+        assert w.weight == solve(product, ParameterKind.gamma_Rp).value == 4
+
+    def test_predict_and_verify_build_no_witness(self, monkeypatch, connected_g, all_h):
+        # only construct_witness builds: the builders are the only callers
+        # of formula.solve, which a prediction or a check must not reach
+        calls = []
+        solve_ = formula.solve
+        monkeypatch.setattr(formula, "solve", lambda *a, **k: calls.append(a) or solve_(*a, **k))
+        for g in connected_g:
+            for h in all_h:
+                for kind in PREDICT_KINDS:
+                    try:
+                        predict(g, h, kind)
+                    except HypothesisError:
+                        pass
+                verify_pair(g, h)
+        assert calls == []
+        construct_witness(TheoremId.GAMMA_LEX, P4, K2)
+        assert calls, "the spy sees the builders' solves"

@@ -192,6 +192,15 @@ class TestRecordSemantics:
             record._replace(**bad)
 
     @pytest.mark.parametrize("cls, fields, text", RECORDS)
+    def test_rejects_a_list_for_a_tuple(self, cls, fields, text):
+        # a list field would leave the record unhashable, and every cache
+        # keyed by it would raise TypeError
+        for name, value in fields.items():
+            if isinstance(value, tuple):
+                with pytest.raises(DomainError, match=f"{name} must be a tuple"):
+                    cls(**{**fields, name: list(value)})
+
+    @pytest.mark.parametrize("cls, fields, text", RECORDS)
     def test_checks_run_once_per_construction(self, monkeypatch, cls, fields, text):
         record = cls(**fields)
         calls = []

@@ -1,8 +1,9 @@
 """The package surface: every exported name resolves, the analysis layers
 load on first use, a name that moved is one object in both places, no
 module checks with ``assert``, no code dispatches on the kind of a
-conclusion, no fact takes ``cached_property``'s lock and ``solvers``
-defines no generator function."""
+conclusion, no fact takes ``cached_property``'s lock, ``solvers``
+defines no generator function and no function in ``formula`` takes a
+branch tag."""
 
 import ast
 import json
@@ -101,4 +102,19 @@ def test_solvers_define_no_generator():
     path = Path(lexdom.__file__).parent / "solvers.py"
     found = [f"solvers.py:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert found == []
+
+
+def test_formula_takes_no_branch_tag():
+    # a conclusion's case function names the builder of its case, so no
+    # builder decides the case again from the branch tag
+    path = Path(lexdom.__file__).parent / "formula.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                     args.vararg, args.kwarg) if a is not None]
+            if "branch" in names:
+                found.append(f"formula.py:{node.lineno}")
     assert found == []

@@ -549,11 +549,20 @@ class TestRomanPlan:
             hits = plan.cache_info().hits
             assert self.value_only(g, kind) == cold, kind
             assert plan.cache_info().hits == hits + 1, kind
-            # after a tie-keeping solve, whose set-up has no twin flags
+            # after a tie-keeping solve, which reads the same set-up
             plan.cache_clear()
             solve(g, other, max_n=g.n)
             assert self.value_only(g, kind) == cold, kind
             assert solve(g, kind, max_n=g.n) == full, kind
+
+    def test_one_set_up_for_both_modes(self):
+        # the twin mask rides along in the one set-up, so a value-only
+        # search after a tie-keeping one builds nothing
+        g = self.GRAPHS[-2]
+        solvers._roman_plan.cache_clear()
+        solve(g, ParameterKind.gamma_R, max_n=g.n)
+        self.value_only(g, ParameterKind.gamma_Rp)
+        assert solvers._roman_plan.cache_info().misses == 1
 
     def test_bounded_after_verify_corpus(self):
         solvers._roman_plan.cache_clear()
