@@ -411,6 +411,29 @@ class TestWitnessConstruction:
         w = construct_witness(TheoremId.PR_EQ_FACTOR, g, h)
         assert w.weight == solve(product, ParameterKind.gamma_Rp).value == 4
 
+    def test_building_reads_no_factor_value_again(self, monkeypatch, connected_g, all_h):
+        # construct_witness evaluates a case twice, for its value and for
+        # its builder, so a case function reads factor values only through
+        # the facts, which PairFacts computes once: building reads no more
+        # than deciding the statement and its case does
+        calls = []
+        factor_value = formula.factor_value
+        monkeypatch.setattr(formula, "factor_value",
+                            lambda *a: calls.append(a) or factor_value(*a))
+        for g in connected_g:
+            for h in all_h:
+                f = PairFacts(g, h)
+                for st in STATEMENTS.values():
+                    if getattr(st.conclusion, "cases", None) and st.refusal(f) is None:
+                        calls.clear()
+                        fresh = PairFacts(g, h)
+                        st.refusal(fresh)
+                        st.conclusion.target(fresh)
+                        deciding = len(calls)
+                        calls.clear()
+                        construct_witness(st.id, g, h)
+                        assert len(calls) == deciding, (st.id, g, h)
+
     def test_predict_and_verify_build_no_witness(self, monkeypatch, connected_g, all_h):
         # only construct_witness builds: the builders are the only callers
         # of formula.solve, which a prediction or a check must not reach
