@@ -45,11 +45,45 @@ weighed, passed over or cut off together by these bounds, so they change
 no count, value or witness.  The search keeps every V2 that weighs the
 best found so far, so its one optimizing pass returns all optimal V2
 sets: the smallest gives ``solve`` its witness, and all of them are what
-enumerate_optimal_v2 returns.  The gamma_p search reads its
-per-position data from one row table, built once per search.  The Roman
-search reads its row table, greedy seed and twin mask from
-``_roman_plan``, a per-graph set-up that gamma_R and gamma_Rp of one
+enumerate_optimal_v2 returns.  The gamma_p and packing searches read
+their per-position data from one row table, built once per search.  The
+Roman search reads its row tables, one per search mode, and greedy seed
+from ``_roman_plan``, a per-graph set-up that gamma_R and gamma_Rp of one
 graph share in both search modes.
+
+The frontier memo.  The gamma_p and packing value searches decide the
+vertices in the ``_search_order`` order, one position per level, each by
+include/exclude, and count every node they enter in ``explored``.  Let
+F_i be the frontier at position i: the union of N[order[p]] (gamma_p) or
+of key[order[p]] (packing: N[] for rho, N() for rho_o) over the
+positions p >= i.  Every test and update from position i on reads the
+row of a position p >= i, whose masks lie in F_i, so the subtree of a
+node at i depends on its state only through each state mask meet F_i,
+and on ``best`` only through the slack best - size (gamma_p lowers
+``best``, packing raises it).  For packing the state is c1, the vertices
+that see a member.  For gamma_p it is d = S | N(S), out, c1 and c2.  The
+exclude test reads c2 & {v} and close & ~d; the include test reads close
+& ~nd and nc2 & out = (c2 | c1 & N(v)) & out.  As ``out`` never meets c2
+(a vertex seeing two members is never left out, and a member is never
+added while a vertex left out would see two), nc2 & out is c1 & N(v) &
+out, which reads only c1 and out within F_i.  The slack matters only up
+to n - i + 1: the size of a node below i exceeds its size by at most
+n - i, so with a slack above n - i no size test fails until the subtree
+lowers ``best`` itself, after which it reads only what the subtree
+found.  For packing the room test size + (n - i) <= best has passed at a
+node that reaches the memo, so its slack is below n - i.  So two nodes
+at i with the same key (i, each state mask & F_i, the slack) have
+subtrees that count the same nodes and move ``best`` the same way
+relative to size.  The memo, a dict local to the search and freed on
+return, maps a key to the number of nodes below the node and to the
+``best`` that its subtree left less size, or -1 if the subtree did not
+move ``best``.  A node whose key is there adds that count to
+``explored``, sets ``best`` and returns without entering its subtree; so
+the values, the witnesses built after them and ``explored`` are those of
+the plain recursion, which the tests check against
+``gamma_p_tree_reference`` and ``packing_tree_reference``.  A node reads
+or writes the memo only once its search has counted more than MEMO_GATE
+nodes, so the many small searches of a sweep stay a plain recursion.
 
 Value-only solves: ``solve(g, kind, witness=False)`` returns the optimum
 with None for the witness, for callers that read only the value.  The
@@ -382,6 +416,12 @@ def _search_order(g: Graph) -> list[int]:
 # -- set-kind solvers ---------------------------------------------------
 
 
+#: Nodes a gamma_p or packing search counts before its nodes use the
+#: frontier memo (module docstring): the many small searches stay as cheap
+#: as a plain recursion.
+MEMO_GATE = 256
+
+
 def _min_cover_value(g: Graph, key, preset: int = 0):
     """Exact minimum size of a set S (disjoint from ``preset``) such that
     the rows ``key[v]`` of ``preset`` and S cover every vertex.  Classic
@@ -436,12 +476,14 @@ def _gamma_t_value(g: Graph):
 
 def _gamma_p_value(g: Graph):
     """Minimum perfect dominating set size via include/exclude search with
-    closure checks (a vertex's constraint is final once N[v] is decided)."""
+    closure checks (a vertex's constraint is final once N[v] is decided).
+    Identical subtrees are counted once (frontier memo, module docstring)."""
     n = g.n
     adj = g.adj
-    # rows[i] = (i + 1, bit, adj, closem[i]) for the vertex at position i;
-    # closem[i]: the vertices v whose N[v] is fully decided at position
-    # i, those of N[order[i]] in no N[] of a later position
+    # rows[i] = (i + 1, bit, adj, closem[i], F_i) for the vertex at
+    # position i; closem[i]: the vertices v whose N[v] is fully decided
+    # at position i, those of N[order[i]] in no N[] of a later position;
+    # F_i: the frontier, the union of N[] over positions i and later
     rows = [None] * n
     assigned = 0
     order = _search_order(g)
@@ -450,10 +492,11 @@ def _gamma_p_value(g: Graph):
         b = 1 << v
         close = (adj[v] | b) & ~assigned
         assigned |= close
-        rows[i] = (i + 1, b, adj[v], close)
+        rows[i] = (i + 1, b, adj[v], close, assigned)
 
     best = n  # S = V is always perfect dominating
     explored = 0
+    memo = {}
 
     # d = S | N(S), the vertices in S or seeing a member: the closure
     # tests read S and c1 only through their union
@@ -465,7 +508,21 @@ def _gamma_p_value(g: Graph):
         if i == n:
             best = size
             return
-        j, b, a, close = rows[i]
+        j, b, a, close, f = rows[i]
+        if explored > MEMO_GATE:
+            # the subtree reads the state through F_i alone, and best
+            # through its slack, which only matters up to n - i + 1
+            slack = best - size
+            key = (i, d & f, out & f, c1 & f, c2 & f, slack if slack <= n - i else n - i + 1)
+            hit = memo.get(key)
+            if hit is not None:
+                explored += hit[0]
+                if hit[1] >= 0:
+                    best = size + hit[1]
+                return
+            start, before = explored, best
+        else:
+            key = None
         # a vertex outside S must see exactly one member: seeing two is
         # pruned as it happens, so ``out`` never meets c2, and a vertex
         # whose N[v] is decided here must see one
@@ -477,6 +534,8 @@ def _gamma_p_value(g: Graph):
         nd = d | b | a
         if not nc2 & out and not close & ~nd:
             rec(j, nd, out, c1 | a, nc2, size + 1)
+        if key is not None:
+            memo[key] = (explored - start, best - size if best < before else -1)
     rec(0, 0, 0, 0, 0, 0)
     del rec
     return best, explored
@@ -484,12 +543,22 @@ def _gamma_p_value(g: Graph):
 
 def _packing_value(g: Graph, open_: bool):
     """Maximum (open) packing size: every vertex may see at most one
-    member within its (open/closed) neighborhood."""
+    member within its (open/closed) neighborhood.  Identical subtrees are
+    counted once (frontier memo, module docstring)."""
     n = g.n
     order = _search_order(g)
     key = g.adj if open_ else [row | 1 << v for v, row in enumerate(g.adj)]
+    # rows[i] = (key of the vertex at position i, F_i), F_i the frontier:
+    # the union of the keys over positions i and later
+    rows = [None] * n
+    frontier = 0
+    for i in range(n - 1, -1, -1):
+        row = key[order[i]]
+        frontier |= row
+        rows[i] = (row, frontier)
     best = 0
     explored = 0
+    memo = {}
 
     def rec(i: int, c1: int, size: int) -> None:
         nonlocal best, explored
@@ -498,10 +567,25 @@ def _packing_value(g: Graph, open_: bool):
             best = size
         if i == n or size + (n - i) <= best:
             return
-        v = order[i]
-        if not c1 & key[v]:  # adding v creates no doubly-seen vertex
-            rec(i + 1, c1 | key[v], size + 1)
+        row, f = rows[i]
+        if explored > MEMO_GATE:
+            # the subtree reads c1 through F_i alone, and best through
+            # its slack, below n - i once the room test has passed
+            mkey = (i, c1 & f, best - size)
+            hit = memo.get(mkey)
+            if hit is not None:
+                explored += hit[0]
+                if hit[1] >= 0:
+                    best = size + hit[1]
+                return
+            start, before = explored, best
+        else:
+            mkey = None
+        if not c1 & row:  # adding v creates no doubly-seen vertex
+            rec(i + 1, c1 | row, size + 1)
         rec(i + 1, c1, size)
+        if mkey is not None:
+            memo[mkey] = (explored - start, best - size if best > before else -1)
     rec(0, 0, 0)
     del rec
     return best, explored
@@ -634,11 +718,28 @@ def _greedy_dominating(g: Graph) -> int:
     return smask
 
 
+class _RowSuffixes(dict):
+    """The row suffixes of ``_roman_scan`` by search mode (``ties``): the
+    rows from each start position on.  The value-only table comes built;
+    the tie-keeping one is sliced on the first tie-keeping search, so a
+    graph searched by value alone, as in a verification sweep, slices
+    one table."""
+
+    def __init__(self, rows: list, value_tails: list):
+        super().__init__({False: value_tails})
+        self.rows = rows
+
+    def __missing__(self, ties: bool) -> list:
+        rows = self.rows
+        tails = self[ties] = [rows[i:] for i in range(len(rows) + 1)]
+        return tails
+
+
 @lru_cache(maxsize=4)
 def _roman_plan(g: Graph):
     """The set-up of ``_roman_scan`` on G, shared by gamma_R and gamma_Rp
-    and by both search modes: (row suffixes, greedy dominating seed, twin
-    mask), as that docstring describes.
+    and by both search modes: (row suffixes by mode, greedy dominating
+    seed), as that docstring describes.
 
     A set-up cache, not an answer memo: it holds the last four graphs
     and reads no cap, since ``solve`` and ``enumerate_optimal_v2`` check
@@ -664,17 +765,30 @@ def _roman_plan(g: Graph):
     # rows[i] as in _roman_scan; unreach: the vertices with no neighbor
     # among order[i + 1:]; dn: 1 + the degree at position i + 1, the
     # largest at any later position.  Lists, not tuples: a tuple table
-    # raised the peak memory of product solves
+    # raised the peak memory of product solves.  value_tails[i]: the
+    # value-only rows from position i on, which leave out a vertex with
+    # an earlier twin and add its bit to the out-bits of the row before
+    # it (``run``; position 0 has no earlier twin)
     rows = [None] * n
+    value_tails = [None] * n + [[]]
+    run = 0
     unreach = g.full_mask
     dn = 0
     for i in range(n - 1, -1, -1):
         v = order[i]
-        rows[i] = (i + 1, adj[v], 1 << v, unreach, dn)
+        b = 1 << v
+        row = rows[i] = (i + 1, adj[v], b, b, unreach, dn)
+        if twins & b:
+            run |= b
+            value_tails[i] = value_tails[i + 1]
+        else:
+            if run:
+                row = (i + 1, adj[v], b, b | run, unreach, dn)
+                run = 0
+            value_tails[i] = [row] + value_tails[i + 1]
         unreach &= ~adj[v]
         dn = 1 + adj[v].bit_count()
-    # the suffix a node starting at each position walks, sliced once here
-    return [rows[i:] for i in range(n + 1)], _greedy_dominating(g), twins
+    return _RowSuffixes(rows, value_tails), _greedy_dominating(g)
 
 
 _MEMOS.append(_roman_plan)
@@ -692,15 +806,17 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
 
     The search reads its set-up from ``_roman_plan(g)``, built once per
     graph and shared by both kinds and both modes: a greedy dominating
-    set that seeds ``best``, the mask of the vertices that have a twin at
-    an earlier position (twin rule below), and one row table, (i + 1,
-    N(v), {v}, unreach[i + 1], dn) for the vertex v at position i of the
-    order (degree descending, then index), where unreach[i] holds the
-    vertices with no neighbor among order[i:], and dn is 1 + the degree
-    of order[i + 1], the largest degree at any later position (0 at the
-    last one).  A node that starts at position s walks the suffix of
-    rows from s, which the set-up slices once per position.  The seed's
-    weight is per kind.
+    set that seeds ``best``, and one row table per mode.  The
+    tie-keeping table holds (i + 1, N(v), {v}, o, unreach[i + 1], dn)
+    for the vertex v at each position i of the order (degree
+    descending, then index), where o = {v} is what joins nout after the
+    child, unreach[i] holds the vertices with no neighbor among
+    order[i:], and dn is 1 + the degree of order[i + 1], the largest
+    degree at any later position (0 at the last one).  The value-only
+    table leaves out the rows of the vertices with a twin at an earlier
+    position (twin rule below).  A node that starts at position s walks
+    the suffix of its mode's rows from s, which the set-up builds once
+    per position.  The seed's weight is per kind.
     Let k be the children's |V2| and nout the decided-out set before
     child i: the node's own and its earlier children's, so that V2 and
     nout hold exactly the positions before i.
@@ -778,9 +894,21 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     and the weight of every V2 set.  Twins share a degree, so among
     them the order is by index.  Twin rule: child i, with v at position
     i, is weighed (and so recursed into) only when v has no twin at an
-    earlier position, that is, when {v} misses the twin mask; the
-    tie-keeping search reads an empty mask in its place.  Weighed or
-    not, v joins nout and the stop runs as before.
+    earlier position.  The value-only rows carry the rule, so no child
+    loop tests it, in either mode: such a vertex has no row, and its
+    bit is in o of the row before it, so after each child nout still
+    holds every position up to the next row.  A child starts with those
+    skipped positions in its own nout, as its parent passes
+    nout | (o - {v}).  So V2 and nout hold exactly the positions before
+    each child that is weighed, as the gates need.  The stop is now
+    tested after a row only, with nout up to the next row, and not after
+    the skipped positions.  It still fires only when no later child can
+    weigh at most lim or recurse: the argument below reads "a later
+    position" as a position of a later row, since the skipped positions
+    have no child, and nout is larger.  A stop that would have fired
+    after a skipped position leaves the next child unable to weigh at
+    most lim or recurse, so its gates fail or weigh it above lim, which
+    moves neither ``best`` (lim = best - 1) nor the tree.
 
     The value is still the optimum.  First, no optimal RDF or PRDF has
     two twins u and v in V2: giving v weight 1 in place of 2 keeps the
@@ -803,7 +931,7 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     on the path down to V2* each weigh and recursion gate reads at most
     opt <= lim and passes.  The stop, which by the arguments above (both
     bounds) with lim for best fires only when no later child can weigh
-    at most lim or recurse, cannot cut that path either: the children
+    at most lim or recurse, cannot cut that path either: the positions
     the twin rule skips still join nout, so V2 and nout hold the
     positions before each child as those arguments need.  Nor can the
     dead-child test, which with lim for best fires only when no
@@ -836,8 +964,7 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
 
     ``explored`` counts the children of every expanded node, whether
     weighed, passed over by a gate or the twin rule or cut off together
-    by the stop:
-    n - start is added as a node starts, or by its parent for a dead
+    by the stop: n - start is added as a node starts, or by its parent for a dead
     child, so with ``ties`` true it is that of the full loop, and with
     ``ties`` false that of the strict tree.  Returns (value, sorted
     optimal V2 masks, explored), with None for the masks when ``ties``
@@ -845,10 +972,9 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     """
     n = g.n
     twice = g.full_mask if kind is ParameterKind.gamma_Rp else 0
-    tails, seed, twins = _roman_plan(g)
-    # the twin rule (docstring) skips these children, in the value-only
-    # search alone
-    skip = 0 if ties else twins
+    suffixes, seed = _roman_plan(g)
+    # the value-only rows have no child for a vertex with an earlier twin
+    tails = suffixes[ties]
     explored = 0
 
     # V2 = {} weighs n: every vertex takes 1
@@ -880,29 +1006,28 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
         # the covering bound of the stop (docstring) is h - dn: 2|V2| of a
         # child plus |A0| + |A2|, less what the later child can take
         h = least + n - (c1 | smask).bit_count() + held2.bit_count()
-        for j, a, b, u, dn in tails[start]:
-            # the twin rule: no child for a vertex with an earlier twin
-            if not b & skip:
-                nc2 = (c2 | c1 & a) & twice
-                nc1 = c1 | a
-                # decided-out vertices at weight 1 in the child and all below
-                r = (nout & (nc2 | ~nc1 & u)).bit_count()
-                if least + r <= lim:  # the child weighs at least least + r
-                    ns = smask | b
-                    w = base - (nc1 & ~(nc2 | ns)).bit_count()
-                    if w < best:
-                        best, lim = w, w - slack
-                        if ties:
-                            masks = [ns]
-                    elif w == best and ties:
-                        masks.append(ns)
-                    if floor + r <= lim:
-                        # a dead child (docstring) adds its count unentered
-                        if floor + 2 + r > lim and w + 2 - dn > lim:
-                            explored += n - j
-                        else:
-                            rec(j, ns, nout, k, nc1, nc2)
-            nout |= b
+        for j, a, b, o, u, dn in tails[start]:
+            nc2 = (c2 | c1 & a) & twice
+            nc1 = c1 | a
+            # decided-out vertices at weight 1 in the child and all below
+            r = (nout & (nc2 | ~nc1 & u)).bit_count()
+            if least + r <= lim:  # the child weighs at least least + r
+                ns = smask | b
+                w = base - (nc1 & ~(nc2 | ns)).bit_count()
+                if w < best:
+                    best, lim = w, w - slack
+                    if ties:
+                        masks = [ns]
+                elif w == best and ties:
+                    masks.append(ns)
+                if floor + r <= lim:
+                    # a dead child (docstring) adds its count unentered
+                    if floor + 2 + r > lim and w + 2 - dn > lim:
+                        explored += n - j
+                    else:
+                        # the twins that follow v, which have no row, are out
+                        rec(j, ns, nout | (o ^ b), k, nc1, nc2)
+            nout |= o
             # no later child weighs at most lim or recurses (docstring)
             x = held2 | held0 & u
             t = (nout & x).bit_count()

@@ -18,7 +18,10 @@ Two helpers are not oracles: ``roman_tree_reference`` replays the
 gamma_R / gamma_Rp branch-and-bound without the early stop of its child
 loop, so a test can require the same tree, ``explored`` and the list of
 optimal V2 sets included; ``gamma_tR_loop_reference`` is the plain scan
-of every V2 mask that the gamma_tR search counts its nodes against.
+of every V2 mask that the gamma_tR search counts its nodes against;
+``gamma_p_tree_reference`` and ``packing_tree_reference`` are the plain
+include/exclude recursions of the gamma_p and packing value searches,
+which enter every node that they count.
 """
 
 from __future__ import annotations
@@ -243,6 +246,105 @@ def gamma_tR_loop_reference(g: Graph):
             best, best_v2 = base + extra, v2
             best_v1 = canonical_trdf_v1_oracle(g, v2, best)
     return best, best_v1, best_v2, explored
+
+
+def search_order_reference(g: Graph) -> list[int]:
+    """The order the set value searches decide vertices in: a
+    breadth-first search from each not yet reached vertex in order of
+    degree, then index, whose queue takes the new neighbors of each
+    vertex in increasing index."""
+    reached = [False] * g.n
+    order: list[int] = []
+    for start in sorted(range(g.n), key=lambda v: (g.adj[v].bit_count(), v)):
+        if reached[start]:
+            continue
+        reached[start] = True
+        queue = [start]
+        while queue:
+            v = queue.pop(0)
+            order.append(v)
+            for u in _neighbors(g, v):
+                if not reached[u]:
+                    reached[u] = True
+                    queue.append(u)
+    return order
+
+
+def gamma_p_tree_reference(g: Graph) -> tuple[int, int]:
+    """The include/exclude search of ``solvers._gamma_p_value`` as a
+    plain recursion over ``search_order_reference``: (value, explored).
+
+    Each call counts one node.  It returns at once when S is no smaller
+    than the best found (n at the start, as S = V is perfect
+    dominating), and at the last position records S.  Otherwise vertex
+    v is left out when it sees at most one member of S, and put in S
+    when afterwards every vertex left out sees at most one member; in
+    both cases every vertex whose closed neighborhood is fully decided
+    at this position must be in S or see a member.
+    """
+    n = g.n
+    order = search_order_reference(g)
+    position = {v: i for i, v in enumerate(order)}
+    # settled[i]: the vertices whose closed neighborhood has its last
+    # vertex at position i
+    settled: list[list[int]] = [[] for _ in range(n)]
+    for w in range(n):
+        settled[max(position[u] for u in _neighbors(g, w) + [w])].append(w)
+    best = n
+    explored = 0
+
+    def sees(w: int, s: int) -> int:
+        return (g.adj[w] & s).bit_count()
+
+    def rec(i: int, s: int, out: list[int]) -> None:
+        nonlocal best, explored
+        explored += 1
+        if s.bit_count() >= best:
+            return
+        if i == n:
+            best = s.bit_count()
+            return
+        v = order[i]
+        if sees(v, s) <= 1 and all(s >> w & 1 or sees(w, s) for w in settled[i]):
+            rec(i + 1, s, out + [v])
+        t = s | 1 << v
+        if (all(sees(w, t) <= 1 for w in out)
+                and all(t >> w & 1 or sees(w, t) for w in settled[i])):
+            rec(i + 1, t, out)
+
+    rec(0, 0, [])
+    return best, explored
+
+
+def packing_tree_reference(g: Graph, open_: bool) -> tuple[int, int]:
+    """The include/exclude search of ``solvers._packing_value`` as a
+    plain recursion over ``search_order_reference``: (value, explored).
+
+    Each call counts one node and raises the best found to |S|.  It
+    returns at the last position, or when |S| plus the undecided
+    vertices cannot beat the best.  Otherwise vertex v is put in S when
+    its neighborhood (open for rho_o, closed for rho) meets no member's,
+    then left out.
+    """
+    n = g.n
+    order = search_order_reference(g)
+    key = [g.adj[v] if open_ else g.adj[v] | 1 << v for v in range(n)]
+    best = 0
+    explored = 0
+
+    def rec(i: int, members: list[int]) -> None:
+        nonlocal best, explored
+        explored += 1
+        best = max(best, len(members))
+        if i == n or len(members) + n - i <= best:
+            return
+        v = order[i]
+        if all(not key[v] & key[u] for u in members):
+            rec(i + 1, members + [v])
+        rec(i + 1, members)
+
+    rec(0, [])
+    return best, explored
 
 
 def _gosper_masks(n: int, k: int):

@@ -55,10 +55,12 @@ from brute import (
     ecd_oracle,
     eod_oracle,
     feasible_sets_oracle,
+    gamma_p_tree_reference,
     gamma_tR_loop_reference,
     isolated_members_oracle,
     open_neighborhood_oracle,
     open_packings_oracle,
+    packing_tree_reference,
     roman_oracle,
     roman_tree_reference,
     seen_twice_oracle,
@@ -270,6 +272,15 @@ def products_of(hs, max_order):
     return st.sampled_from(hs).flatmap(
         lambda h: random_graph_strategy(max_n=max_order // generate(parse_family(h)).n)
         .map(lambda g: _lex(g, h)))
+
+
+def family_products(orders, max_h):
+    """P_n o H and C_n o H with n in ``orders`` and H on 2 to max_h
+    vertices."""
+    families = st.sampled_from(("path", "cycle")).flatmap(
+        lambda family: st.sampled_from(orders).map(lambda n: generate(parse_family(f"{family}:{n}"))))
+    factors = random_graph_strategy(max_n=max_h).filter(lambda h: h.n >= 2)
+    return st.builds(lambda g, h: lex_product(g, h)[0], families, factors)
 
 
 @st.composite
@@ -555,8 +566,32 @@ class TestRomanPlan:
             assert self.value_only(g, kind) == cold, kind
             assert solve(g, kind, max_n=g.n) == full, kind
 
+    @settings(max_examples=100, deadline=None)
+    @given(random_graph_strategy(max_n=10))
+    def test_value_rows_leave_out_later_twins(self, g):
+        # the value-only rows are the tie-keeping rows of the vertices
+        # with no twin at an earlier position, and a left-out vertex's bit
+        # joins the out-bits of the row before it
+        suffixes, _ = solvers._roman_plan(g)
+        rows, value_rows = suffixes[True][0], suffixes[False][0]
+        order = [(row[2].bit_length() - 1) for row in rows]
+
+        def twins(u, v):
+            return g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
+
+        kept = [i for i, v in enumerate(order) if not any(twins(u, v) for u in order[:i])]
+        assert [row[0] - 1 for row in value_rows] == kept
+        for row, end in zip(value_rows, kept[1:] + [g.n]):
+            following = sum(1 << v for v in order[row[0]:end])
+            assert row[:3] + row[4:] == rows[row[0] - 1][:3] + rows[row[0] - 1][4:]
+            assert row[3] == row[2] | following
+        assert all(row[3] == row[2] for row in rows)
+        for start in range(g.n + 1):
+            assert suffixes[True][start] == rows[start:]
+            assert suffixes[False][start] == [row for row in value_rows if row[0] > start]
+
     def test_one_set_up_for_both_modes(self):
-        # the twin mask rides along in the one set-up, so a value-only
+        # both modes' rows ride along in the one set-up, so a value-only
         # search after a tie-keeping one builds nothing
         g = self.GRAPHS[-2]
         solvers._roman_plan.cache_clear()
@@ -676,6 +711,53 @@ class TestSetSearchTree:
         row = [solvers._gamma_p_value(g), solvers._packing_value(g, open_=False),
                solvers._packing_value(g, open_=True)]
         assert (row, solvers._search_order(g)) == self.PINS[name]
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_graph_strategy(max_n=12))
+    def test_same_tree_as_reference(self, g):
+        assert_same_set_trees(g)
+
+    # derandomized: the same products on every run, so the time of the
+    # plain reference on the largest of them does not vary from run to run
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(family_products(range(7, 13), max_h=3))
+    def test_same_tree_as_reference_on_products(self, g):
+        # products whose searches pass the memo's gate, where identical
+        # subtrees come up and are counted once
+        assert_same_set_trees(g)
+
+    def test_repeated_subtrees_counted_unentered(self, graphs):
+        # the plain recursion enters every node it counts; the memo adds
+        # the count of a repeated subtree without a frame
+        g = graphs["cycle:15 o empty:3"]
+        calls = (lambda: solvers._gamma_p_value(g),
+                 lambda: solvers._packing_value(g, open_=False),
+                 lambda: solvers._packing_value(g, open_=True))
+        codes = (rec_code(solvers._gamma_p_value),) + (rec_code(solvers._packing_value),) * 2
+        for call, code, pinned in zip(calls, codes, self.PINS["cycle:15 o empty:3"][0]):
+            frames = 0
+
+            def trace(frame, event, arg):
+                nonlocal frames
+                if frame.f_code is code:
+                    frames += 1
+
+            before = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                result = call()
+            finally:
+                sys.settrace(before)
+            assert result == pinned
+            assert solvers.MEMO_GATE < frames < result[1]
+
+
+def assert_same_set_trees(g):
+    """The gamma_p and packing value searches return the value and
+    ``explored`` of their plain recursions."""
+    assert solvers._gamma_p_value(g) == gamma_p_tree_reference(g)
+    for open_ in (False, True):
+        assert solvers._packing_value(g, open_) == packing_tree_reference(g, open_), open_
 
 
 class TestEnumerateOptimalV2:
@@ -860,6 +942,11 @@ def test_searches_leave_no_cyclic_garbage():
         for kind, witness in cases:
             solve(product, kind, witness=witness)
             assert gc.collect() == 0, (kind, witness)
+        # searches past the frontier memo's gate free the memo too
+        big = _lex(generate(parse_family("cycle:15")), "empty:3")
+        for kind in (ParameterKind.gamma_p, ParameterKind.rho, ParameterKind.rho_o):
+            assert solve(big, kind, max_n=big.n, witness=False).explored > solvers.MEMO_GATE
+            assert gc.collect() == 0, kind
         # a walk stopped by its visitor
         assert solvers._walk_open_packings(g, 0, lambda s, seen: True) == 0
         assert gc.collect() == 0
