@@ -720,18 +720,49 @@ def _greedy_dominating(g: Graph) -> int:
 
 class _RowSuffixes(dict):
     """The row suffixes of ``_roman_scan`` by search mode (``ties``): the
-    rows from each start position on.  The value-only table comes built;
-    the tie-keeping one is sliced on the first tie-keeping search, so a
-    graph searched by value alone, as in a verification sweep, slices
-    one table."""
+    rows from each start position on.  Each mode's table is built on the
+    first search in that mode, so a graph searched by value alone, as in
+    a verification sweep, or with witnesses alone, as in a product
+    solve, builds one."""
 
-    def __init__(self, rows: list, value_tails: list):
-        super().__init__({False: value_tails})
+    def __init__(self, rows: list):
+        super().__init__()
         self.rows = rows
 
     def __missing__(self, ties: bool) -> list:
         rows = self.rows
-        tails = self[ties] = [rows[i:] for i in range(len(rows) + 1)]
+        n = len(rows)
+        if ties:
+            tails = [rows[i:] for i in range(n + 1)]
+        else:
+            # the vertices with a twin at an earlier position: twins share
+            # a degree, so among them the order is by index; the open and
+            # the closed neighbourhoods of the positions so far
+            twins = 0
+            opens: set[int] = set()
+            closeds: set[int] = set()
+            for _, a, b, _, _, _ in rows:
+                if a in opens or a | b in closeds:
+                    twins |= b
+                opens.add(a)
+                closeds.add(a | b)
+            # a vertex with an earlier twin has no row, and its bit joins
+            # the out-bits of the row before it (``run``; position 0 has
+            # no earlier twin)
+            tails = [None] * n + [[]]
+            run = 0
+            for i in range(n - 1, -1, -1):
+                row = rows[i]
+                b = row[2]
+                if twins & b:
+                    run |= b
+                    tails[i] = tails[i + 1]
+                    continue
+                if run:
+                    row = (*row[:3], b | run, *row[4:])
+                    run = 0
+                tails[i] = [row] + tails[i + 1]
+        self[ties] = tails
         return tails
 
 
@@ -750,45 +781,20 @@ def _roman_plan(g: Graph):
     adj = g.adj
     # degree descending; sorted() is stable, so ties keep increasing index
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    # the vertices with a twin of lower index, which among twins (of one
-    # degree) is one at an earlier position; the open and the closed
-    # neighbourhoods of the vertices so far
-    twins = 0
-    opens: set[int] = set()
-    closeds: set[int] = set()
-    for v in range(n):
-        closed = adj[v] | 1 << v
-        if adj[v] in opens or closed in closeds:
-            twins |= 1 << v
-        opens.add(adj[v])
-        closeds.add(closed)
     # rows[i] as in _roman_scan; unreach: the vertices with no neighbor
     # among order[i + 1:]; dn: 1 + the degree at position i + 1, the
     # largest at any later position.  Lists, not tuples: a tuple table
-    # raised the peak memory of product solves.  value_tails[i]: the
-    # value-only rows from position i on, which leave out a vertex with
-    # an earlier twin and add its bit to the out-bits of the row before
-    # it (``run``; position 0 has no earlier twin)
+    # raised the peak memory of product solves
     rows = [None] * n
-    value_tails = [None] * n + [[]]
-    run = 0
     unreach = g.full_mask
     dn = 0
     for i in range(n - 1, -1, -1):
         v = order[i]
         b = 1 << v
-        row = rows[i] = (i + 1, adj[v], b, b, unreach, dn)
-        if twins & b:
-            run |= b
-            value_tails[i] = value_tails[i + 1]
-        else:
-            if run:
-                row = (i + 1, adj[v], b, b | run, unreach, dn)
-                run = 0
-            value_tails[i] = [row] + value_tails[i + 1]
+        rows[i] = (i + 1, adj[v], b, b, unreach, dn)
         unreach &= ~adj[v]
         dn = 1 + adj[v].bit_count()
-    return _RowSuffixes(rows, value_tails), _greedy_dominating(g)
+    return _RowSuffixes(rows), _greedy_dominating(g)
 
 
 _MEMOS.append(_roman_plan)
@@ -815,8 +821,9 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     degree at any later position (0 at the last one).  The value-only
     table leaves out the rows of the vertices with a twin at an earlier
     position (twin rule below).  A node that starts at position s walks
-    the suffix of its mode's rows from s, which the set-up builds once
-    per position.  The seed's weight is per kind.
+    the suffix of its mode's rows from s; the set-up builds a mode's
+    suffixes on the first search in that mode.  The seed's weight is per
+    kind.
     Let k be the children's |V2| and nout the decided-out set before
     child i: the node's own and its earlier children's, so that V2 and
     nout hold exactly the positions before i.
@@ -900,15 +907,16 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
     holds every position up to the next row.  A child starts with those
     skipped positions in its own nout, as its parent passes
     nout | (o - {v}).  So V2 and nout hold exactly the positions before
-    each child that is weighed, as the gates need.  The stop is now
-    tested after a row only, with nout up to the next row, and not after
-    the skipped positions.  It still fires only when no later child can
-    weigh at most lim or recurse: the argument below reads "a later
-    position" as a position of a later row, since the skipped positions
-    have no child, and nout is larger.  A stop that would have fired
-    after a skipped position leaves the next child unable to weigh at
-    most lim or recurse, so its gates fail or weigh it above lim, which
-    moves neither ``best`` (lim = best - 1) nor the tree.
+    each child that is weighed, as the gates need.  The stop is tested
+    after each row, with nout up to the next row, and not after a
+    skipped position.  It fires only when no later child can weigh at
+    most lim or recurse: the argument below holds with "a later
+    position" read as the position of a later row, since the skipped
+    positions have no child, and with the larger nout.  Where the full
+    loop would stop after a skipped position, the next child can
+    neither weigh at most lim nor recurse, so its gates fail or weigh it
+    above lim, which moves neither ``best`` (lim = best - 1) nor the
+    tree.
 
     The value is still the optimum.  First, no optimal RDF or PRDF has
     two twins u and v in V2: giving v weight 1 in place of 2 keeps the
@@ -964,11 +972,11 @@ def _roman_scan(g: Graph, kind: ParameterKind, ties: bool = True):
 
     ``explored`` counts the children of every expanded node, whether
     weighed, passed over by a gate or the twin rule or cut off together
-    by the stop: n - start is added as a node starts, or by its parent for a dead
-    child, so with ``ties`` true it is that of the full loop, and with
-    ``ties`` false that of the strict tree.  Returns (value, sorted
-    optimal V2 masks, explored), with None for the masks when ``ties``
-    is false.
+    by the stop: n - start is added as a node starts, or by its parent
+    for a dead child, so with ``ties`` true it is that of the full loop,
+    and with ``ties`` false that of the strict tree.  Returns (value,
+    sorted optimal V2 masks, explored), with None for the masks when
+    ``ties`` is false.
     """
     n = g.n
     twice = g.full_mask if kind is ParameterKind.gamma_Rp else 0

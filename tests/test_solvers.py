@@ -591,8 +591,8 @@ class TestRomanPlan:
             assert suffixes[False][start] == [row for row in value_rows if row[0] > start]
 
     def test_one_set_up_for_both_modes(self):
-        # both modes' rows ride along in the one set-up, so a value-only
-        # search after a tie-keeping one builds nothing
+        # both modes read the one set-up: a value-only search after a
+        # tie-keeping one adds its own rows to it, not a second set-up
         g = self.GRAPHS[-2]
         solvers._roman_plan.cache_clear()
         solve(g, ParameterKind.gamma_R, max_n=g.n)
